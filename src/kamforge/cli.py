@@ -18,7 +18,6 @@ import copy
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -188,15 +187,11 @@ def run_pipeline(cfg, out_dir=None, log=None):
         os.makedirs(out_dir, exist_ok=True)
         _json_dump(merge_config(cfg, {"config_hash": chash}),
                    os.path.join(out_dir, "config.json"))
-    timings = {}
-    tic = time.time()
     net, sys_ = network_from_config(cfg)
     aa = ActionAngleMap(net.n, net.m)
     I0, omega0, report, _ = run_dc_scan(cfg, out_dir=out_dir, log=log)
-    timings["dc_scan"] = time.time() - tic
 
     nfc = cfg["normal_form"]
-    tic = time.time()
     spec = to_hamiltonian_spec(sys_, aa, I0, float(nfc["tau0"]),
                                n_nodes=int(nfc["n_nodes"]), s0=float(nfc["s0"]),
                                K0=int(nfc["K_cap"]), base_grid=int(nfc["base_grid"]))
@@ -204,10 +199,8 @@ def run_pipeline(cfg, out_dir=None, log=None):
     nfp = NormalFormParams(dc=dcp, m0=int(nfc["m0"]), K0=int(nfc["K0"]),
                            K_cap=int(nfc["K_cap"]), n_nodes=int(nfc["n_nodes"]))
     nf = run_normal_form(spec, nfp)
-    timings["normal_form"] = time.time() - tic
     log(f"pipeline: normal form done, angle norm {nf.angle_norm():.4g}")
 
-    tic = time.time()
     avg = time_average_transform(nf, spec)
     I_star, residual = locate_expansion_point(avg, spec)
     drift = float(np.abs(I_star - I0).max())
@@ -215,21 +208,16 @@ def run_pipeline(cfg, out_dir=None, log=None):
     if r0 <= 0:
         r0 = min(spec.eps ** (2 * spec.b), nf.tau / 4, 0.5 * (nf.tau - drift))
     form = taylor_split(avg, spec, I_star, r0, kam_nodes=int(cfg["kam"]["n_nodes"]))
-    timings["average_split"] = time.time() - tic
     log(f"pipeline: expansion point {I_star} (moved {drift:.3g}, ball {r0:.3g})")
 
-    tic = time.time()
     kp = KamParams(dc=dcp, tol=float(cfg["kam"]["tol"]),
                    max_steps=int(cfg["kam"]["max_steps"]),
                    K_cap=int(cfg["kam"]["K_cap"]), n_nodes=int(cfg["kam"]["n_nodes"]))
     kam = kam_iterate(init_state(form, kp), kp)
-    timings["kam"] = time.time() - tic
     log(f"pipeline: kam stopped after {kam.m} steps, low norm {kam.low_norm():.4g}")
 
-    tic = time.time()
     torus = extract_torus(kam, form, avg, nf, n_phi=int(cfg["torus"]["n_phi"]),
                           n_t=int(cfg["torus"]["n_t"]))
-    timings["extract"] = time.time() - tic
     log(f"pipeline: torus extracted ({torus.theta_dev.n_modes} angle modes)")
 
     if out_dir is not None:
@@ -262,17 +250,16 @@ def run_pipeline(cfg, out_dir=None, log=None):
             "kam_low_norm": fmt_float(kam.low_norm()),
             "torus_modes": {"theta_dev": torus.theta_dev.n_modes,
                             "action": torus.action.n_modes},
-            "timings": {k: fmt_float(v) for k, v in timings.items()},
         }, os.path.join(out_dir, "summary.json"))
     return {
         "net": net, "system": sys_, "chart": aa, "dc": dcp, "I0": I0,
         "omega0": omega0, "dc_report": report, "spec": spec, "nf": nf,
         "avg": avg, "I_star": I_star, "r0": r0, "form": form, "kam": kam,
-        "torus": torus, "timings": timings,
+        "torus": torus,
     }
 
 
-def make_chart(sys_, aa):
+def make_chart(aa):
     """Map (theta, I) batches to scaled phase-space states (x_1..x_m, y_1..y_m)."""
     def chart(theta, I):
         x, y = aa.to_cartesian(theta, I)
@@ -311,12 +298,10 @@ def run_verify(cfg, out_dir, torus_path=None, log=None):
     aa = ActionAngleMap(net.n, net.m)
     m = net.m
 
-    tic = time.time()
     defect = invariance_defect(
         torus, make_flow(sys_, float(vc["h_check"]), escape=float(vc["escape"])),
-        make_chart(sys_, aa), float(vc["T_check"]),
+        make_chart(aa), float(vc["T_check"]),
         n_samples=int(vc["n_samples"]), seed=int(cfg["seed"]))
-    t_defect = time.time() - tic
     log(f"verify: invariance defect {defect:.4g} over T={vc['T_check']}")
     if not np.isfinite(defect):
         raise EscapeError("a sampled torus orbit escaped during the invariance check")
@@ -330,10 +315,8 @@ def run_verify(cfg, out_dir, torus_path=None, log=None):
     I0 = torus.actions(np.zeros((1, m)), np.zeros(1))[0]
     x0, y0 = aa.to_cartesian(th0, I0)
     X0, V0 = sys_.to_original(x0, y0)
-    tic = time.time()
     traj = integrate(net, X0, V0, 0.0, float(vc["T_long"]), h,
                      sample_every=every, escape=float(vc["escape"]))
-    t_orbit = time.time() - tic
     metrics = stability_metrics(traj, sys_, aa)
     rot = rotation_vector(traj, sys_, aa)
     rel = float(np.abs(rot - torus.omega).max() / np.abs(torus.omega).max())
@@ -352,7 +335,6 @@ def run_verify(cfg, out_dir, torus_path=None, log=None):
         "rotation_target": [fmt_float(w) for w in torus.omega],
         "rotation_rel_err": fmt_float(rel),
         "escaped": bool(metrics["escaped"]),
-        "timings": {"defect": fmt_float(t_defect), "orbit": fmt_float(t_orbit)},
     }
     _json_dump(result, os.path.join(out_dir, "verify.json"))
     return result

@@ -43,13 +43,6 @@ class DiophantineParams:
         if self.K_check < self.K_split:
             raise ValueError("K_check must be at least K_split")
 
-    @classmethod
-    def from_eps(cls, d, eps, a, C1=4.0, K_check=0):
-        """Log-law defaults: K_split = (log 1/eps)^C1, gamma = (log 1/eps)^(-2 C1)."""
-        L = np.log(1.0 / eps)
-        return cls(d=d, gamma=float(L ** (-2 * C1)), eps=float(eps), a=float(a),
-                   K_split=max(4, int(round(L**C1))), K_check=K_check)
-
     @property
     def eps_pow(self):
         return self.eps ** (-self.a)
@@ -59,11 +52,6 @@ class DiophantineParams:
 
     def bound_regime2(self, knorm):
         return self.gamma / (1.0 + knorm) ** (self.d + 1)
-
-
-def small_divisor(k, l, omega, eps, a):
-    """|eps^(-a) <k, omega> + l|."""
-    return float(abs(eps ** (-a) * np.dot(np.asarray(k, dtype=float), omega) + l))
 
 
 @functools.lru_cache(maxsize=32)
@@ -94,7 +82,6 @@ class DcReport:
     margin: float
     worst_mode: tuple
     n_checked: int
-    n_skipped: int
     omega: np.ndarray = field(default=None)
 
 
@@ -146,7 +133,6 @@ def check_dc(omega, p):
         margin=float(margins[0]),
         worst_mode=tuple(int(x) for x in worst[0]),
         n_checked=n_modes,
-        n_skipped=0,
         omega=omega,
     )
 
@@ -189,7 +175,6 @@ def find_dc_point(omega_of, box, p, grid=33, point_chunk=1024):
         margin=float(margins[best]),
         worst_mode=tuple(int(x) for x in worsts[best]),
         n_checked=int(_k_enumeration(p.d, p.K_check).shape[0]),
-        n_skipped=0,
         omega=omegas[best],
     )
     return pts[best], omegas[best], report, records

@@ -8,13 +8,13 @@ eps^(-a) H0(I) + eps^(-b) R(theta, t, I) with eps = 1/A, a = n, b = n - 1.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EscapeError
 from .fourier import ActionGrid, FourierField
-from .oscillator import YOSHIDA6, ActionAngleMap
+from .oscillator import YOSHIDA6
 from .util import write_csv
 
 
@@ -156,15 +156,6 @@ class ScaledSystem:
     def to_scaled(self, X, V):
         n = self.net.n
         return np.asarray(X) / self.A, np.asarray(V) / self.A ** (n + 1)
-
-
-def vector_field(net, state, t):
-    """First-order right-hand side in original coordinates; state = (x, x')."""
-    state = np.asarray(state, dtype=float)
-    m = net.m
-    x, v = state[:m], state[m:]
-    acc = -x ** (2 * net.n + 1) - net.potential_gradient(x, t)
-    return np.concatenate([v, acc])
 
 
 @dataclass

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeOverflowError, RealityError
-from .util import fast_len, fftn, fmt_float, ifftn
+from .errors import RealityError
+from .util import fftn, fmt_float, ifftn
 
 # Relative drift scales like roundoff times the cancellation ratio of the
 # assembled grid values, so small remainders extracted from O(1) sums sit
@@ -123,10 +123,6 @@ class ActionGrid:
             Wj = self.interp_matrix(pts[:, j], j)
             WW = WW[..., None] * Wj.reshape(Wj.shape[0], *([1] * j), self.n)
         return WW
-
-    def resample_matrix(self, other, axis):
-        """Interpolation matrix from this grid's nodes to another grid's nodes on one axis."""
-        return self.interp_matrix(other.nodes1d(axis), axis)
 
     def to_json_dict(self):
         return {
@@ -347,7 +343,7 @@ class FourierField:
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
-            raise TypeError("use multiply() for field products")
+            raise TypeError("fields only scale by scalars")
         return self.replace(coeffs=self._coeffs * scalar, _canonical=True,
                             enforce_reality=not np.iscomplexobj(np.asarray(scalar)))
 
@@ -428,24 +424,21 @@ class FourierField:
         raise ValueError(f"unknown derivative direction {which!r}")
 
     def grad_angle(self):
-        """Vector field of angle derivatives, shape (d,) + existing value shape."""
-        if self.vshape != ():
-            raise ValueError("grad_angle expects a scalar field")
+        """Angle gradient, derivative index first: value shape (d,) + vshape."""
         k = self._modes[:, : self.d].T  # (d, M)
         shape = (self.d, self.n_modes) + (1,) * (self._coeffs.ndim - 1)
-        c = (1j * k).reshape(shape) * self._coeffs[None]
-        c = np.moveaxis(c, 0, 1)
-        return self.replace(coeffs=c, vshape=(self.d,), _canonical=True,
+        c = np.moveaxis((1j * k).reshape(shape) * self._coeffs[None], 0, 1)
+        return self.replace(coeffs=c, vshape=(self.d,) + self.vshape, _canonical=True,
                             enforce_reality=False)
 
     def grad_action(self):
-        """Vector field of action-node derivatives."""
-        if self.vshape != () or self.grid is None:
-            raise ValueError("grad_action expects a scalar field with action nodes")
-        parts = [self.derive(f"action_{j}")._coeffs for j in range(self.grid.dim)]
-        c = np.stack(parts, axis=1)
-        return self.replace(coeffs=c, vshape=(self.grid.dim,), _canonical=True,
-                            enforce_reality=False)
+        """Action gradient, derivative index first: value shape (dim,) + vshape."""
+        if self.grid is None:
+            raise ValueError("field has no action dependence to differentiate")
+        c = np.stack([self.derive(f"action_{j}")._coeffs for j in range(self.grid.dim)],
+                     axis=1)
+        return self.replace(coeffs=c, vshape=(self.grid.dim,) + self.vshape,
+                            _canonical=True, enforce_reality=False)
 
     def angle_average(self):
         """Projection onto k = 0: the time-dependent, angle-free part."""
@@ -506,7 +499,7 @@ class FourierField:
 
     # -- evaluation and grids ----------------------------------------------------
 
-    def evaluate(self, theta, t, I=None, chunk=4096, return_complex=False):
+    def evaluate(self, theta, t, I=None, chunk=4096):
         """Evaluate at points; returns real values (imaginary residue checked).
 
         theta: (N, d) or (d,); t: (N,) or scalar; I: (N, dim), (dim,), or None.
@@ -534,21 +527,12 @@ class FourierField:
                     out[lo:hi] = np.einsum("nm,m...n->n...", E, cpts)
                 else:
                     out[lo:hi] = np.tensordot(E, self._coeffs, axes=(1, 0))
-        if return_complex:
-            return out[0] if single else out
         scale = max(1.0, float(np.abs(out).max(initial=0.0)))
         imag = float(np.abs(out.imag).max(initial=0.0))
         if imag > 1e-12 * scale:
             raise RealityError(f"imaginary residue {imag:.3e} on evaluation of a real field")
         res = out.real
         return res[0] if single else res
-
-    def grid_shape_for(self, other=None, pad=0):
-        """FFT grid shape large enough for this field (optionally a product with other)."""
-        ext = np.abs(self._modes).max(axis=0, initial=0)
-        if other is not None:
-            ext = ext + np.abs(other._modes).max(axis=0, initial=0)
-        return tuple(fast_len(2 * int(e + pad) + 1) for e in ext)
 
     def to_grid(self, nshape):
         """Values on the uniform (theta, t) grid, shape (*nshape, *vshape, *gridshape)."""
@@ -592,41 +576,6 @@ class FourierField:
                 int(cutoff), grid=grid, vshape=vshape, enforce_reality=enforce_reality)
         f = f.prune(prune_tol)
         f.projection_residual = residual
-        return f
-
-    def multiply(self, other, cap=None, overflow_tol=1e-9, on_overflow="raise"):
-        """Dealiased product of two scalar fields via oversampled grid transform.
-
-        The grid is sized so every product mode is represented exactly; modes
-        beyond ``cap`` (default: sum of the cutoffs) are dropped and their mass
-        is compared against ``overflow_tol`` times the total.
-        """
-        if np.isscalar(other):
-            return self * other
-        self._compatible(other)
-        if self.vshape != ():
-            raise ValueError("multiply is defined for scalar fields")
-        full = self.cutoff + other.cutoff
-        target = full if cap is None else int(min(cap, full))
-        if self.n_modes == 0 or other.n_modes == 0:
-            return self.zero(self.d, min(self.s, other.s), self.tau, target,
-                             grid=self.grid, vshape=())
-        nshape = self.grid_shape_for(other)
-        va = self.to_grid(nshape)
-        vb = other.to_grid(nshape)
-        prod = va * vb
-        f = FourierField.from_grid(prod, self.d, min(self.s, other.s), full,
-                                   grid=self.grid, vshape=(),
-                                   tau=max(self.tau, other.tau))
-        if target < full:
-            dropped = f.tail(target)
-            dm = float(np.abs(dropped._coeffs).sum())
-            tm = float(np.abs(f._coeffs).sum())
-            f = f.truncate(target)
-            if tm > 0 and dm > overflow_tol * tm and on_overflow == "raise":
-                raise ModeOverflowError(
-                    f"product dropped relative mass {dm / tm:.3e} past cap {target}",
-                    dropped_mass=dm, total_mass=tm)
         return f
 
     # -- serialization ----------------------------------------------------------
@@ -746,23 +695,21 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None,
 
     deriv_cache = {((0,) * d_ang, (0,) * d_act): field}
 
+    # Orders run upwards, so the parent one order below is always cached.  No
+    # recursion: a self-referencing closure would keep the cache alive until
+    # the cyclic garbage collector runs.
     def derivative_field(alpha, beta):
         key = (alpha, beta)
-        if key in deriv_cache:
-            return deriv_cache[key]
-        for j in range(d_ang):
-            if alpha[j] > 0:
-                parent = derivative_field(
-                    alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], beta)
+        if key not in deriv_cache:
+            j = next((j for j in range(d_ang) if alpha[j] > 0), None)
+            if j is not None:
+                parent = deriv_cache[(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], beta)]
                 deriv_cache[key] = parent.derive(f"angle_{j}")
-                return deriv_cache[key]
-        for j in range(d_act):
-            if beta[j] > 0:
-                parent = derivative_field(
-                    alpha, beta[:j] + (beta[j] - 1,) + beta[j + 1:])
+            else:
+                j = next(j for j in range(d_act) if beta[j] > 0)
+                parent = deriv_cache[(alpha, beta[:j] + (beta[j] - 1,) + beta[j + 1:])]
                 deriv_cache[key] = parent.derive(f"action_{j}")
-                return deriv_cache[key]
-        raise AssertionError
+        return deriv_cache[key]
 
     pw_theta = [{0: None} for _ in range(d_ang)]
     pw_rho = [{0: None} for _ in range(d_act)]
@@ -814,17 +761,15 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None,
 
 @dataclass
 class ActionJet:
-    """Quadratic jet in the action around a point, with an optional cubic tail.
+    """Quadratic jet in the action around a point.
 
     r0, r1, r2 are scalar-, vector-, and matrix-valued FourierFields in
-    (theta, t); ``high`` (when present) is a sampled remainder vanishing to
-    third order at the expansion point.
+    (theta, t).
     """
 
     r0: FourierField
     r1: FourierField
     r2: FourierField
-    high: object = None
 
     def __post_init__(self):
         sym_defect = 0.0
@@ -846,5 +791,32 @@ class ActionJet:
         return (v0 + np.einsum("nj,nj->n", v1, rho)
                 + np.einsum("nj,njk,nk->n", rho, v2, rho))
 
-    def max_norm(self, s=None):
-        return max(self.r0.norm(s), self.r1.norm(s), self.r2.norm(s))
+
+
+def jet_split(field, point, kgrid):
+    """Quadratic jet of a node-sampled scalar field at an action point, plus its tail.
+
+    Returns (r0, r1, r2, high) with
+    field(theta, t, point + rho) = r0 + <r1, rho> + <r2 rho, rho> + high(theta, t, rho).
+    r0, r1 and r2 are action-free scalar, vector and symmetric matrix fields:
+    the value, gradient and half Hessian of each mode coefficient at ``point``.
+    ``high`` vanishes to third order at rho = 0 and is sampled on the nodes of
+    ``kgrid``, whose coordinates are the offsets rho from ``point``.
+    """
+    d = field.grid.dim
+    at = np.atleast_2d(np.asarray(point, dtype=float))
+    rho = kgrid.node_points().reshape(-1, d)
+    grad = field.grad_action()
+    c0 = field.interp_action(at)[..., 0]                      # (M,)
+    c1 = grad.interp_action(at)[..., 0]                       # (M, d)
+    c2 = grad.grad_action().interp_action(at)[..., 0]         # (M, d, d)
+    c2 = 0.25 * (c2 + np.swapaxes(c2, 1, 2))
+    jet = c0[:, None] + c1 @ rho.T + np.einsum("nj,mjk,nk->mn", rho, c2, rho)
+    tail = field.interp_action(at + rho) - jet
+    flat = {"grid": None, "tau": 0.0, "_canonical": True}
+    r0 = field.replace(coeffs=c0, **flat).prune()
+    r1 = field.replace(coeffs=c1, vshape=(d,), enforce_reality=False, **flat).prune()
+    r2 = field.replace(coeffs=c2, vshape=(d, d), enforce_reality=False, **flat).prune()
+    high = field.replace(coeffs=tail.reshape(tail.shape[:1] + kgrid.shape), grid=kgrid,
+                         tau=kgrid.tau, _canonical=True).prune()
+    return r0, r1, r2, high

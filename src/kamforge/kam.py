@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ContractionError, DomainError, EscapeError
-from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid
-from .normal_form import _realify, solve_fixed_point, solve_homological
+from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
+from .normal_form import _realify, implicit_angle_shift, solve_fixed_point, solve_homological
 from .util import fast_len
 
 ZETA2 = np.pi**2 / 6.0
@@ -141,14 +141,6 @@ def _matrix_apply(M, f):
     return f.replace(coeffs=c, _canonical=True, enforce_reality=False)
 
 
-def _grad_angle_vector(f):
-    """G_ij = d/dtheta_i of component j for a vector field: (M, d, d) coeffs."""
-    k = f.modes[:, : f.d].astype(float)
-    c = 1j * k[:, :, None] * f.coeffs[:, None, :]
-    return f.replace(coeffs=c, vshape=(f.d, f.d), _canonical=True,
-                     enforce_reality=False)
-
-
 def cubic_contraction(high, w_grid, nshape, h, taylor_tol=1e-13):
     """Grids of T3[w]_jk = sum_i d^3 R_high / d rho_i d rho_j d rho_k (0) w_i.
 
@@ -238,13 +230,12 @@ def kam_step(state, params):
             f"action shift |nu| = {np.abs(nu).max():.3e} is too large for the "
             f"ball radius {r_next:.3e}")
 
-    G = _grad_angle_vector(S1)                 # G_ij = d(theta_i) S1_j
+    G = S1.grad_angle()                        # G_ij = d(theta_i) S1_j
     OmG = np.einsum("ij,mjk->mik", Om, G.coeffs)
     symOmG = G.replace(coeffs=epa * (OmG + np.swapaxes(OmG, 1, 2)),
                        _canonical=True, enforce_reality=False)
 
-    g0 = np.stack([_realify(A0.component(i).to_grid(nshape)) for i in range(d)],
-                  axis=-1)                            # (*nshape, d)
+    g0 = _realify(A0.to_grid(nshape))                 # (*nshape, d)
     have_high = state.high is not None and state.high.n_modes > 0
     if have_high:
         T3w = cubic_contraction(state.high, g0, nshape,
@@ -265,29 +256,14 @@ def kam_step(state, params):
 
     # remainder assembly in the old angle variables -------------------------
     rho = grid_new.node_points().reshape(-1, d)      # (P, d)
-    P = rho.shape[0]
-    base = tuple(nshape) + (P,)
+    base = tuple(nshape) + (rho.shape[0],)
 
-    Ggrid = np.empty(tuple(nshape) + (d, d))
-    for i in range(d):
-        for j in range(d):
-            Ggrid[..., i, j] = _realify(G.component(i, j).to_grid(nshape))
-    S2g = np.empty(tuple(nshape) + (d, d))
-    for i in range(d):
-        for j in range(d):
-            S2g[..., i, j] = _realify(S2.component(i, j).to_grid(nshape))
-    dS2g = np.empty(tuple(nshape) + (d, d, d))        # d(theta_i) S2_jk
-    for i in range(d):
-        Si = S2.replace(coeffs=S2.coeffs * (1j * S2.modes[:, i])[:, None, None],
-                        _canonical=True, enforce_reality=False)
-        for j in range(d):
-            for k in range(d):
-                dS2g[..., i, j, k] = _realify(Si.component(j, k).to_grid(nshape))
+    Ggrid = _realify(G.to_grid(nshape))               # (*nshape, d, d)
+    dS2g = _realify(S2.grad_angle().to_grid(nshape))  # d(theta_i) S2_jk
+    quad = np.einsum("...ijk,pj,pk->...pi", dS2g, rho, rho)  # <dS2 rho, rho>
 
     # d(theta) S at the new nodes: A(theta, t, rho) = g0 + G rho + <dS2 rho, rho>
-    A = (g0[..., None, :]
-         + np.einsum("...ij,pj->...pi", Ggrid, rho)
-         + np.einsum("...ijk,pj,pk->...pi", dS2g, rho, rho))  # (*nshape, P, d)
+    A = g0[..., None, :] + np.einsum("...ij,pj->...pi", Ggrid, rho) + quad
     Wfull = nu[None, :] + A                               # nu + d(theta) S
 
     rem = np.zeros(base, dtype=complex)
@@ -295,19 +271,13 @@ def kam_step(state, params):
     rem += epa * (np.einsum("...pi,ij,...pj->...p", A, Om, A)
                   + 2.0 * np.einsum("i,...pi->...p", Om @ nu, A))
     # <R1, nu + dS>
-    R1g = np.stack([_realify(R1.component(i).to_grid(nshape)) for i in range(d)],
-                   axis=-1)
+    R1g = _realify(R1.to_grid(nshape))
     rem += np.einsum("...i,...pi->...p", R1g, Wfull)
     # <R2 (nu + dS), nu + dS> + 2 <R2 (nu + dS), rho>
-    R2g = np.empty(tuple(nshape) + (d, d))
-    for i in range(d):
-        for j in range(d):
-            R2g[..., i, j] = _realify(R2.component(i, j).to_grid(nshape))
-    Q = np.einsum("...ij,...pj->...pi", R2g, Wfull)
+    Q = np.einsum("...ij,...pj->...pi", _realify(R2.to_grid(nshape)), Wfull)
     rem += (np.einsum("...pi,...pi->...p", Q, Wfull)
             + 2.0 * np.einsum("...pi,pi->...p", Q, rho))
     # 2 eps^(-a) <Omega rho, <dS2 rho, rho>>  (cubic tail of the twist cross term)
-    quad = np.einsum("...ijk,pj,pk->...pi", dS2g, rho, rho)
     rem += 2.0 * epa * np.einsum("pi,ij,...pj->...p", rho, Om, quad)
     # R_high at the shifted action, minus the part absorbed into S2's equation
     if have_high:
@@ -318,36 +288,18 @@ def kam_step(state, params):
         taylor_errs.append(e)
         rem -= 0.5 * np.einsum("pj,...jk,pk->...p", rho, T3w, rho)
 
-    # compose with the implicit angle change theta = phi + v ------------------
-    nontrivial = S1.n_modes or S2.n_modes
-    if nontrivial:
-        s1c = [S1.component(i) for i in range(d)]
-        s2c = [[S2.component(i, j) for j in range(d)] for i in range(d)]
-
-        def step_map(V):
-            W = np.zeros_like(V)
-            for i in range(d):
-                v1, _ = compose_shifted_grid(s1c[i], nshape, dtheta=V,
-                                             out_grid=grid_new, tol=params.taylor_tol)
-                acc = _realify(v1)
-                for j in range(d):
-                    v2, _ = compose_shifted_grid(s2c[i][j], nshape, dtheta=V,
-                                                 out_grid=grid_new,
-                                                 tol=params.taylor_tol)
-                    acc = acc + 2.0 * _realify(v2) * grid_new.node_points()[..., j]
-                W[..., i] = -acc
-            return W
-
-        V, fp_iters, _ = solve_fixed_point(
-            step_map, tuple(nshape) + grid_new.shape + (d,))
-    else:
-        V = np.zeros(tuple(nshape) + grid_new.shape + (d,))
-        fp_iters = 0
+    # compose with the implicit angle change theta = phi + V, where
+    # phi = theta + dS/drho and dS/drho = S1 + 2 S2 rho at the new nodes ----
+    srho = S1.broadcast_action(grid_new) + S2.replace(
+        coeffs=2.0 * np.einsum("mij,...j->mi...", S2.coeffs, grid_new.node_points()),
+        vshape=(d,), grid=grid_new, tau=grid_new.tau, _canonical=True,
+        enforce_reality=False)
+    V, fp_iters = implicit_angle_shift(srho, nshape, grid_new, params.taylor_tol)
 
     rem_field = FourierField.from_grid(rem.reshape(tuple(nshape) + grid_new.shape),
                                        d, s_next, params.K_cap, grid=grid_new)
     proj_res = rem_field.projection_residual
-    if nontrivial and rem_field.n_modes:
+    if srho.n_modes and rem_field.n_modes:
         vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V,
                                        out_grid=grid_new, tol=params.taylor_tol)
         taylor_errs.append(e)
@@ -357,30 +309,7 @@ def kam_step(state, params):
         final = rem_field
 
     # split by Taylor order at rho = 0 ---------------------------------------
-    c = final.coeffs
-    gaxes = list(range(c.ndim - d, c.ndim))
-    W0 = grid_new.interp_weights(np.zeros((1, d)))[0]
-    c0 = np.tensordot(c, W0, axes=(gaxes, list(range(d))))
-    d1 = [final.derive(f"action_{i}") for i in range(d)]
-    c1 = np.stack([np.tensordot(f.coeffs, W0, axes=(gaxes, list(range(d))))
-                   for f in d1], axis=-1)
-    c2 = np.empty(c0.shape + (d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            fij = d1[i].derive(f"action_{j}")
-            c2[..., i, j] = np.tensordot(fij.coeffs, W0, axes=(gaxes, list(range(d))))
-    c2 = 0.5 * (c2 + np.swapaxes(c2, -1, -2))
-
-    R0n = final.replace(coeffs=c0, grid=None, tau=0.0, _canonical=True).prune()
-    R1n = final.replace(coeffs=np.moveaxis(c1, -1, 1), grid=None, tau=0.0,
-                        vshape=(d,), _canonical=True, enforce_reality=False).prune()
-    R2n = final.replace(coeffs=np.moveaxis(0.5 * c2, (-2, -1), (1, 2)), grid=None,
-                        tau=0.0, vshape=(d, d), _canonical=True,
-                        enforce_reality=False).prune()
-    quad_nodes = (c0[..., None] + np.tensordot(c1, rho, axes=([-1], [1]))
-                  + np.einsum("pj,mjk,pk->mp", rho, 0.5 * c2, rho))
-    ch = (c.reshape(c.shape[0], P) - quad_nodes).reshape(c.shape)
-    highn = final.replace(coeffs=ch, _canonical=True).prune()
+    R0n, R1n, R2n, highn = jet_split(final, np.zeros(d), grid_new)
 
     C_new = (state.const + _mode_zero(R0)
              + epa * (float(omega @ nu) + float(nu @ Om @ nu)))
@@ -431,53 +360,51 @@ class TorusEmbedding:
         return np.atleast_2d(self.action.evaluate(phi, t))
 
 
+def _jet_matrix(ch):
+    """The generating jet S0 + <S1, rho> + <S2 rho, rho> of a KAM change as one field.
+
+    The matrix field Q has value shape (d+1, d+1) and S = <Q r, r> with
+    r = (1, rho), so dS/drho = 2 (Q r)[1:] and dS/dtheta_i = <(d_i Q) r, r>.
+    """
+    d = ch.S0.d
+    fields = (ch.S0, ch.S1, ch.S2)
+    q0, q1, q2 = (np.zeros((f.n_modes, d + 1, d + 1), dtype=complex) for f in fields)
+    q0[:, 0, 0] = ch.S0.coeffs
+    q1[:, 0, 1:] = q1[:, 1:, 0] = 0.5 * ch.S1.coeffs
+    q2[:, 1:, 1:] = ch.S2.coeffs
+    return FourierField(d, np.concatenate([f.modes for f in fields]),
+                        np.concatenate([q0, q1, q2]), min(f.s for f in fields), 0.0,
+                        max(f.cutoff for f in fields), vshape=(d + 1, d + 1),
+                        enforce_reality=False)
+
+
 def _invert_kam_change(ch, phi, t, rho, tol=1e-13, max_iter=80):
-    """Old (theta, I) of points given in the new coordinates of one KAM step."""
-    d = phi.shape[1]
-    theta = phi.copy()
-    for _ in range(max_iter):
-        s1 = np.atleast_2d(ch.S1.evaluate(theta, t)) if ch.S1.n_modes else np.zeros_like(phi)
-        if ch.S2.n_modes:
-            s2 = ch.S2.evaluate(theta, t)
-            s2 = s2.reshape(len(theta), d, d)
-            s1 = s1 + 2.0 * np.einsum("nij,nj->ni", s2, rho)
-        new = phi - s1
-        delta = np.abs(new - theta).max(initial=0.0)
-        theta = new
-        if delta < tol:
-            break
-    else:
-        raise ContractionError("angle inversion of a KAM change did not converge")
-    grad = np.zeros_like(phi)
-    for i in range(d):
-        if ch.S0.n_modes:
-            grad[:, i] += ch.S0.derive(f"angle_{i}").evaluate(theta, t)
-        if ch.S1.n_modes:
-            g1 = np.atleast_2d(ch.S1.derive(f"angle_{i}").evaluate(theta, t))
-            grad[:, i] += np.einsum("nj,nj->n", g1, rho)
-        if ch.S2.n_modes:
-            g2 = ch.S2.derive(f"angle_{i}").evaluate(theta, t).reshape(len(theta), d, d)
-            grad[:, i] += np.einsum("nj,njk,nk->n", rho, g2, rho)
-    return theta, ch.nu[None, :] + rho + grad
+    """Old (theta, I) of points given in the new coordinates of one KAM step.
+
+    theta = phi + V solves V = -dS/drho(phi + V), with dS/drho = 2 (Q r)[1:].
+    """
+    n, d = phi.shape
+    Q = _jet_matrix(ch)
+    r = np.concatenate([np.ones((n, 1)), rho], axis=1)
+
+    def step(V):
+        q = Q.evaluate(phi + V, t).reshape(n, d + 1, d + 1)
+        return -2.0 * np.einsum("nij,nj->ni", q[:, 1:], r)
+
+    theta = phi + solve_fixed_point(step, phi.shape, tol=tol, max_iter=max_iter)[0]
+    dq = Q.grad_angle().evaluate(theta, t).reshape(n, d, d + 1, d + 1)
+    return theta, ch.nu[None, :] + rho + np.einsum("nj,nijk,nk->ni", r, dq, r)
 
 
 def _invert_nf_change(S, phi, t, rho, tol=1e-13, max_iter=80):
-    """Old (theta, I) of points given in the new coordinates of one averaging step."""
-    d = phi.shape[1]
-    theta = phi.copy()
-    sr = [S.derive(f"action_{i}") for i in range(d)]
-    st = [S.derive(f"angle_{i}") for i in range(d)]
-    for _ in range(max_iter):
-        shift = np.stack([f.evaluate(theta, t, rho) for f in sr], axis=-1)
-        new = phi - shift
-        delta = np.abs(new - theta).max(initial=0.0)
-        theta = new
-        if delta < tol:
-            break
-    else:
-        raise ContractionError("angle inversion of an averaging change did not converge")
-    grad = np.stack([f.evaluate(theta, t, rho) for f in st], axis=-1)
-    return theta, rho + grad
+    """Old (theta, I) of points given in the new coordinates of one averaging step.
+
+    theta = phi + V solves V = -dS/drho(phi + V) at the given points.
+    """
+    srho = S.grad_action()
+    theta = phi + solve_fixed_point(lambda V: -srho.evaluate(phi + V, t, rho), phi.shape,
+                                    tol=tol, max_iter=max_iter)[0]
+    return theta, rho + S.grad_angle().evaluate(theta, t, rho)
 
 
 def extract_torus(kam_state, form, avg, nf_state, n_phi=32, n_t=32, cutoff=None):
@@ -500,9 +427,7 @@ def extract_torus(kam_state, form, avg, nf_state, n_phi=32, n_t=32, cutoff=None)
         theta, rho = _invert_kam_change(ch, theta, tt, rho)
     II = form.I_star[None, :] + rho
     if avg.S_tilde.n_modes:
-        for i in range(d):
-            theta[:, i] += avg.S_tilde.derive(f"action_{i}").evaluate(
-                np.zeros_like(theta), tt, II)
+        theta = theta + avg.S_tilde.grad_action().evaluate(np.zeros_like(theta), tt, II)
     for ch in reversed(nf_state.changes):
         theta, II = _invert_nf_change(ch.S, theta, tt, II)
 

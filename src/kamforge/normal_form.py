@@ -19,14 +19,13 @@ action I* whose corrected frequency matches the target and split the remainder
 into a quadratic jet plus a cubic tail, the starting data for the KAM stage.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .diophantine import DiophantineParams
 from .errors import ContractionError, DomainError, SmallDivisorError
-from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid
+from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
 from .util import fast_len
 
 
@@ -87,7 +86,7 @@ class HamiltonianSpec:
     """Forced near-integrable system eps^(-a) H0(I) + eps^(-b) R(theta, t, I).
 
     R is stored unscaled; the eps^(-b) factor is applied when the averaging
-    iteration starts.  H0 must expose value/grad/hess (and optionally third);
+    iteration starts.  H0 must expose value/grad/hess and min_hess_det;
     its Hessian determinant is checked to stay positive on the action box.
     """
 
@@ -133,9 +132,8 @@ class NormalFormParams:
 
     The analyticity strip and action radius halve each step, s_j = s0 / 2^j,
     tau_j = tau0 / 2^j, while the truncation order doubles up to K_cap.  The
-    classical schedule constant A (and the step count it implies) is kept for
-    reference via ``classical_m0``; in practice far fewer steps with measured
-    norms achieve the advertised contraction, so m0 is set directly.
+    step count m0 is set directly: with measured norms far fewer steps than
+    the classical schedule achieve the advertised contraction.
     """
 
     dc: DiophantineParams
@@ -146,17 +144,9 @@ class NormalFormParams:
     theta_grid: tuple = None
     taylor_tol: float = 1e-13
     floor_scale: float = 0.5
-    A: float = 0.0
 
     def K_j(self, j):
         return int(min(self.K0 * 2**j, self.K_cap))
-
-    @staticmethod
-    def classical_m0(spec, A=None):
-        """Step count 2 + floor((b + A)/(a - b)) of the classical schedule."""
-        if A is None:
-            A = 200.0 * spec.d * (spec.a + spec.b)
-        return 2 + int(math.floor((spec.b + A) / (spec.a - spec.b)))
 
     def nshape(self, d):
         if self.theta_grid is not None:
@@ -288,16 +278,17 @@ def solve_homological(R, omega_fn, eps, a, dc, include_k0=False, regime="split",
 def solve_fixed_point(apply_map, shape, tol=1e-13, max_iter=60, lipschitz_max=0.5):
     """Iterate V <- apply_map(V) from zero until the sup-change stalls below tol.
 
-    Raises ContractionError when the observed contraction factor exceeds
-    ``lipschitz_max`` while the iteration is still far from its fixed point.
-    Returns (V, n_iterations, last_delta).
+    Returns (V, n_iterations, residual) where V is the last iterate passed to
+    the map, so its residual |apply_map(V) - V| is the measured last change,
+    at most tol * max(1, |V|).  Raises ContractionError when the observed
+    contraction factor exceeds ``lipschitz_max`` while the iteration is still
+    far from its fixed point.
     """
     V = np.zeros(shape)
     prev = None
     for it in range(1, max_iter + 1):
         W = apply_map(V)
         delta = float(np.abs(W - V).max(initial=0.0))
-        V = W
         scale = max(1.0, float(np.abs(V).max(initial=0.0)))
         if delta <= tol * scale:
             return V, it, delta
@@ -307,51 +298,60 @@ def solve_fixed_point(apply_map, shape, tol=1e-13, max_iter=60, lipschitz_max=0.
                 raise ContractionError(
                     f"implicit change is not a contraction (observed factor {L:.3f})")
         prev = delta
+        V = W
     raise ContractionError(f"implicit change did not converge in {max_iter} iterations "
                            f"(last change {delta:.3e})")
 
 
-def canonical_change(S, nshape, out_grid=None, taylor_tol=1e-13, residual_tol=1e-10):
-    """Solve the implicit transformation generated by S(theta, t, rho).
+def _compose_components(field, nshape, out_grid, dtheta, tol):
+    """Real grids of every component of a vector field at the shifted angles phi + dtheta.
+
+    Returns (values of shape (*nshape, *out_grid.shape, n), largest Taylor error).
+    """
+    parts = [compose_shifted_grid(field.component(i), nshape, dtheta=dtheta,
+                                  out_grid=out_grid, tol=tol)
+             for i in range(field.vshape[0])]
+    return (np.stack([_realify(vals) for vals, _ in parts], axis=-1),
+            max(err for _, err in parts))
+
+
+def implicit_angle_shift(srho, nshape, out_grid, tol=1e-13):
+    """Solve V = -srho(phi + V) on the (phi, t) grid crossed with the action nodes.
+
+    ``srho`` is the vector field dS/drho of a generating function S, either
+    sampled on ``out_grid`` or restricted to it.  V is the angle change
+    theta = phi + V of the implicit transformation phi = theta + dS/drho.
+    Returns (V, iterations); V has shape (*nshape, *out_grid.shape, d) and
+    the residual |V + srho(phi + V)| is at most tol * max(1, |V|).  Both the
+    fixed point and its Taylor compositions use ``tol``.
+    """
+    shape = tuple(nshape) + out_grid.shape + srho.vshape
+    if srho.n_modes == 0:
+        return np.zeros(shape), 0
+
+    def step(V):
+        return -_compose_components(srho, nshape, out_grid, V, tol)[0]
+
+    V, iters, _ = solve_fixed_point(step, shape, tol=tol)
+    return V, iters
+
+
+def canonical_change(S, nshape, out_grid=None, taylor_tol=1e-13):
+    """Solve the implicit transformation generated by S(theta, t, rho) on a grid.
 
     New coordinates satisfy phi = theta + dS/drho and I = rho + dS/dtheta.
-    Returns (u, v): FourierFields in (phi, t, rho) with I = rho + u(phi, t, rho)
-    and theta = phi + v(phi, t, rho).  The implicit-equation residual is
-    verified below ``residual_tol`` on the construction grid.
+    Returns (U, V, iterations, taylor_err): grids of shape
+    (*nshape, *out_grid.shape, d) over the uniform (phi, t) grid crossed with
+    the action nodes, with theta = phi + V and I = rho + U, the fixed-point
+    iteration count, and the largest Taylor error of the U compositions.
     """
     if out_grid is None:
         out_grid = S.grid
-    d = S.d
-    gshape = out_grid.shape
-    srho = [S.derive(f"action_{i}") for i in range(d)]
-    stheta = [S.derive(f"angle_{i}") for i in range(d)]
-
-    def step(V):
-        W = np.empty_like(V)
-        for i in range(d):
-            vals, _ = compose_shifted_grid(srho[i], nshape, dtheta=V,
-                                           out_grid=out_grid, tol=taylor_tol)
-            W[..., i] = -_realify(vals)
-        return W
-
-    V, iters, _ = solve_fixed_point(step, tuple(nshape) + gshape + (d,))
-    res = float(np.abs(V - step(V)).max(initial=0.0))
-    scale = max(1.0, float(np.abs(V).max(initial=0.0)))
-    if res > residual_tol * scale:
-        raise ContractionError(f"implicit angle equation residual {res:.3e}")
-    U = np.empty_like(V)
-    for i in range(d):
-        vals, _ = compose_shifted_grid(stheta[i], nshape, dtheta=V,
-                                       out_grid=out_grid, tol=taylor_tol)
-        U[..., i] = _realify(vals)
-    ax = len(nshape)
-    cutoff = min(2 * S.cutoff, (min(nshape) - 1) // 2)
-    u = FourierField.from_grid(np.moveaxis(U, -1, ax), d, S.s, cutoff,
-                               grid=out_grid, vshape=(d,)).prune()
-    v = FourierField.from_grid(np.moveaxis(V, -1, ax), d, S.s, cutoff,
-                               grid=out_grid, vshape=(d,)).prune()
-    u.fp_iters = v.fp_iters = iters
-    return u, v
+    V, iters = implicit_angle_shift(S.grad_action(), nshape, out_grid, taylor_tol)
+    if S.n_modes == 0:
+        return np.zeros_like(V), V, 0, 0.0
+    U, err = _compose_components(S.grad_angle(), nshape, out_grid, V, taylor_tol)
+    return U, V, iters, err
 
 
 def push_forward(state, S, spec, params):
@@ -370,29 +370,9 @@ def push_forward(state, S, spec, params):
     nshape = params.nshape(d)
     epa = spec.eps_a
     gshape = grid_new.shape
-    taylor_errs = [0.0]
 
-    if S.n_modes:
-        srho = [S.derive(f"action_{i}") for i in range(d)]
-
-        def step(V):
-            W = np.empty_like(V)
-            for i in range(d):
-                vals, _ = compose_shifted_grid(srho[i], nshape, dtheta=V,
-                                               out_grid=grid_new, tol=params.taylor_tol)
-                W[..., i] = -_realify(vals)
-            return W
-
-        V, fp_iters, _ = solve_fixed_point(step, tuple(nshape) + gshape + (d,))
-        U = np.empty(V.shape)
-        for i in range(d):
-            vals, e = compose_shifted_grid(S.derive(f"angle_{i}"), nshape, dtheta=V,
-                                           out_grid=grid_new, tol=params.taylor_tol)
-            U[..., i] = _realify(vals)
-            taylor_errs.append(e)
-    else:
-        V = U = np.zeros(tuple(nshape) + gshape + (d,))
-        fp_iters = 0
+    U, V, fp_iters, err = canonical_change(S, nshape, grid_new, params.taylor_tol)
+    taylor_errs = [err]
 
     tot = np.zeros(tuple(nshape) + gshape, dtype=complex)
     nodes = grid_new.node_points()
@@ -636,17 +616,15 @@ class AveragedForm:
     r0: float
     eps: float
     a: float
-    E: float = 0.0
 
 
-def taylor_split(avg, spec, I_star, r0, omega_target=None, kam_nodes=5, s=None, E=0.0):
+def taylor_split(avg, spec, I_star, r0, omega_target=None, kam_nodes=5, s=None):
     """Expand the averaged Hamiltonian at I* and split off the cubic remainder.
 
-    The remainder field is re-expanded mode by mode: each coefficient c(I) on
-    the averaging nodes contributes c(I*) to R0, its node-gradient to R1, half
-    its node-Hessian to R2, and c(I* + rho) minus that quadratic jet, sampled
-    on a fresh node ball of radius r0 around zero, to the cubic tail.  The
-    integrable part contributes its own exact cubic tail on the same nodes.
+    The remainder field is split by ``jet_split`` at I* into R0 + <R1, rho>
+    + <R2 rho, rho> plus a cubic tail sampled on a fresh node ball of radius
+    r0 around zero.  The integrable part contributes its own exact cubic tail
+    on the same nodes.
     """
     d = spec.d
     if omega_target is None:
@@ -665,51 +643,27 @@ def taylor_split(avg, spec, I_star, r0, omega_target=None, kam_nodes=5, s=None, 
     const = epa * (spec.H0.value(I_star) + ea * hfn.value(I_star))
 
     kgrid = ActionGrid(np.zeros(d), r0, kam_nodes)
-    rho = kgrid.node_points().reshape(-1, d)  # (N, d)
-    N = rho.shape[0]
-
     R = avg.R_breve
     if R.grid is None:
         R = R.broadcast_action(avg.grid)
-    c0 = R.interp_action(I_star[None, :])[..., 0]                    # (M,)
-    grads = [R.derive(f"action_{i}") for i in range(d)]
-    c1 = np.stack([g.interp_action(I_star[None, :])[..., 0] for g in grads], axis=-1)  # (M, d)
-    c2 = np.empty(c0.shape + (d, d), dtype=complex)
-    for i in range(d):
-        for jj in range(d):
-            gij = grads[i].derive(f"action_{jj}")
-            c2[..., i, jj] = gij.interp_action(I_star[None, :])[..., 0]
-    c2 = 0.5 * (c2 + np.swapaxes(c2, -1, -2))
-
-    R0 = R.replace(coeffs=c0, grid=None, tau=0.0, s=s, _canonical=True).prune()
-    R1c = c1 + 0.0j
-    R1 = R.replace(coeffs=np.moveaxis(R1c, -1, 1), grid=None, tau=0.0, s=s,
-                   vshape=(d,), _canonical=True, enforce_reality=False).prune()
+    R = R.replace(s=s, enforce_reality=False, _canonical=True)
+    R0, R1, R2, high = jet_split(R, I_star, kgrid)
     extra = FourierField.from_modes(d, {(0,) * (d + 1): epa * delta}, s, vshape=(d,))
     R1 = (R1 + extra).prune()
-    R2 = R.replace(coeffs=np.moveaxis(0.5 * c2, (-2, -1), (1, 2)), grid=None, tau=0.0,
-                   s=s, vshape=(d, d), _canonical=True, enforce_reality=False).prune()
-
-    # cubic tail of the remainder, mode by mode
-    cI = R.interp_action(I_star[None, :] + rho)                      # (M, N)
-    quad = (c0[..., None] + np.tensordot(c1, rho, axes=([-1], [1]))
-            + np.einsum("nj,mjk,nk->mn", rho, 0.5 * c2, rho))
-    ch = (cI - quad).reshape(R.coeffs.shape[:1] + kgrid.shape)
-    high = FourierField(d, R.modes.copy(), ch, s, kgrid.tau, R.cutoff, grid=kgrid).prune()
 
     # cubic tail of the integrable part (theta-free)
+    rho = kgrid.node_points().reshape(-1, d)
     pts = I_star[None, :] + rho
     g0 = np.array([epa * (spec.H0.value(p) + ea * hfn.value(p)) for p in pts])
     taylor0 = (const + epa * (rho @ grad_full)
                + epa * np.einsum("nj,jk,nk->n", rho, Omega, rho))
-    tail0 = (g0 - taylor0).reshape(kgrid.shape)
-    zero_mode = FourierField.from_modes(d, {(0,) * (d + 1): 0.0}, s, grid=kgrid)
-    zc = np.zeros((1,) + kgrid.shape, dtype=complex)
-    zc[0] = tail0
-    high = (high + zero_mode.replace(coeffs=zc, _canonical=True)).prune()
+    tail0 = (g0 - taylor0).reshape((1,) + kgrid.shape)
+    zero_mode = FourierField(d, np.zeros((1, d + 1), dtype=np.int64), tail0, s,
+                             kgrid.tau, 0, grid=kgrid)
+    high = (high + zero_mode).prune()
 
     return AveragedForm(
         I_star=np.asarray(I_star, dtype=float), Omega=Omega, omega=omega_target,
         const=const, low=ActionJet(r0=R0, r1=R1, r2=R2), high=high, grid=kgrid,
-        s=s, r0=float(r0), eps=spec.eps, a=spec.a, E=E,
+        s=s, r0=float(r0), eps=spec.eps, a=spec.a,
     )

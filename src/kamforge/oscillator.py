@@ -10,7 +10,6 @@ import numpy as np
 import scipy.integrate
 
 from .errors import DomainError
-from .fourier import FourierField
 from .util import fftn
 
 # Yoshida's 6th-order composition (solution A): symmetric 7-stage weights.
@@ -71,6 +70,20 @@ def _integrate_reference(n, t_grid, substeps):
     return out
 
 
+def _real_spectrum(samples, rel_tol=1e-15):
+    """Fourier modes q and coefficients of real periodic samples, |q| < N/2.
+
+    Coefficients are conjugate-symmetrised and those below ``rel_tol`` times
+    the largest are dropped.
+    """
+    N = samples.size
+    qs = np.arange(-(N // 2 - 1), N // 2)
+    c = fftn(samples.astype(complex))[np.mod(qs, N)] / N
+    c = 0.5 * (c + np.conj(c[::-1]))
+    keep = np.abs(c) >= rel_tol * np.abs(c).max()
+    return qs[keep], c[keep]
+
+
 class ReferenceOrbit:
     """Energy-one orbit of x'' + x^(2n+1) = 0 from (1, 0), sampled and spectral.
 
@@ -79,30 +92,14 @@ class ReferenceOrbit:
     n : int
     period : float
     samples : (N, 2) array of (u0, v0) at phases 2*pi*j/N.
-    u_fourier, v_fourier : FourierField
-        d=1 fields (modes (q, 0)) representing u0 and v0 as functions of the
-        2*pi-periodic angle.
     """
 
     def __init__(self, n, period, samples):
         self.n = int(n)
         self.period = float(period)
         self.samples = np.asarray(samples, dtype=float)
-        N = self.samples.shape[0]
-        cu = fftn(self.samples[:, 0].astype(complex)) / N
-        cv = fftn(self.samples[:, 1].astype(complex)) / N
-        qmax = N // 2 - 1
-        qs = np.concatenate([np.arange(0, qmax + 1), np.arange(-qmax, 0)])
-        modes = np.stack([qs, np.zeros_like(qs)], axis=1)
-        idx = np.mod(qs, N)
-        self.u_fourier = FourierField(1, modes, cu[idx], s=1.0, tau=0.0,
-                                      cutoff=qmax).prune(1e-15)
-        self.v_fourier = FourierField(1, modes, cv[idx], s=1.0, tau=0.0,
-                                      cutoff=qmax).prune(1e-15)
-        self._uq = self.u_fourier.modes[:, 0].copy()
-        self._uc = self.u_fourier.coeffs.copy()
-        self._vq = self.v_fourier.modes[:, 0].copy()
-        self._vc = self.v_fourier.coeffs.copy()
+        self._uq, self._uc = _real_spectrum(self.samples[:, 0])
+        self._vq, self._vc = _real_spectrum(self.samples[:, 1])
 
     def eval_angle(self, theta):
         """(u0, v0) at 2*pi-periodic angles theta (any shape)."""
@@ -156,14 +153,6 @@ class PowerLawH0:
         I = np.asarray(I, dtype=float)
         d = self.kappa * self.p * (self.p - 1) * I ** (self.p - 2)
         return np.apply_along_axis(np.diag, -1, d) if I.ndim > 1 else np.diag(d)
-
-    def third(self, I):
-        I = np.asarray(I, dtype=float)
-        c = self.kappa * self.p * (self.p - 1) * (self.p - 2)
-        T = np.zeros((self.m,) * 3)
-        for j in range(self.m):
-            T[j, j, j] = c * I[j] ** (self.p - 3)
-        return T
 
     def min_hess_det(self, box, grid=9):
         """Minimum Hessian determinant over a grid on the action box."""

@@ -144,8 +144,21 @@ def test_pipeline_reruns_byte_identical(flat_run, tmp_path):
     out2 = tmp_path / "b"
     assert cli.main(["pipeline", "--config", cfg_path, "--out", str(out2)]) == 0
     for name in ["config.json", "dc_margins.csv", "dc_point.json",
-                 "nf_diagnostics.csv", "kam_diagnostics.csv", "torus.json"]:
+                 "nf_diagnostics.csv", "kam_diagnostics.csv", "torus.json",
+                 "summary.json"]:
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_verify_reruns_byte_identical(flat_run, tmp_path):
+    cfg_path, out = flat_run
+    runs = []
+    for name in ("v1", "v2"):
+        dest = tmp_path / name
+        assert cli.main(["verify", "--config", cfg_path, "--out", str(dest),
+                         "--torus", str(out / "torus.json")]) == 0
+        runs.append(dest)
+    for name in ["verify.json", "orbit.csv"]:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 def test_verify_flat_torus(flat_run):

@@ -118,6 +118,3 @@ def test_parameter_validation():
         DiophantineParams(d=2, eps=2.0)
     with pytest.raises(ValueError):
         DiophantineParams(d=2, K_split=10, K_check=5)
-    p = DiophantineParams.from_eps(d=2, eps=0.1, a=1.0)
-    assert p.K_split >= 4 and p.gamma > 0
-    assert p.K_check == 10 * p.K_split

@@ -5,7 +5,7 @@ import pytest
 
 from kamforge.errors import RealityError
 from kamforge.fourier import (ActionGrid, FourierField, ball_modes,
-                              compose_shifted_grid)
+                              compose_shifted_grid, jet_split)
 
 
 def sample_field(s=0.3):
@@ -60,15 +60,6 @@ def test_norm_splits_over_truncation():
     # truncate keeps exactly the low-order modes
     assert f.truncate(2).orders().max(initial=0) <= 2
     assert f.tail(2).orders().min(initial=10) > 2
-
-
-def test_multiply_matches_pointwise_product():
-    f = sample_field()
-    p = f.multiply(f)
-    th, t = random_points(30, seed=5)
-    np.testing.assert_allclose(p.evaluate(th, t), direct_eval(th, t) ** 2,
-                               atol=1e-13)
-    assert p.cutoff >= 2 * max(f.orders())
 
 
 def test_grid_roundtrip_preserves_coefficients():
@@ -179,3 +170,61 @@ def test_compose_shifted_grid_matches_direct_evaluation():
     got = vals.reshape(-1, *grid.shape)[:, 0, 0].real
     np.testing.assert_allclose(got, direct, atol=1e-10)
     assert err < 1e-12
+
+
+@pytest.mark.parametrize("vshape", [(2,), (2, 2)])
+def test_grad_angle_stacks_angle_derivatives(vshape):
+    rng = np.random.default_rng(12)
+    mapping = {}
+    for mode in [(1, 0, 1), (0, 2, -1), (1, -1, 0), (2, 1, 1)]:
+        c = rng.standard_normal(vshape) + 1j * rng.standard_normal(vshape)
+        mapping[mode] = c
+        mapping[tuple(-x for x in mode)] = np.conj(c)
+    f = FourierField.from_modes(2, mapping, s=0.3, vshape=vshape)
+    g = f.grad_angle()
+    assert g.vshape == (2,) + vshape
+    expect = np.stack([f.derive(f"angle_{i}").coeffs for i in range(2)], axis=1)
+    np.testing.assert_array_equal(g.coeffs, expect)
+    th, t = random_points(10, seed=13)
+    np.testing.assert_allclose(
+        g.evaluate(th, t),
+        np.stack([f.derive(f"angle_{i}").evaluate(th, t) for i in range(2)], axis=1),
+        atol=1e-14)
+
+
+def test_jet_split_of_exact_cubic():
+    grid = ActionGrid(np.array([1.0, 1.3]), 0.05, 5)
+    point = np.array([1.01, 1.28])
+    kgrid = ActionGrid(np.zeros(2), 0.02, 5)
+    modes = np.array([[0, 0, 0], [1, 0, 1], [-1, 0, -1], [0, 1, -2], [0, -1, 2]])
+    rng = np.random.default_rng(21)
+    # per mode: a0 + <a1, x> + <x, a2 x> + a3 x_0^2 x_1 + a4 x_1^3, x = I - point
+    a0 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    a1 = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    a2 = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    a2 = 0.5 * (a2 + np.swapaxes(a2, 1, 2))
+    a3 = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    for lo, hi in [(1, 2), (3, 4)]:     # conjugate partners
+        for arr in (a0, a1, a2, a3):
+            arr[hi] = np.conj(arr[lo])
+    for arr in (a0, a1, a2, a3):
+        arr[0] = arr[0].real
+
+    def cubic(x):
+        return a3[:, 0:1] * x[:, 0] ** 2 * x[:, 1] + a3[:, 1:2] * x[:, 1] ** 3
+
+    def poly(x):
+        return (a0[:, None] + a1 @ x.T + np.einsum("nj,mjk,nk->mn", x, a2, x)
+                + cubic(x))
+
+    x = grid.node_points().reshape(-1, 2) - point
+    f = FourierField(2, modes, poly(x).reshape(5, *grid.shape), 0.3, grid.tau, 3,
+                     grid=grid)
+    r0, r1, r2, high = jet_split(f, point, kgrid)
+    assert (r1.vshape, r2.vshape, high.grid) == ((2,), (2, 2), kgrid)
+    order = [r0.modes.tolist().index(m) for m in modes.tolist()]
+    np.testing.assert_allclose(r0.coeffs[order], a0, atol=1e-12)
+    np.testing.assert_allclose(r1.coeffs[order], a1, atol=1e-12)
+    np.testing.assert_allclose(r2.coeffs[order], a2, atol=1e-12)
+    rho = kgrid.node_points().reshape(-1, 2)
+    np.testing.assert_allclose(high.coeffs[order].reshape(5, -1), cubic(rho), atol=1e-12)

@@ -3,12 +3,12 @@ import pytest
 
 from kamforge.diophantine import DiophantineParams
 from kamforge.errors import ContractionError, SmallDivisorError
-from kamforge.fourier import ActionGrid, FourierField
+from kamforge.fourier import ActionGrid, FourierField, compose_shifted_grid
 from kamforge.normal_form import (AveragedResult, HamiltonianSpec,
                                   NormalFormParams, canonical_change,
-                                  locate_expansion_point, push_forward,
-                                  solve_fixed_point, solve_homological,
-                                  split_tail, taylor_split,
+                                  implicit_angle_shift, locate_expansion_point,
+                                  push_forward, solve_fixed_point,
+                                  solve_homological, split_tail, taylor_split,
                                   time_average_transform, twist_compose)
 from kamforge.oscillator import PowerLawH0
 
@@ -111,6 +111,35 @@ def test_solve_fixed_point_rejects_expanding_maps():
         solve_fixed_point(lambda V: 2.0 * V + 1.0, (4,))
 
 
+def test_solve_fixed_point_returns_its_certified_iterate():
+    def step(V):
+        return 0.25 * V + 1.0
+
+    V, iters, residual = solve_fixed_point(step, (3,))
+    np.testing.assert_array_equal(np.abs(step(V) - V).max(), residual)
+    assert residual <= 1e-13 * max(1.0, np.abs(V).max())
+    assert iters > 1
+
+
+def test_implicit_angle_shift_residual_is_certified():
+    grid = ActionGrid(np.array([1.0, 1.5]), 1e-3, 3)
+    nodes = grid.node_points()
+    S = FourierField.from_modes(
+        2, {(1, 0, 1): 0.02 * nodes[..., 0], (-1, 0, -1): 0.02 * nodes[..., 0],
+            (0, 1, -1): 0.01j * nodes[..., 1], (0, -1, 1): -0.01j * nodes[..., 1]},
+        s=0.3, tau=grid.tau, grid=grid)
+    srho = S.grad_action()
+    nshape = (8, 8, 8)
+    tol = 1e-13
+    V, iters = implicit_angle_shift(srho, nshape, grid, tol=tol)
+    assert V.shape == nshape + grid.shape + (2,) and iters > 1
+    shifted = np.stack([compose_shifted_grid(srho.component(i), nshape, dtheta=V,
+                                             out_grid=grid, tol=tol)[0].real
+                        for i in range(2)], axis=-1)
+    assert np.abs(V + shifted).max() <= tol * max(1.0, np.abs(V).max())
+    assert np.abs(V).max() > 1e-3
+
+
 @pytest.fixture(scope="module")
 def chain():
     H0 = PowerLawH0(0.5, 2, 2)
@@ -165,7 +194,15 @@ def test_push_forward_conjugates_the_hamiltonian(chain):
     spec, params = chain["spec"], chain["params"]
     state0, state1 = chain["states"][0], chain["states"][1]
     ch = state1.changes[-1]
-    u, v = canonical_change(ch.S, params.nshape(spec.d))
+    nshape = params.nshape(spec.d)
+    U, V, iters, err = canonical_change(ch.S, nshape)
+    assert iters > 0 and err < 1e-12
+    # project the grids (*nshape, *gshape, d) onto vector fields in (phi, t, rho)
+    ax = len(nshape)
+    cutoff = min(2 * ch.S.cutoff, (min(nshape) - 1) // 2)
+    u, v = (FourierField.from_grid(np.moveaxis(G, -1, ax), spec.d, ch.S.s, cutoff,
+                                   grid=ch.S.grid, vshape=(spec.d,)).prune()
+            for G in (U, V))
     rng = np.random.default_rng(5)
     N = 30
     phi = rng.uniform(0, 2 * np.pi, (N, 2))
@@ -291,12 +328,6 @@ def test_taylor_split_reproduces_hamiltonian(chain):
     # the sampled tail vanishes to third order at the expansion point
     zero = np.zeros((N, 2))
     np.testing.assert_allclose(form.high.evaluate(th, tt, zero), 0.0, atol=1e-18)
-
-
-def test_classical_step_count_formula(chain):
-    spec = chain["spec"]  # a = 2, b = 1
-    assert NormalFormParams.classical_m0(spec, A=3.0) == 6
-    assert NormalFormParams.classical_m0(spec) == 2 + int(1.0 + 200.0 * 2 * 3.0)
 
 
 def test_spec_validation():
