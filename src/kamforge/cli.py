@@ -24,7 +24,7 @@ import numpy as np
 from .diophantine import DiophantineParams, excluded_measure, find_dc_point, margin_map_csv
 from .duffing import (DuffingNetwork, ScaledSystem, integrate, rotation_vector,
                       stability_metrics, to_hamiltonian_spec)
-from .errors import ContractionError, EscapeError, KamforgeError, SmallDivisorError
+from .errors import ContractionError, EscapeError, SmallDivisorError
 from .fourier import FourierField
 from .kam import KamParams, TorusEmbedding, extract_torus, init_state, invariance_defect, kam_iterate
 from .normal_form import (NormalFormParams, locate_expansion_point, run_normal_form,
@@ -448,7 +448,7 @@ def main(argv=None):
     except EscapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (KamforgeError, Exception) as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

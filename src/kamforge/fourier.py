@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RealityError
+from .errors import ContractionError, RealityError
 from .util import fftn, fmt_float, ifftn
 
 # Relative drift scales like roundoff times the cancellation ratio of the
@@ -22,6 +22,10 @@ from .util import fftn, fmt_float, ifftn
 # well above machine epsilon; genuine symmetry bugs show up at O(1).
 REALITY_TOL = 1e-8
 PRUNE_TOL = 1e-15
+# Highest angle order that compose_shifted_grid sums before it reports a stall.
+TAYLOR_MAX_ORDER = 12
+# Points per block in FourierField.evaluate, which bounds its (points, modes) phase table.
+EVAL_CHUNK = 4096
 
 
 @functools.lru_cache(maxsize=64)
@@ -450,14 +454,6 @@ class FourierField:
         keep = np.all(self._modes == 0, axis=1)
         return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep], _canonical=True)
 
-    def component(self, *idx):
-        """Scalar field for one component of a vector or matrix field."""
-        if len(idx) != len(self.vshape):
-            raise ValueError("component index rank does not match value shape")
-        sl = (slice(None),) + idx
-        return self.replace(coeffs=self._coeffs[sl], vshape=(), _canonical=True,
-                            enforce_reality=False)
-
     # -- action-node manipulation ----------------------------------------------
 
     def restrict_action(self, new_grid):
@@ -499,7 +495,7 @@ class FourierField:
 
     # -- evaluation and grids ----------------------------------------------------
 
-    def evaluate(self, theta, t, I=None, chunk=4096):
+    def evaluate(self, theta, t, I=None):
         """Evaluate at points; returns real values (imaginary residue checked).
 
         theta: (N, d) or (d,); t: (N,) or scalar; I: (N, dim), (dim,), or None.
@@ -518,8 +514,8 @@ class FourierField:
         if self.n_modes:
             K = self._modes[:, : self.d]
             L = self._modes[:, -1]
-            for lo in range(0, N, chunk):
-                hi = min(N, lo + chunk)
+            for lo in range(0, N, EVAL_CHUNK):
+                hi = min(N, lo + EVAL_CHUNK)
                 phase = theta[lo:hi] @ K.T + np.outer(t_arr[lo:hi], L)
                 E = np.exp(1j * phase)  # (n, M)
                 if self.grid is not None:
@@ -552,7 +548,7 @@ class FourierField:
 
     @classmethod
     def from_grid(cls, values, d, s, cutoff, grid=None, vshape=(), tau=None,
-                  prune_tol=PRUNE_TOL, enforce_reality=True):
+                  enforce_reality=True):
         """Project uniform (theta, t)-grid values onto modes with |k|+|l| <= cutoff.
 
         The relative coefficient mass outside the retained ball is stored on the
@@ -574,7 +570,7 @@ class FourierField:
         residual = 0.0 if total == 0 else max(0.0, (total - kept) / total)
         f = cls(d, modes, coeffs, s, grid.tau if (grid and tau is None) else (tau or 0.0),
                 int(cutoff), grid=grid, vshape=vshape, enforce_reality=enforce_reality)
-        f = f.prune(prune_tol)
+        f = f.prune()
         f.projection_residual = residual
         return f
 
@@ -625,138 +621,93 @@ class FourierField:
             return cls.from_json_dict(json.load(fh))
 
 
-def _graded_multi_indices(nvars, order):
-    """All exponent tuples of the given total order, lexicographically sorted."""
-    if nvars == 0:
-        return [()] if order == 0 else []
-    out = []
+def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, tol=1e-13):
+    """Grid values of field(theta + dtheta, t, rho + drho), Taylor in the angles only.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), order, nvars)
-    return sorted(out)
-
-
-def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None,
-                         max_order=12, tol=1e-13):
-    """Grid values of field(theta + dtheta, t, rho_c + drho) by Taylor expansion.
-
-    The composition is evaluated on the uniform (theta, t) grid of shape
-    ``nshape`` crossed with the nodes of ``out_grid``; angle derivatives come
-    from mode factors and action derivatives from node differentiation, so the
-    result is exact for the stored representation up to the Taylor truncation,
-    which is driven below ``tol`` (relative) adaptively.
+    The values live on the uniform (theta, t) grid of shape ``nshape`` crossed
+    with the nodes rho of ``out_grid`` (default: the field's own grid).  The
+    angle shift is summed as a Taylor series whose derivative grids come from
+    mode factors; each value component's series runs until its last order is
+    below ``tol`` relative to that component's sum.  The action shift is exact:
+    node coefficients are polynomials in the action, so each derivative grid
+    is contracted with the barycentric weights of ``field.grid`` at the points
+    rho + drho.  Without ``drho`` the field is restricted to ``out_grid`` once,
+    at the coefficient level.
 
     Parameters
     ----------
     dtheta : array or None
         Angle shift, broadcastable to (*nshape, *out_grid.shape, d).
     drho : array or None
-        Action shift, broadcastable to (*nshape, *out_grid.shape, dim).
+        Action shift, broadcastable to (*nshape, *out_grid.shape, dim);
+        ignored for an action-free field.
 
     Returns
     -------
-    values : complex array of shape (*nshape, *out_grid.shape)
+    values : complex array of shape (*nshape, *out_grid.shape, *field.vshape)
     err : float
-        Magnitude of the last Taylor order retained (truncation estimate).
+        Largest relative size of the last angle order over the components
+        (0 without ``dtheta``: the action shift is exact).
     """
-    import math
-
-    if field.vshape != ():
-        raise ValueError("compose_shifted_grid expects a scalar field")
+    nshape = tuple(nshape)
     if out_grid is None:
         out_grid = field.grid
     gshape = out_grid.shape if out_grid is not None else ()
-    base_shape = tuple(nshape) + gshape
-    d_ang = field.d if dtheta is not None else 0
-    d_act = 0
-    if drho is not None:
-        if field.grid is None:
-            d_act = 0  # no action dependence: shift is irrelevant
+    P, Q, C = int(np.prod(nshape)), int(np.prod(gshape)), int(np.prod(field.vshape))
+    f = field
+    W = None
+    if f.grid is not None and drho is not None:
+        pts = out_grid.node_points() + np.broadcast_to(drho, nshape + gshape + (f.grid.dim,))
+        W = f.grid.interp_weights(pts.reshape(-1, f.grid.dim)).reshape(P, Q, -1)
+    elif f.grid is not None and not f.grid.same_as(out_grid):
+        f = f.restrict_action(out_grid)
+    coeffs = f.coeffs.reshape(f.n_modes, C, int(np.prod(f.grid.shape)) if f.grid else 1)
+
+    def values(c):
+        """(P, Q or 1, components) values at the composition points of coefficients c."""
+        g = f.replace(coeffs=c, vshape=(c.shape[1],), _canonical=True,
+                      enforce_reality=False).to_grid(nshape).reshape(P, c.shape[1], -1)
+        g = g.transpose(0, 2, 1)
+        if W is None:
+            return g
+        return (W @ np.ascontiguousarray(g).view(float)).view(complex)
+
+    accum = np.zeros((P, Q, C), dtype=complex)
+    accum += values(coeffs)
+    err = np.zeros(C)
+    if dtheta is not None and f.n_modes:
+        shift = np.broadcast_to(dtheta, nshape + gshape + (f.d,)).reshape(P, Q, f.d)
+        ik = 1j * f.modes[:, : f.d]
+        # order-n terms keyed by alpha: coefficient factor (ik)^alpha / alpha! and
+        # monomial shift^alpha, each one multiply from a parent one order below
+        level = {(0,) * f.d: (np.ones(f.n_modes), 1.0)}
+        last = np.where(np.abs(accum).max(axis=(0, 1)) > 0, 1.0, 0.0)
+        active = np.arange(C)
+        for _ in range(TAYLOR_MAX_ORDER):
+            nxt = {}
+            contrib = np.zeros((P, Q, active.size), dtype=complex)
+            for parent, (fac, mono) in level.items():
+                first = max((j for j in range(f.d) if parent[j]), default=0)
+                for j in range(first, f.d):
+                    alpha = parent[:j] + (parent[j] + 1,) + parent[j + 1:]
+                    nxt[alpha] = (fac * ik[:, j] / alpha[j], mono * shift[..., j])
+                    c = coeffs[:, active] * nxt[alpha][0][:, None, None]
+                    contrib += values(c) * nxt[alpha][1][..., None]
+            level = nxt
+            accum[..., active] += contrib
+            size = np.abs(contrib).max(axis=(0, 1))
+            scale = np.maximum(np.abs(accum[..., active]).max(axis=(0, 1)), 1e-300)
+            err[active] = size / scale
+            done = (err[active] < tol) & (last[active] < tol)
+            last[active] = err[active]
+            active = active[~done]
+            if active.size == 0:
+                break
         else:
-            d_act = field.grid.dim
-    if dtheta is not None:
-        dtheta = np.broadcast_to(np.asarray(dtheta), base_shape + (field.d,))
-    if drho is not None and d_act:
-        drho = np.broadcast_to(np.asarray(drho), base_shape + (d_act,))
-
-    def grid_values(f):
-        if out_grid is not None:
-            if f.grid is None:
-                f = f.broadcast_action(out_grid)
-            elif not f.grid.same_as(out_grid):
-                f = f.restrict_action(out_grid)
-        return f.to_grid(nshape)
-
-    deriv_cache = {((0,) * d_ang, (0,) * d_act): field}
-
-    # Orders run upwards, so the parent one order below is always cached.  No
-    # recursion: a self-referencing closure would keep the cache alive until
-    # the cyclic garbage collector runs.
-    def derivative_field(alpha, beta):
-        key = (alpha, beta)
-        if key not in deriv_cache:
-            j = next((j for j in range(d_ang) if alpha[j] > 0), None)
-            if j is not None:
-                parent = deriv_cache[(alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], beta)]
-                deriv_cache[key] = parent.derive(f"angle_{j}")
-            else:
-                j = next(j for j in range(d_act) if beta[j] > 0)
-                parent = deriv_cache[(alpha, beta[:j] + (beta[j] - 1,) + beta[j + 1:])]
-                deriv_cache[key] = parent.derive(f"action_{j}")
-        return deriv_cache[key]
-
-    pw_theta = [{0: None} for _ in range(d_ang)]
-    pw_rho = [{0: None} for _ in range(d_act)]
-
-    def power(cache, arr, j, p):
-        if p not in cache[j]:
-            cache[j][p] = arr[..., j] ** p
-        return cache[j][p]
-
-    accum = np.zeros(base_shape, dtype=complex)
-    last = np.inf
-    err = 0.0
-    for order in range(max_order + 1):
-        contrib = np.zeros(base_shape, dtype=complex)
-        indices = []
-        for a_ord in range(order + 1):
-            for alpha in _graded_multi_indices(d_ang, a_ord):
-                for beta in _graded_multi_indices(d_act, order - a_ord):
-                    indices.append((alpha, beta))
-        if not indices:
-            break
-        for alpha, beta in indices:
-            f_ab = derivative_field(alpha, beta)
-            term = grid_values(f_ab)
-            fac = 1.0
-            for j, p in enumerate(alpha):
-                if p:
-                    term = term * power(pw_theta, dtheta, j, p)
-                    fac *= math.factorial(p)
-            for j, p in enumerate(beta):
-                if p:
-                    term = term * power(pw_rho, drho, j, p)
-                    fac *= math.factorial(p)
-            contrib = contrib + term / fac
-        accum += contrib
-        size = float(np.abs(contrib).max(initial=0.0))
-        scale = max(float(np.abs(accum).max(initial=0.0)), 1e-300)
-        err = size / scale
-        if order >= 1 and err < tol and last < tol:
-            break
-        last = err
-    else:
-        if err > 100 * tol:
-            from .errors import ContractionError
-            raise ContractionError(
-                f"shift-composition Taylor series stalled at relative size {err:.3e}")
-    return accum, err
+            if err.max() > 100 * tol:
+                raise ContractionError(
+                    f"shift-composition Taylor series stalled at relative size {err.max():.3e}")
+    return accum.reshape(nshape + gshape + field.vshape), float(err.max(initial=0.0))
 
 
 @dataclass

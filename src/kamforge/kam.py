@@ -25,6 +25,8 @@ from .normal_form import _realify, implicit_angle_shift, solve_fixed_point, solv
 from .util import fast_len
 
 ZETA2 = np.pi**2 / 6.0
+# Finite-difference step of cubic_contraction, as a fraction of the ball radius.
+FD_FRAC = 0.25
 
 
 @dataclass
@@ -37,9 +39,6 @@ class KamParams:
     K_cap: int = 24
     n_nodes: int = 5
     theta_grid: tuple = None
-    taylor_tol: float = 1e-13
-    floor_scale: float = 0.5
-    fd_frac: float = 0.25
 
     def nshape(self, d):
         if self.theta_grid is not None:
@@ -141,7 +140,7 @@ def _matrix_apply(M, f):
     return f.replace(coeffs=c, _canonical=True, enforce_reality=False)
 
 
-def cubic_contraction(high, w_grid, nshape, h, taylor_tol=1e-13):
+def cubic_contraction(high, w_grid, nshape, h):
     """Grids of T3[w]_jk = sum_i d^3 R_high / d rho_i d rho_j d rho_k (0) w_i.
 
     Third derivatives at the origin are taken by centred finite differences of
@@ -218,12 +217,10 @@ def kam_step(state, params):
     Om = state.Omega
 
     # homological solves ----------------------------------------------------
-    S0 = solve_homological(R0, omega, eps, a, params.dc, include_k0=True,
-                           regime="full", floor_scale=params.floor_scale)
+    S0 = solve_homological(R0, omega, eps, a, params.dc, include_k0=True, regime="full")
     A0 = S0.grad_angle()                       # d(theta) S0, vector field
     Rstar = (R1 + _matrix_apply(2.0 * epa * Om, A0)).prune()
-    S1 = solve_homological(Rstar, omega, eps, a, params.dc, include_k0=True,
-                           regime="full", floor_scale=params.floor_scale)
+    S1 = solve_homological(Rstar, omega, eps, a, params.dc, include_k0=True, regime="full")
     nu = -0.5 * ea * np.linalg.solve(Om, _mode_zero(Rstar))
     if np.abs(nu).max(initial=0.0) > 0.25 * r_next:
         raise DomainError(
@@ -238,16 +235,14 @@ def kam_step(state, params):
     g0 = _realify(A0.to_grid(nshape))                 # (*nshape, d)
     have_high = state.high is not None and state.high.n_modes > 0
     if have_high:
-        T3w = cubic_contraction(state.high, g0, nshape,
-                                h=params.fd_frac * state.r)
+        T3w = cubic_contraction(state.high, g0, nshape, h=FD_FRAC * state.r)
         T3_field = FourierField.from_grid(
             0.5 * T3w, d, state.s, params.K_cap, vshape=(d, d))
         Rss = (R2 + symOmG + T3_field).prune()
     else:
         T3w = None
         Rss = (R2 + symOmG).prune()
-    S2 = solve_homological(Rss, omega, eps, a, params.dc, include_k0=True,
-                           regime="full", floor_scale=params.floor_scale)
+    S2 = solve_homological(Rss, omega, eps, a, params.dc, include_k0=True, regime="full")
     S2 = S2.replace(coeffs=0.5 * (S2.coeffs + np.swapaxes(S2.coeffs, 1, 2)),
                     _canonical=True, enforce_reality=False)
     dOm = ea * _mode_zero(Rss)
@@ -282,8 +277,7 @@ def kam_step(state, params):
     # R_high at the shifted action, minus the part absorbed into S2's equation
     if have_high:
         vals, e = compose_shifted_grid(state.high, nshape, drho=Wfull.reshape(
-            tuple(nshape) + grid_new.shape + (d,)), out_grid=grid_new,
-            tol=params.taylor_tol)
+            tuple(nshape) + grid_new.shape + (d,)), out_grid=grid_new)
         rem += vals.reshape(base)
         taylor_errs.append(e)
         rem -= 0.5 * np.einsum("pj,...jk,pk->...p", rho, T3w, rho)
@@ -294,14 +288,13 @@ def kam_step(state, params):
         coeffs=2.0 * np.einsum("mij,...j->mi...", S2.coeffs, grid_new.node_points()),
         vshape=(d,), grid=grid_new, tau=grid_new.tau, _canonical=True,
         enforce_reality=False)
-    V, fp_iters = implicit_angle_shift(srho, nshape, grid_new, params.taylor_tol)
+    V, fp_iters = implicit_angle_shift(srho, nshape, grid_new)
 
     rem_field = FourierField.from_grid(rem.reshape(tuple(nshape) + grid_new.shape),
                                        d, s_next, params.K_cap, grid=grid_new)
     proj_res = rem_field.projection_residual
     if srho.n_modes and rem_field.n_modes:
-        vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V,
-                                       out_grid=grid_new, tol=params.taylor_tol)
+        vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V, out_grid=grid_new)
         taylor_errs.append(e)
         final = FourierField.from_grid(vals, d, s_next, params.K_cap, grid=grid_new)
         proj_res = max(proj_res, final.projection_residual)

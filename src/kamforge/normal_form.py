@@ -24,9 +24,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .diophantine import DiophantineParams
-from .errors import ContractionError, DomainError, SmallDivisorError
+from .errors import ContractionError, DomainError, ModeOverflowError, SmallDivisorError
 from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
 from .util import fast_len
+
+# Small divisors must stay above this fraction of their Diophantine bound.
+FLOOR_SCALE = 0.5
 
 
 def _realify(vals, tol=1e-10):
@@ -35,50 +38,6 @@ def _realify(vals, tol=1e-10):
     if imag > tol * scale:
         raise ContractionError(f"composition lost reality (imaginary part {imag:.3e})")
     return vals.real.copy()
-
-
-class NodeFunction:
-    """Smooth function of the action known on a Chebyshev node grid.
-
-    Provides values, gradients, and Hessians anywhere in the node box through
-    barycentric interpolation and spectral differentiation.
-    """
-
-    def __init__(self, grid, values):
-        self.grid = grid
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != grid.shape:
-            raise ValueError("node values do not match the grid shape")
-        dim = grid.dim
-        self._d1 = []
-        for j in range(dim):
-            self._d1.append(self._apply_diff(self.values, j))
-        self._d2 = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i, dim):
-                self._d2[i][j] = self._d2[j][i] = self._apply_diff(self._d1[i], j)
-
-    def _apply_diff(self, arr, axis):
-        D = self.grid.diff1d
-        return np.moveaxis(np.tensordot(arr, D, axes=([axis], [1])), -1, axis)
-
-    def _interp(self, arr, I):
-        W = self.grid.interp_weights(np.atleast_2d(np.asarray(I, dtype=float)))
-        out = np.tensordot(W, arr, axes=(list(range(1, self.grid.dim + 1)),
-                                         list(range(self.grid.dim))))
-        return out
-
-    def value(self, I):
-        return float(self._interp(self.values, I)[0])
-
-    def grad(self, I):
-        return np.array([self._interp(g, I)[0] for g in self._d1])
-
-    def hess(self, I):
-        dim = self.grid.dim
-        H = np.array([[self._interp(self._d2[i][j], I)[0] for j in range(dim)]
-                      for i in range(dim)])
-        return 0.5 * (H + H.T)
 
 
 @dataclass
@@ -142,8 +101,6 @@ class NormalFormParams:
     K_cap: int = 24
     n_nodes: int = 5
     theta_grid: tuple = None
-    taylor_tol: float = 1e-13
-    floor_scale: float = 0.5
 
     def K_j(self, j):
         return int(min(self.K0 * 2**j, self.K_cap))
@@ -213,13 +170,12 @@ def split_tail(spec, params):
     return state
 
 
-def solve_homological(R, omega_fn, eps, a, dc, include_k0=False, regime="split",
-                      floor_scale=0.5):
+def solve_homological(R, omega_fn, eps, a, dc, include_k0=False, regime="split"):
     """Mode-wise solution S of dS/dt + eps^(-a) <omega, dS/dtheta> = -P R.
 
     P projects onto the solved modes: k != 0 (default) or all (k, l) != 0 when
     ``include_k0`` is set.  Each divisor eps^(-a) <k, omega> + l is checked
-    against ``floor_scale`` times the Diophantine bound of the requested
+    against ``FLOOR_SCALE`` times the Diophantine bound of the requested
     regime ('split': first-regime bound with the eps^(-a) factor; 'full': the
     classical bound gamma / (1 + |k|)^(d+1)); a violation raises
     SmallDivisorError.  omega_fn is a callable on actions or a fixed vector.
@@ -258,7 +214,7 @@ def solve_homological(R, omega_fn, eps, a, dc, include_k0=False, regime="split",
         floor = dc.gamma / (1.0 + kn) ** (dc.d + 1)
     else:
         raise ValueError("regime must be 'split' or 'full'")
-    floor = floor_scale * floor
+    floor = FLOOR_SCALE * floor
     dmin = np.abs(delta).reshape(delta.shape[0], -1).min(axis=1)
     bad = dmin < floor
     if np.any(bad):
@@ -303,18 +259,6 @@ def solve_fixed_point(apply_map, shape, tol=1e-13, max_iter=60, lipschitz_max=0.
                            f"(last change {delta:.3e})")
 
 
-def _compose_components(field, nshape, out_grid, dtheta, tol):
-    """Real grids of every component of a vector field at the shifted angles phi + dtheta.
-
-    Returns (values of shape (*nshape, *out_grid.shape, n), largest Taylor error).
-    """
-    parts = [compose_shifted_grid(field.component(i), nshape, dtheta=dtheta,
-                                  out_grid=out_grid, tol=tol)
-             for i in range(field.vshape[0])]
-    return (np.stack([_realify(vals) for vals, _ in parts], axis=-1),
-            max(err for _, err in parts))
-
-
 def implicit_angle_shift(srho, nshape, out_grid, tol=1e-13):
     """Solve V = -srho(phi + V) on the (phi, t) grid crossed with the action nodes.
 
@@ -330,13 +274,14 @@ def implicit_angle_shift(srho, nshape, out_grid, tol=1e-13):
         return np.zeros(shape), 0
 
     def step(V):
-        return -_compose_components(srho, nshape, out_grid, V, tol)[0]
+        return -_realify(compose_shifted_grid(srho, nshape, dtheta=V, out_grid=out_grid,
+                                              tol=tol)[0])
 
     V, iters, _ = solve_fixed_point(step, shape, tol=tol)
     return V, iters
 
 
-def canonical_change(S, nshape, out_grid=None, taylor_tol=1e-13):
+def canonical_change(S, nshape, out_grid=None):
     """Solve the implicit transformation generated by S(theta, t, rho) on a grid.
 
     New coordinates satisfy phi = theta + dS/drho and I = rho + dS/dtheta.
@@ -347,11 +292,11 @@ def canonical_change(S, nshape, out_grid=None, taylor_tol=1e-13):
     """
     if out_grid is None:
         out_grid = S.grid
-    V, iters = implicit_angle_shift(S.grad_action(), nshape, out_grid, taylor_tol)
+    V, iters = implicit_angle_shift(S.grad_action(), nshape, out_grid)
     if S.n_modes == 0:
         return np.zeros_like(V), V, 0, 0.0
-    U, err = _compose_components(S.grad_angle(), nshape, out_grid, V, taylor_tol)
-    return U, V, iters, err
+    U, err = compose_shifted_grid(S.grad_angle(), nshape, dtheta=V, out_grid=out_grid)
+    return _realify(U), V, iters, err
 
 
 def push_forward(state, S, spec, params):
@@ -371,7 +316,7 @@ def push_forward(state, S, spec, params):
     epa = spec.eps_a
     gshape = grid_new.shape
 
-    U, V, fp_iters, err = canonical_change(S, nshape, grid_new, params.taylor_tol)
+    U, V, fp_iters, err = canonical_change(S, nshape, grid_new)
     taylor_errs = [err]
 
     tot = np.zeros(tuple(nshape) + gshape, dtype=complex)
@@ -379,19 +324,18 @@ def push_forward(state, S, spec, params):
     pts = nodes[(None,) * (d + 1)] + U
     tot += epa * spec.H0.value(pts)
     if state.h.n_modes:
-        vals, e = compose_shifted_grid(state.h, nshape, drho=U, out_grid=grid_new,
-                                       tol=params.taylor_tol)
+        vals, e = compose_shifted_grid(state.h, nshape, drho=U, out_grid=grid_new)
         tot += vals
         taylor_errs.append(e)
     for piece in (state.R, state.R_plus):
         if piece.n_modes:
             vals, e = compose_shifted_grid(piece, nshape, dtheta=V, drho=U,
-                                           out_grid=grid_new, tol=params.taylor_tol)
+                                           out_grid=grid_new)
             tot += vals
             taylor_errs.append(e)
     if S.n_modes:
         vals, e = compose_shifted_grid(S.derive("time"), nshape, dtheta=V,
-                                       out_grid=grid_new, tol=params.taylor_tol)
+                                       out_grid=grid_new)
         tot += vals
         taylor_errs.append(e)
 
@@ -431,8 +375,7 @@ def run_normal_form(spec, params):
     state = split_tail(spec, params)
     for _ in range(params.m0):
         S = solve_homological(state.R, spec.omega, spec.eps, spec.a, params.dc,
-                              include_k0=False, regime="split",
-                              floor_scale=params.floor_scale)
+                              include_k0=False, regime="split")
         state = push_forward(state, S, spec, params)
     return state
 
@@ -488,7 +431,6 @@ def twist_compose(field, delta_field, tol=1e-12, max_t=4096):
             out[gi] = B
         if total == 0 or spill / max(total, 1e-300) < tol or T >= max_t:
             if total > 0 and spill / max(total, 1e-300) >= tol:
-                from .errors import ModeOverflowError
                 raise ModeOverflowError(
                     f"angle twist did not band-limit at {T} time samples",
                     dropped_mass=spill, total_mass=total)
@@ -527,10 +469,18 @@ class AveragedResult:
     s: float
     tau: float
 
-    def h_bar_fn(self):
-        if self.h_bar.n_modes == 0:
-            return NodeFunction(self.grid, np.zeros(self.grid.shape))
-        return NodeFunction(self.grid, np.real(self.h_bar.coeffs[0]))
+
+def _h_bar_jet(avg, points):
+    """Value, gradient and symmetrised Hessian of <h> at action points (N, dim).
+
+    <h> holds only the (0, 0) mode, so the sum of its interpolated mode
+    coefficients is its value.  Returns arrays of shapes (N,), (N, dim) and
+    (N, dim, dim).
+    """
+    grad = avg.h_bar.grad_action()
+    val, g, hess = (np.moveaxis(f.interp_action(points).sum(axis=0).real, -1, 0)
+                    for f in (avg.h_bar, grad, grad.grad_action()))
+    return val, g, 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
 def time_average_transform(state, spec, tol=1e-12):
@@ -575,7 +525,6 @@ def locate_expansion_point(avg, spec, omega_target=None, tol=1e-12, max_iter=50)
     if omega_target is None:
         omega_target = spec.omega(spec.I0)
     omega_target = np.asarray(omega_target, dtype=float)
-    hfn = avg.h_bar_fn()
     ea = spec.eps ** spec.a
     lo = avg.grid.center - avg.grid.tau
     hi = avg.grid.center + avg.grid.tau
@@ -584,12 +533,12 @@ def locate_expansion_point(avg, spec, omega_target=None, tol=1e-12, max_iter=50)
         if np.any(I < lo - 1e-12) or np.any(I > hi + 1e-12):
             raise DomainError(
                 f"frequency matching left the averaged action ball at I = {I}")
-        g = spec.H0.grad(I) + ea * hfn.grad(I) - omega_target
+        _, hg, hh = _h_bar_jet(avg, I[None])
+        g = spec.H0.grad(I) + ea * hg[0] - omega_target
         if float(np.abs(g).max()) <= tol:
             return I, g
-        J = spec.H0.hess(I) + ea * hfn.hess(I)
-        I = I - np.linalg.solve(J, g)
-    g = spec.H0.grad(I) + ea * hfn.grad(I) - omega_target
+        I = I - np.linalg.solve(spec.H0.hess(I) + ea * hh[0], g)
+    g = spec.H0.grad(I) + ea * _h_bar_jet(avg, I[None])[1][0] - omega_target
     if float(np.abs(g).max()) > tol:
         raise ContractionError(
             f"frequency matching stalled with residual {float(np.abs(g).max()):.3e}")
@@ -634,13 +583,13 @@ def taylor_split(avg, spec, I_star, r0, omega_target=None, kam_nodes=5, s=None):
         s = avg.s
     ea = spec.eps ** spec.a
     epa = spec.eps ** (-spec.a)
-    hfn = avg.h_bar_fn()
-    Omega_full = spec.H0.hess(I_star) + ea * hfn.hess(I_star)
+    hv, hg, hh = _h_bar_jet(avg, I_star[None])
+    Omega_full = spec.H0.hess(I_star) + ea * hh[0]
     # quadratic form <Omega rho, rho> must reproduce the Taylor term rho^T H rho / 2
     Omega = 0.25 * (Omega_full + Omega_full.T)
-    grad_full = spec.H0.grad(I_star) + ea * hfn.grad(I_star)
+    grad_full = spec.H0.grad(I_star) + ea * hg[0]
     delta = grad_full - omega_target
-    const = epa * (spec.H0.value(I_star) + ea * hfn.value(I_star))
+    const = epa * (spec.H0.value(I_star) + ea * hv[0])
 
     kgrid = ActionGrid(np.zeros(d), r0, kam_nodes)
     R = avg.R_breve
@@ -654,7 +603,7 @@ def taylor_split(avg, spec, I_star, r0, omega_target=None, kam_nodes=5, s=None):
     # cubic tail of the integrable part (theta-free)
     rho = kgrid.node_points().reshape(-1, d)
     pts = I_star[None, :] + rho
-    g0 = np.array([epa * (spec.H0.value(p) + ea * hfn.value(p)) for p in pts])
+    g0 = epa * (spec.H0.value(pts) + ea * _h_bar_jet(avg, pts)[0])
     taylor0 = (const + epa * (rho @ grad_full)
                + epa * np.einsum("nj,jk,nk->n", rho, Omega, rho))
     tail0 = (g0 - taylor0).reshape((1,) + kgrid.shape)

@@ -155,21 +155,61 @@ def test_restrict_action_resamples_nodes():
     np.testing.assert_allclose(g.coeffs[0], expect, atol=1e-13)
 
 
-def test_compose_shifted_grid_matches_direct_evaluation():
-    f = sample_field()
-    nshape = (16, 16, 16)
-    grid = ActionGrid(np.zeros(2), 1e-3, 3)
-    shift = np.full(tuple(nshape) + grid.shape + (2,), 0.02)
-    vals, err = compose_shifted_grid(f, nshape, dtheta=shift, out_grid=grid,
-                                     tol=1e-13)
+def node_field(rng, grid, scale, vshape=()):
+    """Real field whose mode coefficients take independent random values on every node."""
+    def draw():
+        return scale * rng.standard_normal(vshape + grid.shape)
+
+    mapping = {(0, 0, 0): draw()}
+    for mode in [(1, 0, 1), (0, 1, -1), (1, -1, 0), (2, 0, 1)]:
+        mapping[mode] = draw() + 1j * draw()
+        mapping[tuple(-x for x in mode)] = np.conj(mapping[mode])
+    return FourierField.from_modes(2, mapping, s=0.3, tau=grid.tau, grid=grid, vshape=vshape)
+
+
+# case: (value shape, action-free field, angle shift, action shift).  Node
+# coefficients that vary strongly over a small ball would stall a Taylor
+# series in the action in "both"; only an exact action shift passes it.
+COMPOSE_CASES = {
+    "angle": ((), False, True, False),
+    "action": ((), False, False, True),
+    "both": ((), False, True, True),
+    "vector": ((2,), False, True, True),
+    "action_free": ((), True, True, False),
+}
+
+
+@pytest.mark.parametrize("case", list(COMPOSE_CASES))
+def test_compose_shifted_grid_matches_direct_evaluation(case):
+    vshape, action_free, angle, action = COMPOSE_CASES[case]
+    rng = np.random.default_rng(3)
+    grid = ActionGrid((1.0, 1.5), 2e-3, 5)
+    out = ActionGrid((1.0, 1.5), 1e-3, 5)
+    # the components of the vector field differ in size by 1e6, so each must
+    # run its own series to the relative tolerance
+    scale = 0.005 * np.array([1.0, 1e-6])[:, None, None] if vshape else 0.005
+    f = sample_field() if action_free else node_field(rng, grid, scale, vshape)
+    nshape = (12, 12, 12)
+    pshape = nshape + out.shape + (2,)
+    V = 0.03 * rng.standard_normal(pshape) if angle else np.zeros(pshape)
+    U = 4e-4 * rng.standard_normal(pshape) if action else np.zeros(pshape)
+    vals, err = compose_shifted_grid(f, nshape, dtheta=V if angle else None,
+                                     drho=U if action else None, out_grid=out, tol=1e-13)
+    assert vals.shape == nshape + out.shape + f.vshape
     axes = [np.linspace(0, 2 * np.pi, n, endpoint=False) for n in nshape]
     mesh = np.meshgrid(*axes, indexing="ij")
-    th = np.stack([mesh[0].ravel(), mesh[1].ravel()], axis=-1)
-    t = mesh[2].ravel()
-    direct = direct_eval(th + 0.02, t)
-    got = vals.reshape(-1, *grid.shape)[:, 0, 0].real
-    np.testing.assert_allclose(got, direct, atol=1e-10)
-    assert err < 1e-12
+    phi = np.stack(mesh[:2], axis=-1)[:, :, :, None, None, :] + V
+    t = np.broadcast_to(mesh[2][..., None, None], nshape + out.shape)
+    rho = out.node_points() + U
+    direct = f.evaluate(phi.reshape(-1, 2), t.ravel(), rho.reshape(-1, 2))
+    got = vals.reshape(direct.shape)
+    assert np.abs(got.imag).max() <= 1e-14 * np.abs(direct).max()
+    dev = np.abs(got.real - direct).max(axis=0)
+    assert np.all(dev <= 1e-13 * np.abs(direct).max(axis=0)), dev
+    if angle:
+        assert err < 1e-12
+    else:
+        assert err == 0.0
 
 
 @pytest.mark.parametrize("vshape", [(2,), (2, 2)])

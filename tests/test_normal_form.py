@@ -133,9 +133,7 @@ def test_implicit_angle_shift_residual_is_certified():
     tol = 1e-13
     V, iters = implicit_angle_shift(srho, nshape, grid, tol=tol)
     assert V.shape == nshape + grid.shape + (2,) and iters > 1
-    shifted = np.stack([compose_shifted_grid(srho.component(i), nshape, dtheta=V,
-                                             out_grid=grid, tol=tol)[0].real
-                        for i in range(2)], axis=-1)
+    shifted = compose_shifted_grid(srho, nshape, dtheta=V, out_grid=grid, tol=tol)[0].real
     assert np.abs(V + shifted).max() <= tol * max(1.0, np.abs(V).max())
     assert np.abs(V).max() > 1e-3
 
@@ -160,8 +158,7 @@ def chain():
     states = [split_tail(spec, params)]
     for _ in range(params.m0):
         S = solve_homological(states[-1].R, spec.omega, spec.eps, spec.a,
-                              params.dc, regime="split",
-                              floor_scale=params.floor_scale)
+                              params.dc, regime="split")
         states.append(push_forward(states[-1], S, spec, params))
     avg = time_average_transform(states[-1], spec)
     I_star, resid = locate_expansion_point(avg, spec)
