@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from .diophantine import DiophantineParams, excluded_measure, find_dc_point, margin_map_csv
-from .duffing import (DuffingNetwork, ScaledSystem, integrate, rotation_vector,
-                      stability_metrics, to_hamiltonian_spec)
+from .duffing import (DuffingNetwork, ScaledSystem, chart_orbit, integrate,
+                      rotation_vector, stability_metrics, to_hamiltonian_spec)
 from .errors import ContractionError, EscapeError, SmallDivisorError
 from .fourier import FourierField
 from .kam import KamParams, TorusEmbedding, extract_torus, init_state, invariance_defect, kam_iterate
@@ -317,8 +317,9 @@ def run_verify(cfg, out_dir, torus_path=None, log=None):
     X0, V0 = sys_.to_original(x0, y0)
     traj = integrate(net, X0, V0, 0.0, float(vc["T_long"]), h,
                      sample_every=every, escape=float(vc["escape"]))
-    metrics = stability_metrics(traj, sys_, aa)
-    rot = rotation_vector(traj, sys_, aa)
+    theta, actions = chart_orbit(traj, sys_, aa)
+    metrics = stability_metrics(traj, actions)
+    rot = rotation_vector(traj, theta)
     rel = float(np.abs(rot - torus.omega).max() / np.abs(torus.omega).max())
     log(f"verify: action variation {metrics['action_variation']:.4g} over "
         f"T={vc['T_long']}, rotation error {rel:.3g} relative")

@@ -48,7 +48,7 @@ class DuffingNetwork:
             if isinstance(p, FourierField):
                 p = {int(mode[-1]): complex(c) for mode, c in zip(p.modes, p.coeffs)}
             self.terms[alpha] = {int(l): complex(c) for l, c in p.items()}
-        # precomputed arrays for force evaluation
+        # per-term mode arrays of the loop-form references `coefficient` and `potential`
         self._alphas = np.array(sorted(self.terms), dtype=np.int64).reshape(-1, self.m)
         self._pmodes = []
         for alpha in map(tuple, self._alphas):
@@ -56,6 +56,26 @@ class DuffingNetwork:
             ls = np.array([l for l, _ in items], dtype=float)
             cs = np.array([c for _, c in items], dtype=complex)
             self._pmodes.append((ls, cs))
+        # Tables of the fused force kernel, one row r per component j and term
+        # alpha with alpha_j > 0, grouped by component so that each output sums its
+        # terms in sorted order: exponents alpha - e_j, the scatter of alpha_j into
+        # output j, and the coefficient of each time feature cos(l t - phase) in
+        # P_r(t) = sum_l Re c_l cos(l t) - Im c_l sin(l t), sin(l t) = cos(l t - pi/2).
+        rows = [(a, j) for j in range(self.m) for a in self._alphas if a[j] > 0]
+        self._expo = np.array([a - (np.arange(self.m) == j) for a, j in rows],
+                              dtype=np.int64).reshape(-1, self.m)
+        self._scatter = np.zeros((len(rows), self.m))
+        lmodes = sorted({l for p in self.terms.values() for l in p})
+        freq = np.array(lmodes * 2, dtype=float)
+        phase = np.repeat([0.0, 0.5 * np.pi], len(lmodes))
+        coef = np.zeros((freq.size, len(rows)))
+        for r, (a, j) in enumerate(rows):
+            self._scatter[r, j] = a[j]
+            for l, c in self.terms[tuple(a)].items():
+                i = lmodes.index(l)
+                coef[i, r], coef[i + len(lmodes), r] = c.real, -c.imag
+        keep = coef.any(axis=1)
+        self._freq, self._phase, self._coef = freq[keep], phase[keep], coef[keep]
 
     def coefficient(self, alpha, t):
         """P_alpha at times t (real part of the stored mode sum)."""
@@ -75,19 +95,16 @@ class DuffingNetwork:
         return out
 
     def potential_gradient(self, x, t):
-        """dF/dx at x of shape (..., m)."""
+        """dF/dx at x of shape (..., m) and t broadcastable against x's batch shape.
+
+        One fused expression over the tables built at construction, the same
+        for every batch shape: sum_r alpha_j(r) P_r(t) x^(alpha(r) - e_j(r)).
+        """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        out = np.zeros(np.broadcast_shapes(x.shape[:-1], t.shape) + (self.m,))
-        for alpha, (ls, cs) in zip(self._alphas, self._pmodes):
-            P = (np.exp(1j * np.multiply.outer(t, ls)) @ cs).real
-            for j in range(self.m):
-                if alpha[j] == 0:
-                    continue
-                ae = alpha.copy()
-                ae[j] -= 1
-                out[..., j] += P * alpha[j] * np.prod(x**ae, axis=-1)
-        return out
+        P = np.cos(t[..., None] * self._freq - self._phase) @ self._coef
+        mono = np.prod(x[..., None, :] ** self._expo, axis=-1)
+        return (P * mono) @ self._scatter
 
     def to_json_dict(self):
         from .util import fmt_float
@@ -256,12 +273,14 @@ def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes=5, s0=0.4, K0=24,
         u_th, _ = aa_map.orbit.eval_angle(th1)  # (N,)
         vals = np.empty(nshape + (nodes.shape[0],))
         xfac = (aa_map.c * nodes) ** aa_map.alpha  # (n_nodes^m, m)
+        # P_alpha on the time grid, once per grid size
+        coeffs = [(np.array(alpha), net.coefficient(alpha, tgrid))
+                  for alpha in sorted(net.terms)]
         for c_idx in range(nodes.shape[0]):
             # x_j(theta_j) on the angle grid, for this action node
             xs = [A * xfac[c_idx, j] * u_th for j in range(m)]
             acc = np.zeros(nshape)
-            for alpha, (ls, cs) in zip(net._alphas, net._pmodes):
-                P = (np.exp(1j * np.multiply.outer(tgrid, ls)) @ cs).real  # (N,)
+            for alpha, P in coeffs:
                 mono = np.ones((N,) * m)
                 for j in range(m):
                     shape = [1] * m
@@ -289,39 +308,39 @@ def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes=5, s0=0.4, K0=24,
         I0=np.asarray(center, dtype=float), s0=float(s0), tau0=float(tau0))
 
 
-def stability_metrics(traj, sys, aa_map):
-    """Sup norm, per-oscillator action variation, and escape flag for a trajectory."""
-    sup = float((np.abs(traj.x).sum(axis=1) + np.abs(traj.v).sum(axis=1)).max())
+def chart_orbit(traj, sys, aa_map):
+    """Chart angles and actions (theta, I), each (N, m), of every trajectory sample.
+
+    Samples are mapped to the scaled chart and charted in chunks of 4096.
+    """
     xs, ys = sys.to_scaled(traj.x, traj.v)
-    N = xs.shape[0]
-    I_all = np.empty_like(xs)
+    theta, actions = np.empty_like(xs), np.empty_like(xs)
     chunk = 4096
-    for lo in range(0, N, chunk):
-        hi = min(N, lo + chunk)
-        _, I_all[lo:hi] = aa_map.from_cartesian(xs[lo:hi], ys[lo:hi])
-    dev = float(np.abs(I_all - I_all[0]).max())
+    for lo in range(0, xs.shape[0], chunk):
+        hi = lo + chunk
+        theta[lo:hi], actions[lo:hi] = aa_map.from_cartesian(xs[lo:hi], ys[lo:hi])
+    return theta, actions
+
+
+def stability_metrics(traj, actions):
+    """Sup norm, largest action deviation from the first sample, and escape flag.
+
+    ``actions`` are the chart actions of the samples (see ``chart_orbit``).
+    """
+    sup = float((np.abs(traj.x).sum(axis=1) + np.abs(traj.v).sum(axis=1)).max())
     return {
         "sup_norm": sup,
-        "action_variation": dev,
+        "action_variation": float(np.abs(actions - actions[0]).max()),
         "escaped": bool(traj.escaped),
-        "actions_first": I_all[0],
-        "actions": I_all,
     }
 
 
-def rotation_vector(traj, sys, aa_map):
+def rotation_vector(traj, theta):
     """Average angular velocities of the chart angles along a trajectory.
 
-    Unwraps theta_j(t) in the scaled chart and fits a line; for F = 0 this
-    recovers eps^(-a) * dH0/dI at the orbit's actions.
+    Unwraps the chart angles ``theta`` of the samples (see ``chart_orbit``) and
+    fits a line; for F = 0 this recovers eps^(-a) * dH0/dI at the orbit's actions.
     """
-    xs, ys = sys.to_scaled(traj.x, traj.v)
-    N = xs.shape[0]
-    th_all = np.empty_like(xs)
-    chunk = 4096
-    for lo in range(0, N, chunk):
-        hi = min(N, lo + chunk)
-        th_all[lo:hi], _ = aa_map.from_cartesian(xs[lo:hi], ys[lo:hi])
-    th_un = np.unwrap(th_all, axis=0)
+    th_un = np.unwrap(theta, axis=0)
     slopes = np.polyfit(traj.t, th_un, 1)[0]
     return np.atleast_1d(slopes)

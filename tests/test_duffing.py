@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kamforge.duffing import (DuffingNetwork, ScaledSystem, Trajectory, integrate,
-                              rotation_vector, stability_metrics, to_hamiltonian_spec)
+from kamforge.duffing import (DuffingNetwork, ScaledSystem, Trajectory, chart_orbit,
+                              integrate, rotation_vector, stability_metrics,
+                              to_hamiltonian_spec)
 from kamforge.errors import EscapeError
 from kamforge.oscillator import ActionAngleMap
 
@@ -13,18 +14,47 @@ TERMS = {
 }
 
 
-def test_potential_gradient_matches_finite_difference():
-    net = DuffingNetwork(2, 1, TERMS)
+# m = 3, complex coefficients, terms sharing time modes, a constant term and a
+# term with a zero exponent
+COMPLEX_TERMS = {
+    (0, 0, 0): {0: 0.3, 2: 0.1 - 0.2j},
+    (1, 0, 0): {-1: 0.05j, 2: 0.4 + 0.1j},
+    (1, 1, 1): {1: 0.2 - 0.3j, -1: 0.2 + 0.3j},
+    (2, 0, 1): {1: -0.7 + 0.1j, 0: 0.25},
+    (0, 3, 0): {2: 0.15j, -3: 0.05 + 0.05j},
+}
+NETWORKS = {"shipped": (2, TERMS), "complex_m3": (3, COMPLEX_TERMS), "empty": (2, {})}
+
+
+@pytest.mark.parametrize("shape", ["single", "batch8", "grid5x3"])
+@pytest.mark.parametrize("network", list(NETWORKS))
+def test_potential_gradient_matches_finite_difference(network, shape):
+    m, terms = NETWORKS[network]
+    net = DuffingNetwork(m, 1, terms)
     rng = np.random.default_rng(0)
-    x = rng.uniform(-1.5, 1.5, 2)
-    t = 0.7
+    x, t = {
+        "single": (rng.uniform(-1.5, 1.5, m), 0.7),
+        "batch8": (rng.uniform(-1.5, 1.5, (8, m)), rng.uniform(0, 2 * np.pi, 8)),
+        "grid5x3": (rng.uniform(-1.5, 1.5, (5, 3, m)), 2.3),
+    }[shape]
     g = net.potential_gradient(x, t)
+    assert g.shape == x.shape
+    # the gradient assembled term by term from coefficient(alpha, t)
+    ref = np.zeros_like(x)
+    for alpha in net.terms:
+        P = net.coefficient(alpha, t)
+        for j in range(m):
+            if alpha[j]:
+                ae = np.array(alpha) - (np.arange(m) == j)
+                ref[..., j] += alpha[j] * P * np.prod(x**ae, axis=-1)
+    # 1e-14 relative to the largest component; exact zeros for the empty network
+    np.testing.assert_allclose(g, ref, rtol=0, atol=1e-14 * np.abs(ref).max(initial=0))
     h = 1e-6
-    for j in range(2):
-        e = np.zeros(2)
+    for j in range(m):
+        e = np.zeros(m)
         e[j] = h
         fd = (net.potential(x + e, t) - net.potential(x - e, t)) / (2 * h)
-        assert g[j] == pytest.approx(fd, abs=1e-9)
+        np.testing.assert_allclose(g[..., j], fd, rtol=0, atol=1e-9)
 
 
 def test_coefficient_is_real_trig_polynomial():
@@ -116,7 +146,8 @@ def test_uncoupled_orbit_conserves_action():
     x0, y0 = aa.to_cartesian(theta0, I0)
     X0, V0 = sys_.to_original(x0, y0)
     traj = integrate(net, X0, V0, 0.0, 50.0, 0.005, sample_every=40)
-    metrics = stability_metrics(traj, sys_, aa)
+    _, actions = chart_orbit(traj, sys_, aa)
+    metrics = stability_metrics(traj, actions)
     assert metrics["action_variation"] < 1e-8
     assert not metrics["escaped"]
     assert np.isfinite(metrics["sup_norm"])
@@ -130,7 +161,8 @@ def test_uncoupled_rotation_matches_frequency_map():
     x0, y0 = aa.to_cartesian(np.zeros(2), I0)
     X0, V0 = sys_.to_original(x0, y0)
     traj = integrate(net, X0, V0, 0.0, 50.0, 0.005, sample_every=40)
-    rot = rotation_vector(traj, sys_, aa)
+    theta, _ = chart_orbit(traj, sys_, aa)
+    rot = rotation_vector(traj, theta)
     target = sys_.eps ** (-sys_.a) * aa.omega(I0[None, :])[0]
     np.testing.assert_allclose(rot, target, rtol=1e-6)
 
