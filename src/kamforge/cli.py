@@ -134,15 +134,15 @@ def load_torus(path):
         omega=np.array([float(w) for w in obj["omega"]]))
 
 
-def run_dc_scan(cfg, out_dir=None, log=None):
+def run_dc_scan(cfg, aa, out_dir=None, log=None):
     """Scan the action box for the best DC point; optionally export artifacts.
 
-    Returns (point, omega, report, records).  Raises SmallDivisorError when no
-    point in the scan satisfies the condition.
+    ``aa`` is the network's action-angle chart.  Returns (point, omega,
+    report, records).  Raises SmallDivisorError when no point in the scan
+    satisfies the condition.
     """
     log = log or (lambda *_: None)
     net, sys_ = network_from_config(cfg)
-    aa = ActionAngleMap(net.n, net.m)
     dcp = _dc_params(cfg, net.m, sys_.eps, float(sys_.a))
     box = cfg["action_box"]
     point, omega, report, records = find_dc_point(
@@ -189,7 +189,7 @@ def run_pipeline(cfg, out_dir=None, log=None):
                    os.path.join(out_dir, "config.json"))
     net, sys_ = network_from_config(cfg)
     aa = ActionAngleMap(net.n, net.m)
-    I0, omega0, report, _ = run_dc_scan(cfg, out_dir=out_dir, log=log)
+    I0, omega0, report, _ = run_dc_scan(cfg, aa, out_dir=out_dir, log=log)
 
     nfc = cfg["normal_form"]
     spec = to_hamiltonian_spec(sys_, aa, I0, float(nfc["tau0"]),
@@ -432,7 +432,8 @@ def main(argv=None):
             return 0
         os.makedirs(args.out, exist_ok=True)
         if args.command == "dc-scan":
-            run_dc_scan(cfg, out_dir=args.out, log=print)
+            net, _ = network_from_config(cfg)
+            run_dc_scan(cfg, ActionAngleMap(net.n, net.m), out_dir=args.out, log=print)
         elif args.command == "pipeline":
             run_pipeline(cfg, out_dir=args.out, log=print)
         elif args.command == "verify":

@@ -8,9 +8,18 @@ A frequency omega passes at parameters p when
   K_split < |k| + |l| <= K_check (the classical regime, checked on a finite
   window; beyond the window the divisor is dominated by |l| and grows).
 
-Only the integer l nearest to -eps^(-a) <k, omega> can violate either bound
-once gamma * eps^(-a) < 1/2, which the enumeration below exploits; a guard
-falls back to an exhaustive l scan when that margin is not available.
+The margin of a mode is |divisor| / bound, and a row's margin is the minimum
+over the window.  With z = eps^(-a) <k, omega> and the nearest integer
+l* = -rint(z), every other l has |z + l| >= 1/2 exactly in floating point:
+z + l is one correctly rounded add, rounding is monotone and 1/2 is
+representable.  Its margin is then at least 1/2 over the largest bound in the
+k-chunk, again exactly, since each computed margin divides by one of those
+computed bounds.  So ``_margins_for`` first folds in l* for every row; a row
+whose minimum is now below that floor cannot take a mode at another l, and
+only the rows at or above it replay the scan over l* - reach .. l* + reach
+from their state before the chunk (reach is 3 once
+gamma * max(eps^(-a), 1) >= 1.4, else 1).  The margins and worst modes, ties
+included, are those of the full scan, bit for bit.
 """
 
 import functools
@@ -20,6 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .util import get_workers, spawn_rngs, write_csv
+
+K_CHUNK = 2048  # k-modes per matmul in _margins_for
+ROW_BLOCK = 16  # frequency rows per element-wise update (16 x 2048 doubles = 256 KB)
+POINT_CHUNK = 1024  # scan points per _margins_for call in find_dc_point
 
 
 @dataclass
@@ -85,10 +98,34 @@ class DcReport:
     omega: np.ndarray = field(default=None)
 
 
-def _margins_for(omegas, p, k_chunk=2048):
+def _fold_modes(best, worst, z, lc, kk, knorm, b1, b2, p):
+    """Fold the modes (k, lc) of one k-chunk into the running minimum, in place.
+
+    ``best``/``worst`` are the rows' running margin and worst mode; ``z`` holds
+    eps^(-a) <k, omega> and ``lc`` the l paired with each (row, k).  A row takes
+    its chunk minimum (first k on ties) only when it is strictly below ``best``.
+    """
+    order = knorm + np.abs(lc)
+    margin = np.abs(z + lc)
+    margin /= np.where(order <= p.K_split, b1, b2)
+    margin[order > p.K_check] = np.inf
+    flat = np.argmin(margin, axis=1)
+    rows = np.arange(margin.shape[0])
+    vals = margin[rows, flat]
+    upd = vals < best
+    if np.any(upd):
+        best[upd] = vals[upd]
+        worst[upd, : p.d] = kk[flat[upd]]
+        worst[upd, p.d] = lc[rows, flat][upd].astype(np.int64)
+
+
+def _margins_for(omegas, p):
     """Worst margin (min over modes of |divisor| / bound) for each frequency row.
 
     Returns (margins, worst_modes) where worst_modes is an int array (N, d+1).
+    The l = -rint(z) pass runs on every row; the full ``off = -reach..reach``
+    scan reruns only on rows it leaves at or above the chunk's floor (see the
+    module docstring), so the result equals that of the full scan bit for bit.
     """
     omegas = np.atleast_2d(np.asarray(omegas, dtype=float))
     N = omegas.shape[0]
@@ -99,26 +136,26 @@ def _margins_for(omegas, p, k_chunk=2048):
     # margin of at least 1.5 / (gamma * max(eps^(-a), 1)); wider scans only
     # matter when gamma is so large that the condition is vacuous anyway.
     reach = 1 if p.gamma * max(p.eps_pow, 1.0) < 1.4 else 3
-    for lo in range(0, ks.shape[0], k_chunk):
-        kk = ks[lo: lo + k_chunk]
+    for lo in range(0, ks.shape[0], K_CHUNK):
+        kk = ks[lo: lo + K_CHUNK]
         knorm = np.abs(kk).sum(axis=1).astype(float)
+        b1 = p.bound_regime1(knorm)
+        b2 = p.bound_regime2(knorm)
+        floor = 0.5 / max(b1.max(), b2.max())
         z = p.eps_pow * (omegas @ kk.T)  # (N, C)
         lstar = -np.rint(z)
-        for off in range(-reach, reach + 1):
-            lc = lstar + off
-            div = np.abs(z + lc)
-            order = knorm[None, :] + np.abs(lc)
-            b1 = p.bound_regime1(knorm)[None, :]
-            b2 = p.bound_regime2(knorm)[None, :]
-            margin = div / np.where(order <= p.K_split, b1, b2)
-            margin = np.where(order <= p.K_check, margin, np.inf)
-            flat = np.argmin(margin, axis=1)
-            vals = margin[np.arange(N), flat]
-            upd = vals < best
-            if np.any(upd):
-                best[upd] = vals[upd]
-                worst[upd, : p.d] = kk[flat[upd]]
-                worst[upd, p.d] = lc[np.arange(N), flat][upd].astype(np.int64)
+        for r in range(0, N, ROW_BLOCK):
+            blk = slice(r, r + ROW_BLOCK)
+            saved = best[blk].copy(), worst[blk].copy()
+            _fold_modes(best[blk], worst[blk], z[blk], lstar[blk], kk, knorm, b1, b2, p)
+            again = np.flatnonzero(best[blk] >= floor)
+            if again.size:
+                # another l may still win: replay the full scan from the saved state
+                rows = r + again
+                b, w = saved[0][again], saved[1][again]
+                for off in range(-reach, reach + 1):
+                    _fold_modes(b, w, z[rows], lstar[rows] + off, kk, knorm, b1, b2, p)
+                best[rows], worst[rows] = b, w
     return best, worst
 
 
@@ -137,7 +174,7 @@ def check_dc(omega, p):
     )
 
 
-def find_dc_point(omega_of, box, p, grid=33, point_chunk=1024):
+def find_dc_point(omega_of, box, p, grid=33):
     """Scan an action box for the point whose frequency has the largest DC margin.
 
     Parameters
@@ -162,8 +199,8 @@ def find_dc_point(omega_of, box, p, grid=33, point_chunk=1024):
     omegas = np.asarray(omega_of(pts), dtype=float)
     margins = np.empty(pts.shape[0])
     worsts = np.empty((pts.shape[0], p.d + 1), dtype=np.int64)
-    for s in range(0, pts.shape[0], point_chunk):
-        e = min(pts.shape[0], s + point_chunk)
+    for s in range(0, pts.shape[0], POINT_CHUNK):
+        e = min(pts.shape[0], s + POINT_CHUNK)
         margins[s:e], worsts[s:e] = _margins_for(omegas[s:e], p)
     best = int(np.argmax(margins))  # argmax returns the first (lexicographic) maximizer
     records = [

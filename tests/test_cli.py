@@ -19,6 +19,16 @@ FLAT = {
     "torus": {"n_phi": 8, "n_t": 4},
     "verify": {"T_check": 5.0, "n_samples": 2, "T_long": 50.0, "sample_every": 4},
 }
+# A reduced config of the shipped network that runs every pipeline stage with
+# nonzero remainders (the benchmark's `construct` workload).
+REDUCED = {
+    "dc": {"scan_grid": 11, "K_check": 50},
+    "normal_form": {"m0": 2, "K0": 5, "K_cap": 5, "base_grid": 32},
+    "kam": {"K_cap": 5},
+    "torus": {"n_phi": 8, "n_t": 8},
+}
+PIPELINE_FILES = ["config.json", "dc_margins.csv", "dc_point.json", "nf_diagnostics.csv",
+                  "kam_diagnostics.csv", "torus.json", "summary.json"]
 
 
 def dump_config(path, overrides):
@@ -112,9 +122,7 @@ def test_invalid_config_exits_1(tmp_path, capsys):
 
 def test_pipeline_writes_artifacts(flat_run):
     cfg_path, out = flat_run
-    for name in ["config.json", "dc_margins.csv", "dc_point.json",
-                 "nf_diagnostics.csv", "kam_diagnostics.csv",
-                 "torus.json", "summary.json"]:
+    for name in PIPELINE_FILES:
         assert (out / name).exists(), name
     cfg = cli.load_config(cfg_path)
     with open(out / "config.json") as fh:
@@ -143,10 +151,20 @@ def test_pipeline_reruns_byte_identical(flat_run, tmp_path):
     cfg_path, out = flat_run
     out2 = tmp_path / "b"
     assert cli.main(["pipeline", "--config", cfg_path, "--out", str(out2)]) == 0
-    for name in ["config.json", "dc_margins.csv", "dc_point.json",
-                 "nf_diagnostics.csv", "kam_diagnostics.csv", "torus.json",
-                 "summary.json"]:
+    for name in PIPELINE_FILES:
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_pipeline_artifacts_do_not_depend_on_thread_count(tmp_path, monkeypatch):
+    # KAMFORGE_THREADS sets the FFT workers and the excluded-measure thread pool
+    cfg = cli.load_config(None, REDUCED)
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KAMFORGE_THREADS", threads)
+        outs.append(tmp_path / f"threads{threads}")
+        cli.run_pipeline(cfg, out_dir=str(outs[-1]))
+    for name in PIPELINE_FILES:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_verify_reruns_byte_identical(flat_run, tmp_path):
