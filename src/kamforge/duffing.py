@@ -198,7 +198,7 @@ def integrate(net, x0, v0, t0, T, h, sample_every=1, escape=1e8):
 
     The kinetic/potential split alternates drifts (x += h v, t += h) and kicks
     (v += h * force(x, t)) with Yoshida-6 weights; kicks of adjacent stages are
-    merged.  Raises EscapeError when |x|_inf exceeds ``escape``.
+    merged.  Raises EscapeError when |x|_inf exceeds ``escape`` or is NaN.
 
     Batches are supported: x0 and v0 may have shape (..., m) with t0 scalar or
     shaped like the leading dimensions, in which case every orbit advances in
@@ -240,7 +240,7 @@ def integrate(net, x0, v0, t0, T, h, sample_every=1, escape=1e8):
             x += dt * v
             t += dt
             v += (kick_w[i + 1] * h) * force(x, t)
-        if np.abs(x).max() > escape:
+        if not np.abs(x).max() <= escape:  # a NaN state escapes too
             raise EscapeError(f"trajectory escaped at t = {np.max(t):.6g}")
         if (step + 1) % sample_every == 0:
             ts[ptr], xs[ptr], vs[ptr] = t, x, v

@@ -4,8 +4,12 @@ A field f(theta, t, I) is stored as a sparse collection of modes (k, l),
 k in Z^d, l in Z, with coefficients that are either plain complex numbers
 (action-independent) or arrays of values on a Chebyshev tensor grid over an
 action box.  The basis is exp(i(<k, theta> + l t)); angles and time are both
-2*pi-periodic.  Fields representing real functions keep conjugate symmetry
-f_hat(-k,-l) = conj(f_hat(k,l)) enforced at construction.
+2*pi-periodic.  Every field is a real function: construction enforces the
+conjugate symmetry f_hat(-k,-l) = conj(f_hat(k,l)) and raises RealityError
+when the given coefficients drift from it, and that check is the reality
+guard.  Grid values are therefore real arrays: ``to_grid`` places the l >= 0
+half of the spectrum and calls irfftn, ``from_grid`` takes real values
+through rfftn, and the shift composition accumulates in float.
 """
 
 import functools
@@ -175,7 +179,10 @@ class FourierField:
     grid : ActionGrid, optional
     vshape : tuple, optional
 
-    Fields are immutable; every operation returns a new instance.
+    Fields are immutable; every operation returns a new instance.  They are
+    real functions: coefficient conjugate symmetry, checked at construction,
+    is the reality guard, and grid values (``to_grid``, ``from_grid``,
+    ``compose_shifted_grid``) are float arrays.
     """
 
     def __init__(self, d, modes, coeffs, s, tau, cutoff, grid=None, vshape=(),
@@ -222,32 +229,33 @@ class FourierField:
         return modes, coeffs
 
     def _symmetrize(self):
-        """Average with the conjugate-negated partner; record the relative drift."""
-        if self._modes.shape[0] == 0:
+        """Average with the conjugate-negated partner; record the relative drift.
+
+        Canonical (lexicographic) order reverses under negation, so a mode set
+        closed under negation is its own reversal and the partner of row i is
+        row M-1-i.  Missing partners are merged in with zero coefficients.
+        """
+        modes = self._modes
+        if modes.shape[0] == 0:
             return
-        idx = {tuple(m): i for i, m in enumerate(self._modes)}
-        neg = np.empty(self._modes.shape[0], dtype=np.int64)
-        missing = []
-        for i, m in enumerate(self._modes):
-            j = idx.get(tuple(-m))
-            if j is None:
-                missing.append(i)
-                neg[i] = -1
-            else:
-                neg[i] = j
-        if missing:
-            extra_modes = -self._modes[missing]
-            extra_coeffs = np.zeros((len(missing),) + self._coeffs.shape[1:], dtype=complex)
-            modes = np.concatenate([self._modes, extra_modes], axis=0)
-            coeffs = np.concatenate([self._coeffs, extra_coeffs], axis=0)
-            order = _canonical_order(modes)
-            self._modes, self._coeffs = modes[order], coeffs[order]
-            idx = {tuple(m): i for i, m in enumerate(self._modes)}
-            neg = np.array([idx[tuple(-m)] for m in self._modes], dtype=np.int64)
-        scale = np.abs(self._coeffs).max(initial=0.0)
-        sym = 0.5 * (self._coeffs + np.conj(self._coeffs[neg]))
+        partners = -modes[::-1]
+        if not np.array_equal(modes, partners):
+            # integer keys that sort like the modes; the partners sort ascending too
+            off = int(np.abs(modes).max())
+            dims = (2 * off + 1,) * (self.d + 1)
+            keys = np.ravel_multi_index((modes + off).T, dims)
+            if np.any(keys[1:] <= keys[:-1]):
+                raise ValueError("modes are not in canonical order")
+            pkeys = np.ravel_multi_index((partners + off).T, dims)
+            pos = np.searchsorted(keys, pkeys)
+            missing = keys[np.minimum(pos, keys.size - 1)] != pkeys
+            self._modes = np.insert(modes, pos[missing], partners[missing], axis=0)
+            self._coeffs = np.insert(self._coeffs, pos[missing], 0, axis=0)
+        c = self._coeffs
+        scale = np.abs(c).max(initial=0.0)
+        sym = 0.5 * (c + np.conj(c[::-1]))
         if scale > 0:
-            self.reality_drift = float(np.abs(self._coeffs - sym).max() / scale)
+            self.reality_drift = float(np.abs(c - sym).max() / scale)
             if self.reality_drift > REALITY_TOL:
                 raise RealityError(
                     f"conjugate-symmetry drift {self.reality_drift:.3e} exceeds {REALITY_TOL:.1e}")
@@ -531,41 +539,60 @@ class FourierField:
         return res[0] if single else res
 
     def to_grid(self, nshape):
-        """Values on the uniform (theta, t) grid, shape (*nshape, *vshape, *gridshape)."""
+        """Real values on the uniform (theta, t) grid, shape (*nshape, *vshape, *gridshape).
+
+        Only the l >= 0 half of the spectrum is placed; irfftn supplies the
+        conjugate l < 0 half.
+        """
         nshape = tuple(int(n) for n in nshape)
         if len(nshape) != self.d + 1:
             raise ValueError("grid shape must have d+1 entries")
         gshape = self.grid.shape if self.grid is not None else ()
-        C = np.zeros(nshape + self.vshape + gshape, dtype=complex)
+        half = nshape[:-1] + (nshape[-1] // 2 + 1,)
+        C = np.zeros(half + self.vshape + gshape, dtype=complex)
         if self.n_modes:
             for j, n in enumerate(nshape):
                 if 2 * np.abs(self._modes[:, j]).max(initial=0) + 1 > n:
                     raise ValueError("grid too small for stored modes (aliasing collision)")
-            idx = tuple(np.mod(self._modes[:, j], nshape[j]) for j in range(self.d + 1))
-            C[idx] = self._coeffs
-        vals = ifftn(C, axes=tuple(range(self.d + 1))) * np.prod(nshape)
-        return vals
+            upper = self._modes[:, -1] >= 0
+            idx = tuple(np.mod(self._modes[upper, j], nshape[j]) for j in range(self.d + 1))
+            C[idx] = self._coeffs[upper]
+        return ifftn(C, axes=tuple(range(self.d + 1)), s=nshape) * np.prod(nshape)
 
     @classmethod
     def from_grid(cls, values, d, s, cutoff, grid=None, vshape=(), tau=None,
                   enforce_reality=True):
-        """Project uniform (theta, t)-grid values onto modes with |k|+|l| <= cutoff.
+        """Project real uniform (theta, t)-grid values onto modes with |k|+|l| <= cutoff.
 
-        The relative coefficient mass outside the retained ball is stored on the
-        result as ``projection_residual``.
+        The l >= 0 coefficients come from rfftn and the l < 0 ones are the
+        conjugates of their mirror modes.  The relative coefficient mass of the
+        full spectrum outside the retained ball is stored on the result as
+        ``projection_residual``.
         """
-        values = np.asarray(values, dtype=complex)
+        values = np.asarray(values)
+        if np.iscomplexobj(values):
+            raise TypeError("from_grid takes real grid values")
         nshape = values.shape[: d + 1]
-        C = fftn(values, axes=tuple(range(d + 1))) / np.prod(nshape)
+        C = fftn(values.astype(float, copy=False), axes=tuple(range(d + 1))) / np.prod(nshape)
         half = tuple((n - 1) // 2 for n in nshape)
         all_modes = ball_modes(d, int(min(cutoff, sum(half))))
         keep = np.ones(all_modes.shape[0], dtype=bool)
         for j in range(d + 1):
             keep &= np.abs(all_modes[:, j]) <= half[j]
         modes = all_modes[keep]
-        idx = tuple(np.mod(modes[:, j], nshape[j]) for j in range(d + 1))
+        upper = modes[:, -1] >= 0
+        mirror = np.where(upper[:, None], modes, -modes)
+        idx = tuple(np.mod(mirror[:, j], nshape[j]) for j in range(d + 1))
         coeffs = C[idx]
-        total = float(np.abs(C).sum())
+        coeffs[~upper] = np.conj(coeffs[~upper])
+        # the half spectrum stands for its mirror too, except on the l = 0
+        # plane and on the Nyquist plane of an even time axis
+        weight = np.full(C.shape[d], 2.0)
+        weight[0] = 1.0
+        if nshape[-1] % 2 == 0:
+            weight[-1] = 1.0
+        mass = np.abs(C).sum(axis=tuple(a for a in range(C.ndim) if a != d))
+        total = float(weight @ mass)
         kept = float(np.abs(coeffs).sum())
         residual = 0.0 if total == 0 else max(0.0, (total - kept) / total)
         f = cls(d, modes, coeffs, s, grid.tau if (grid and tau is None) else (tau or 0.0),
@@ -621,7 +648,8 @@ class FourierField:
             return cls.from_json_dict(json.load(fh))
 
 
-def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, tol=1e-13):
+def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, tol=1e-13,
+                         grids=None):
     """Grid values of field(theta + dtheta, t, rho + drho), Taylor in the angles only.
 
     The values live on the uniform (theta, t) grid of shape ``nshape`` crossed
@@ -641,10 +669,16 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, t
     drho : array or None
         Action shift, broadcastable to (*nshape, *out_grid.shape, dim);
         ignored for an action-free field.
+    grids : dict or None
+        Derivative grids keyed by the multi-index alpha, taken before the
+        action contraction.  They depend on neither ``dtheta`` nor ``drho``,
+        so calls that share the field, ``nshape``, ``out_grid`` and whether
+        ``drho`` is given can share one dict: missing grids are added and
+        present ones reused, with the same values as fresh ones.
 
     Returns
     -------
-    values : complex array of shape (*nshape, *out_grid.shape, *field.vshape)
+    values : float array of shape (*nshape, *out_grid.shape, *field.vshape)
     err : float
         Largest relative size of the last angle order over the components
         (0 without ``dtheta``: the action shift is exact).
@@ -658,46 +692,53 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, t
     W = None
     if f.grid is not None and drho is not None:
         pts = out_grid.node_points() + np.broadcast_to(drho, nshape + gshape + (f.grid.dim,))
-        W = f.grid.interp_weights(pts.reshape(-1, f.grid.dim)).reshape(P, Q, -1)
+        # (P, field nodes, Q): g @ W contracts a grid's node axis
+        W = f.grid.interp_weights(pts.reshape(-1, f.grid.dim)).reshape(P, Q, -1) \
+            .transpose(0, 2, 1)
     elif f.grid is not None and not f.grid.same_as(out_grid):
         f = f.restrict_action(out_grid)
     coeffs = f.coeffs.reshape(f.n_modes, C, int(np.prod(f.grid.shape)) if f.grid else 1)
 
-    def values(c):
-        """(P, Q or 1, components) values at the composition points of coefficients c."""
-        g = f.replace(coeffs=c, vshape=(c.shape[1],), _canonical=True,
-                      enforce_reality=False).to_grid(nshape).reshape(P, c.shape[1], -1)
-        g = g.transpose(0, 2, 1)
-        if W is None:
-            return g
-        return (W @ np.ascontiguousarray(g).view(float)).view(complex)
+    # every grid below is (P, components, Q or 1): to_grid's own layout
+    def values(alpha, fac, active):
+        """Values of the alpha-th derivative grid for the active components."""
+        g = None if grids is None else grids.get(alpha)
+        if g is None:
+            g = f.replace(coeffs=coeffs * fac[:, None, None], vshape=(C,), _canonical=True,
+                          enforce_reality=False).to_grid(nshape).reshape(P, C, -1)
+            if grids is not None:
+                grids[alpha] = g
+        if active.size < C:
+            g = g[:, active]
+        return g if W is None else g @ W
 
-    accum = np.zeros((P, Q, C), dtype=complex)
-    accum += values(coeffs)
+    def peak(a):
+        return np.abs(a).max(axis=2).max(axis=0)
+
+    zero = (0,) * f.d
+    active = np.arange(C)
+    accum = np.zeros((P, C, Q))
+    accum += values(zero, np.ones(f.n_modes), active)
     err = np.zeros(C)
     if dtheta is not None and f.n_modes:
         shift = np.broadcast_to(dtheta, nshape + gshape + (f.d,)).reshape(P, Q, f.d)
         ik = 1j * f.modes[:, : f.d]
         # order-n terms keyed by alpha: coefficient factor (ik)^alpha / alpha! and
         # monomial shift^alpha, each one multiply from a parent one order below
-        level = {(0,) * f.d: (np.ones(f.n_modes), 1.0)}
-        last = np.where(np.abs(accum).max(axis=(0, 1)) > 0, 1.0, 0.0)
-        active = np.arange(C)
+        level = {zero: (np.ones(f.n_modes), 1.0)}
+        last = np.where(peak(accum) > 0, 1.0, 0.0)
         for _ in range(TAYLOR_MAX_ORDER):
             nxt = {}
-            contrib = np.zeros((P, Q, active.size), dtype=complex)
+            contrib = np.zeros((P, active.size, Q))
             for parent, (fac, mono) in level.items():
                 first = max((j for j in range(f.d) if parent[j]), default=0)
                 for j in range(first, f.d):
                     alpha = parent[:j] + (parent[j] + 1,) + parent[j + 1:]
                     nxt[alpha] = (fac * ik[:, j] / alpha[j], mono * shift[..., j])
-                    c = coeffs[:, active] * nxt[alpha][0][:, None, None]
-                    contrib += values(c) * nxt[alpha][1][..., None]
+                    contrib += values(alpha, nxt[alpha][0], active) * nxt[alpha][1][:, None]
             level = nxt
-            accum[..., active] += contrib
-            size = np.abs(contrib).max(axis=(0, 1))
-            scale = np.maximum(np.abs(accum[..., active]).max(axis=(0, 1)), 1e-300)
-            err[active] = size / scale
+            accum[:, active] += contrib
+            err[active] = peak(contrib) / np.maximum(peak(accum[:, active]), 1e-300)
             done = (err[active] < tol) & (last[active] < tol)
             last[active] = err[active]
             active = active[~done]
@@ -707,7 +748,8 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, t
             if err.max() > 100 * tol:
                 raise ContractionError(
                     f"shift-composition Taylor series stalled at relative size {err.max():.3e}")
-    return accum.reshape(nshape + gshape + field.vshape), float(err.max(initial=0.0))
+    out = accum.transpose(0, 2, 1).reshape(nshape + gshape + field.vshape)
+    return out, float(err.max(initial=0.0))
 
 
 @dataclass

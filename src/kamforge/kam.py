@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractionError, DomainError, EscapeError
 from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
-from .normal_form import _realify, implicit_angle_shift, solve_fixed_point, solve_homological
+from .normal_form import implicit_angle_shift, solve_fixed_point, solve_homological
 from .util import fast_len
 
 ZETA2 = np.pi**2 / 6.0
@@ -189,7 +189,7 @@ def cubic_contraction(high, w_grid, nshape, h):
                 D[(i, j, k)] = (Tdir(ei + ej + ek) - Tdir(ei + ej - ek)
                                 - Tdir(ei - ej + ek) + Tdir(ei - ej - ek)) / 24.0
 
-    out = np.zeros(tuple(nshape) + (d, d), dtype=complex)
+    out = np.zeros(tuple(nshape) + (d, d))
     for jj in range(d):
         for kk in range(d):
             acc = 0.0
@@ -232,7 +232,7 @@ def kam_step(state, params):
     symOmG = G.replace(coeffs=epa * (OmG + np.swapaxes(OmG, 1, 2)),
                        _canonical=True, enforce_reality=False)
 
-    g0 = _realify(A0.to_grid(nshape))                 # (*nshape, d)
+    g0 = A0.to_grid(nshape)                         # (*nshape, d)
     have_high = state.high is not None and state.high.n_modes > 0
     if have_high:
         T3w = cubic_contraction(state.high, g0, nshape, h=FD_FRAC * state.r)
@@ -253,23 +253,23 @@ def kam_step(state, params):
     rho = grid_new.node_points().reshape(-1, d)      # (P, d)
     base = tuple(nshape) + (rho.shape[0],)
 
-    Ggrid = _realify(G.to_grid(nshape))               # (*nshape, d, d)
-    dS2g = _realify(S2.grad_angle().to_grid(nshape))  # d(theta_i) S2_jk
+    Ggrid = G.to_grid(nshape)                       # (*nshape, d, d)
+    dS2g = S2.grad_angle().to_grid(nshape)          # d(theta_i) S2_jk
     quad = np.einsum("...ijk,pj,pk->...pi", dS2g, rho, rho)  # <dS2 rho, rho>
 
     # d(theta) S at the new nodes: A(theta, t, rho) = g0 + G rho + <dS2 rho, rho>
     A = g0[..., None, :] + np.einsum("...ij,pj->...pi", Ggrid, rho) + quad
     Wfull = nu[None, :] + A                               # nu + d(theta) S
 
-    rem = np.zeros(base, dtype=complex)
+    rem = np.zeros(base)
     # eps^(-a) (<Omega dS, dS> + 2 <Omega nu, dS>)
     rem += epa * (np.einsum("...pi,ij,...pj->...p", A, Om, A)
                   + 2.0 * np.einsum("i,...pi->...p", Om @ nu, A))
     # <R1, nu + dS>
-    R1g = _realify(R1.to_grid(nshape))
+    R1g = R1.to_grid(nshape)
     rem += np.einsum("...i,...pi->...p", R1g, Wfull)
     # <R2 (nu + dS), nu + dS> + 2 <R2 (nu + dS), rho>
-    Q = np.einsum("...ij,...pj->...pi", _realify(R2.to_grid(nshape)), Wfull)
+    Q = np.einsum("...ij,...pj->...pi", R2.to_grid(nshape), Wfull)
     rem += (np.einsum("...pi,...pi->...p", Q, Wfull)
             + 2.0 * np.einsum("...pi,pi->...p", Q, rho))
     # 2 eps^(-a) <Omega rho, <dS2 rho, rho>>  (cubic tail of the twist cross term)

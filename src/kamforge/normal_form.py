@@ -26,18 +26,10 @@ import numpy as np
 from .diophantine import DiophantineParams
 from .errors import ContractionError, DomainError, ModeOverflowError, SmallDivisorError
 from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
-from .util import fast_len
+from .util import fast_len, fftn, ifftn
 
 # Small divisors must stay above this fraction of their Diophantine bound.
 FLOOR_SCALE = 0.5
-
-
-def _realify(vals, tol=1e-10):
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    imag = float(np.abs(vals.imag).max(initial=0.0))
-    if imag > tol * scale:
-        raise ContractionError(f"composition lost reality (imaginary part {imag:.3e})")
-    return vals.real.copy()
 
 
 @dataclass
@@ -267,15 +259,17 @@ def implicit_angle_shift(srho, nshape, out_grid, tol=1e-13):
     theta = phi + V of the implicit transformation phi = theta + dS/drho.
     Returns (V, iterations); V has shape (*nshape, *out_grid.shape, d) and
     the residual |V + srho(phi + V)| is at most tol * max(1, |V|).  Both the
-    fixed point and its Taylor compositions use ``tol``.
+    fixed point and its Taylor compositions use ``tol``.  The derivative grids
+    of ``srho`` do not depend on V, so every iteration shares one dict of them.
     """
     shape = tuple(nshape) + out_grid.shape + srho.vshape
     if srho.n_modes == 0:
         return np.zeros(shape), 0
+    grids = {}
 
     def step(V):
-        return -_realify(compose_shifted_grid(srho, nshape, dtheta=V, out_grid=out_grid,
-                                              tol=tol)[0])
+        return -compose_shifted_grid(srho, nshape, dtheta=V, out_grid=out_grid, tol=tol,
+                                     grids=grids)[0]
 
     V, iters, _ = solve_fixed_point(step, shape, tol=tol)
     return V, iters
@@ -296,7 +290,7 @@ def canonical_change(S, nshape, out_grid=None):
     if S.n_modes == 0:
         return np.zeros_like(V), V, 0, 0.0
     U, err = compose_shifted_grid(S.grad_angle(), nshape, dtheta=V, out_grid=out_grid)
-    return _realify(U), V, iters, err
+    return U, V, iters, err
 
 
 def push_forward(state, S, spec, params):
@@ -314,23 +308,22 @@ def push_forward(state, S, spec, params):
     grid_new = ActionGrid(spec.I0, tau_next, params.n_nodes)
     nshape = params.nshape(d)
     epa = spec.eps_a
-    gshape = grid_new.shape
 
     U, V, fp_iters, err = canonical_change(S, nshape, grid_new)
     taylor_errs = [err]
 
-    tot = np.zeros(tuple(nshape) + gshape, dtype=complex)
     nodes = grid_new.node_points()
     pts = nodes[(None,) * (d + 1)] + U
-    tot += epa * spec.H0.value(pts)
+    tot = epa * spec.H0.value(pts)
     if state.h.n_modes:
         vals, e = compose_shifted_grid(state.h, nshape, drho=U, out_grid=grid_new)
         tot += vals
         taylor_errs.append(e)
+    # R and R_plus are composed apart: one call on their sum would change the
+    # order in which the grid sums its large terms, and so its roundoff
     for piece in (state.R, state.R_plus):
         if piece.n_modes:
-            vals, e = compose_shifted_grid(piece, nshape, dtheta=V, drho=U,
-                                           out_grid=grid_new)
+            vals, e = compose_shifted_grid(piece, nshape, dtheta=V, drho=U, out_grid=grid_new)
             tot += vals
             taylor_errs.append(e)
     if S.n_modes:
@@ -406,7 +399,7 @@ def twist_compose(field, delta_field, tol=1e-12, max_t=4096):
         if delta_field.n_modes:
             # to_grid lays out (*nshape, *vshape, *gshape); move the vector
             # axis last so the tensordot below contracts over components
-            arr = delta_field.to_grid(tgrid).real.reshape((T, field.d) + gshape)
+            arr = delta_field.to_grid(tgrid).reshape((T, field.d) + gshape)
             dvals = np.moveaxis(arr, 1, -1)
         else:
             dvals = np.zeros((T,) + gshape + (field.d,))
@@ -419,10 +412,10 @@ def twist_compose(field, delta_field, tol=1e-12, max_t=4096):
             sig = np.zeros((T,) + field.vshape + gshape, dtype=complex)
             ls = field.modes[rows, -1]
             sig[np.mod(ls, T)] = field.coeffs[rows]
-            A = np.fft.ifft(sig, axis=0) * T
+            A = ifftn(sig, axes=(0,)) * T
             phase = np.exp(1j * np.tensordot(dvals, kvec.astype(float), axes=([-1], [0])))
             ph = phase.reshape((T,) + (1,) * len(field.vshape) + gshape)
-            B = np.fft.fft(A * ph, axis=0) / T
+            B = fftn(A * ph, axes=(0,)) / T
             mags = np.abs(B).reshape(T, -1).max(axis=1)
             total += float(mags.sum())
             band = T // 4

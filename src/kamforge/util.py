@@ -22,10 +22,16 @@ def get_workers():
 
 
 def fftn(a, axes=None):
+    """Forward FFT over ``axes``; a real input gives the half spectrum of rfftn."""
+    if np.isrealobj(a):
+        return scipy.fft.rfftn(a, axes=axes, workers=get_workers())
     return scipy.fft.fftn(a, axes=axes, workers=get_workers())
 
 
-def ifftn(a, axes=None):
+def ifftn(a, axes=None, s=None):
+    """Inverse FFT over ``axes``; with the output shape ``s`` it is irfftn, a real result."""
+    if s is not None:
+        return scipy.fft.irfftn(a, s=s, axes=axes, workers=get_workers())
     return scipy.fft.ifftn(a, axes=axes, workers=get_workers())
 
 

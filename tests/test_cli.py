@@ -204,6 +204,21 @@ def test_verify_escape_exits_4(flat_run, tmp_path, capsys):
     assert "escape" in capsys.readouterr().err
 
 
+def test_verify_nan_orbit_exits_4(flat_run, tmp_path, capsys):
+    # on the shipped network a step of 0.1 overflows within one time unit and
+    # the orbit turns to NaN, which must count as an escape, not as a result
+    _, out = flat_run
+    over = {"verify": {"T_check": 0.5, "n_samples": 1, "T_long": 2.0,
+                       "sample_every": 1, "h_long": 0.1}}
+    cfg_path = dump_config(tmp_path / "nan.json", over)
+    with np.errstate(all="ignore"):
+        rc = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                       "--torus", str(out / "torus.json")])
+    assert rc == 4
+    assert "escape" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verify.json").exists()
+
+
 def test_verify_missing_torus_exits_1(tmp_path, capsys):
     cfg_path = dump_config(tmp_path / "c.json", FLAT)
     rc = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "empty")])

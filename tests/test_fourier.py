@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kamforge.errors import RealityError
-from kamforge.fourier import (ActionGrid, FourierField, ball_modes,
+from kamforge.fourier import (REALITY_TOL, ActionGrid, FourierField, ball_modes,
                               compose_shifted_grid, jet_split)
 
 
@@ -167,6 +167,14 @@ def node_field(rng, grid, scale, vshape=()):
     return FourierField.from_modes(2, mapping, s=0.3, tau=grid.tau, grid=grid, vshape=vshape)
 
 
+def staggered_field(rng, grid):
+    """Vector node field whose first component is angle-free, so it leaves the series first."""
+    f = node_field(rng, grid, 0.005, (2,))
+    c = f.coeffs.copy()
+    c[np.any(f.modes[:, :2] != 0, axis=1), 0] = 0.0
+    return f.replace(coeffs=c, _canonical=True)
+
+
 # case: (value shape, action-free field, angle shift, action shift).  Node
 # coefficients that vary strongly over a small ball would stall a Taylor
 # series in the action in "both"; only an exact action shift passes it.
@@ -176,6 +184,7 @@ COMPOSE_CASES = {
     "both": ((), False, True, True),
     "vector": ((2,), False, True, True),
     "action_free": ((), True, True, False),
+    "staggered": ((2,), False, True, True),
 }
 
 
@@ -188,7 +197,10 @@ def test_compose_shifted_grid_matches_direct_evaluation(case):
     # the components of the vector field differ in size by 1e6, so each must
     # run its own series to the relative tolerance
     scale = 0.005 * np.array([1.0, 1e-6])[:, None, None] if vshape else 0.005
-    f = sample_field() if action_free else node_field(rng, grid, scale, vshape)
+    if case == "staggered":
+        f = staggered_field(rng, grid)
+    else:
+        f = sample_field() if action_free else node_field(rng, grid, scale, vshape)
     nshape = (12, 12, 12)
     pshape = nshape + out.shape + (2,)
     V = 0.03 * rng.standard_normal(pshape) if angle else np.zeros(pshape)
@@ -203,8 +215,8 @@ def test_compose_shifted_grid_matches_direct_evaluation(case):
     rho = out.node_points() + U
     direct = f.evaluate(phi.reshape(-1, 2), t.ravel(), rho.reshape(-1, 2))
     got = vals.reshape(direct.shape)
-    assert np.abs(got.imag).max() <= 1e-14 * np.abs(direct).max()
-    dev = np.abs(got.real - direct).max(axis=0)
+    assert got.dtype == np.float64
+    dev = np.abs(got - direct).max(axis=0)
     assert np.all(dev <= 1e-13 * np.abs(direct).max(axis=0)), dev
     if angle:
         assert err < 1e-12
@@ -268,3 +280,191 @@ def test_jet_split_of_exact_cubic():
     np.testing.assert_allclose(r2.coeffs[order], a2, atol=1e-12)
     rho = kgrid.node_points().reshape(-1, 2)
     np.testing.assert_allclose(high.coeffs[order].reshape(5, -1), cubic(rho), atol=1e-12)
+
+
+# -- conjugate symmetry -------------------------------------------------------
+
+def dict_symmetrize(modes, coeffs):
+    """Reference: the dict-based partner search that FourierField._symmetrize replaced.
+
+    Returns (modes, coeffs, drift) for canonically ordered ``modes``.
+    """
+    idx = {tuple(m): i for i, m in enumerate(modes)}
+    missing = [i for i, m in enumerate(modes) if tuple(-m) not in idx]
+    if missing:
+        modes = np.concatenate([modes, -modes[missing]], axis=0)
+        coeffs = np.concatenate(
+            [coeffs, np.zeros((len(missing),) + coeffs.shape[1:], dtype=complex)], axis=0)
+        order = np.lexsort(modes.T[::-1])
+        modes, coeffs = modes[order], coeffs[order]
+        idx = {tuple(m): i for i, m in enumerate(modes)}
+    neg = np.array([idx[tuple(-m)] for m in modes], dtype=np.int64)
+    scale = np.abs(coeffs).max(initial=0.0)
+    sym = 0.5 * (coeffs + np.conj(coeffs[neg]))
+    drift = float(np.abs(coeffs - sym).max() / scale) if scale > 0 else 0.0
+    return modes, sym, drift
+
+
+def symmetry_case(d, vshape, node_grid, closed, seed):
+    """Canonical modes and nearly symmetric coefficients; unpaired modes stay tiny."""
+    rng = np.random.default_rng(seed)
+    grid = ActionGrid(np.full(2, 1.0), 0.1, 3) if node_grid else None
+    shape = vshape + (grid.shape if grid else ())
+    ball = ball_modes(d, 3)
+    modes = ball[rng.random(ball.shape[0]) < 0.4]
+    if closed:
+        modes = np.unique(np.concatenate([modes, -modes]), axis=0)
+    modes = modes[np.lexsort(modes.T[::-1])]
+    index = {tuple(m): i for i, m in enumerate(modes)}
+    c = rng.standard_normal((modes.shape[0],) + shape) \
+        + 1j * rng.standard_normal((modes.shape[0],) + shape)
+    for i, m in enumerate(modes):
+        j = index.get(tuple(-m))
+        if j is None:
+            c[i] *= 1e-10
+        elif j == i:
+            c[i] = c[i].real
+        elif j < i:
+            c[i] = np.conj(c[j])
+    c += 1e-12 * rng.standard_normal(c.shape)  # drift that symmetrization removes
+    return modes, c, grid
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("vshape", [(), (2,), (2, 3)])
+@pytest.mark.parametrize("node_grid", [False, True])
+@pytest.mark.parametrize("closed", [True, False])
+def test_symmetrize_matches_dict_reference(d, vshape, node_grid, closed):
+    modes, c, grid = symmetry_case(d, vshape, node_grid, closed, seed=7 * d + len(vshape))
+    present = {tuple(m) for m in modes}
+    assert closed == all(tuple(-m) in present for m in modes)
+    ref_modes, ref_coeffs, ref_drift = dict_symmetrize(modes, c)
+    f = FourierField(d, modes, c, 0.3, 0.1 if grid else 0.0, 3, grid=grid, vshape=vshape,
+                     _canonical=True)
+    assert np.array_equal(f.modes, ref_modes)
+    assert np.array_equal(f.coeffs, ref_coeffs)
+    assert f.reality_drift == ref_drift
+    # the drift check still fires: give one unpaired or paired mode an O(1) defect
+    c_bad = c.copy()
+    c_bad[0] += 1.0
+    assert dict_symmetrize(modes, c_bad)[2] > REALITY_TOL
+    with pytest.raises(RealityError):
+        FourierField(d, modes, c_bad, 0.3, 0.1 if grid else 0.0, 3, grid=grid,
+                     vshape=vshape, _canonical=True)
+
+
+# -- real grids ---------------------------------------------------------------
+
+def random_real_field(d, vshape, grid, K=3, seed=0):
+    """Real field over all modes of order <= K, with node values when ``grid`` is given."""
+    rng = np.random.default_rng(seed)
+    shape = vshape + (grid.shape if grid else ())
+    mapping = {}
+    for m in ball_modes(d, K):
+        m = tuple(int(x) for x in m)
+        if m in mapping:
+            continue
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        neg = tuple(-x for x in m)
+        if neg == m:
+            c = c.real.astype(complex)
+        mapping[m], mapping[neg] = c, np.conj(c)
+    return FourierField.from_modes(d, mapping, s=0.3, tau=grid.tau if grid else 0.0,
+                                   grid=grid, vshape=vshape)
+
+
+REAL_GRID_CASES = {
+    "odd": (9, 7, 11),
+    "even": (8, 10, 12),
+    "even_last": (9, 7, 8),
+}
+
+
+@pytest.mark.parametrize("nshape", list(REAL_GRID_CASES.values()), ids=list(REAL_GRID_CASES))
+@pytest.mark.parametrize("vshape", [(), (2,), (2, 2)])
+@pytest.mark.parametrize("node_grid", [False, True])
+def test_to_grid_is_real_and_matches_evaluate(nshape, vshape, node_grid):
+    grid = ActionGrid((1.0, 1.5), 0.01, 3) if node_grid else None
+    f = random_real_field(2, vshape, grid, seed=len(vshape))
+    vals = f.to_grid(nshape)
+    gshape = grid.shape if grid else ()
+    assert vals.dtype == np.float64
+    assert vals.shape == nshape + vshape + gshape
+    axes = [2 * np.pi * np.arange(n) / n for n in nshape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    th = np.stack([g.ravel() for g in mesh[:2]], axis=-1)
+    t = mesh[2].ravel()
+    nodes = grid.node_points().reshape(-1, 2) if grid else [None]
+    flat = vals.reshape(nshape + vshape + (-1,))
+    for q, node in enumerate(nodes):
+        direct = f.evaluate(th, t, node)
+        got = flat[..., q].reshape(direct.shape)
+        assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("nshape", [(9, 7, 11), (8, 10, 12)], ids=["odd", "even"])
+@pytest.mark.parametrize("vshape", [(), (2,)])
+def test_from_grid_inverts_to_grid(nshape, vshape):
+    grid = ActionGrid((1.0, 1.5), 0.01, 3)
+    f = random_real_field(2, vshape, grid, seed=4)
+    g = FourierField.from_grid(f.to_grid(nshape), 2, f.s, cutoff=3, grid=grid, vshape=vshape)
+    assert np.array_equal(g.modes, f.modes)
+    assert np.abs(g.coeffs - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
+    assert g.reality_drift == 0.0
+    assert g.projection_residual < 1e-14
+
+
+def full_spectrum_residual(values, d, cutoff):
+    """Reference: relative mass of the complex spectrum outside the retained modes."""
+    nshape = values.shape[: d + 1]
+    C = np.fft.fftn(values.astype(complex), axes=tuple(range(d + 1))) / np.prod(nshape)
+    half = [(n - 1) // 2 for n in nshape]
+    modes = ball_modes(d, min(cutoff, sum(half)))
+    modes = modes[np.all(np.abs(modes) <= np.array(half), axis=1)]
+    kept = np.abs(C[tuple(np.mod(modes[:, j], nshape[j]) for j in range(d + 1))]).sum()
+    total = np.abs(C).sum()
+    return (total - kept) / total
+
+
+@pytest.mark.parametrize("nshape", [(9, 7, 11), (8, 10, 12), (9, 7, 8)],
+                         ids=["odd", "even", "even_last"])
+@pytest.mark.parametrize("cutoff", [1, 4])
+def test_projection_residual_is_full_spectrum_mass(nshape, cutoff):
+    rng = np.random.default_rng(sum(nshape) + cutoff)
+    grid = ActionGrid((1.0, 1.5), 0.01, 3)
+    values = rng.standard_normal(nshape + (2,) + grid.shape)
+    g = FourierField.from_grid(values, 2, 0.3, cutoff, grid=grid, vshape=(2,))
+    expect = full_spectrum_residual(values, 2, cutoff)
+    assert abs(g.projection_residual - expect) <= 1e-13 * expect
+
+
+def test_from_grid_rejects_complex_values():
+    vals = sample_field().to_grid((8, 8, 8)).astype(complex)
+    with pytest.raises(TypeError):
+        FourierField.from_grid(vals, 2, 0.3, cutoff=3)
+
+
+@pytest.mark.parametrize("with_drho", [False, True])
+def test_compose_reuses_shared_derivative_grids(with_drho):
+    rng = np.random.default_rng(5)
+    grid = ActionGrid((1.0, 1.5), 2e-3, 5)
+    out = ActionGrid((1.0, 1.5), 1e-3, 5)
+    # the angle-free first component leaves the series first, so later orders
+    # are taken for the second component only
+    f = staggered_field(rng, grid)
+    nshape = (12, 12, 12)
+    pshape = nshape + out.shape + (2,)
+    # shifts of growing size need more orders than the ones already stored
+    shifts = [(size * rng.standard_normal(pshape),
+               4e-4 * rng.standard_normal(pshape) if with_drho else None)
+              for size in (1e-3, 0.03, 0.01)]
+    grids, stored = {}, []
+    for dtheta, drho in shifts:
+        shared = compose_shifted_grid(f, nshape, dtheta=dtheta, drho=drho, out_grid=out,
+                                      grids=grids)
+        fresh = compose_shifted_grid(f, nshape, dtheta=dtheta, drho=drho, out_grid=out)
+        assert np.array_equal(shared[0], fresh[0])
+        assert shared[1] == fresh[1]
+        stored.append(len(grids))
+    # the larger shift adds orders, the smaller one after it reuses them all
+    assert stored[0] < stored[1] == stored[2]

@@ -133,7 +133,7 @@ def test_implicit_angle_shift_residual_is_certified():
     tol = 1e-13
     V, iters = implicit_angle_shift(srho, nshape, grid, tol=tol)
     assert V.shape == nshape + grid.shape + (2,) and iters > 1
-    shifted = compose_shifted_grid(srho, nshape, dtheta=V, out_grid=grid, tol=tol)[0].real
+    shifted = compose_shifted_grid(srho, nshape, dtheta=V, out_grid=grid, tol=tol)[0]
     assert np.abs(V + shifted).max() <= tol * max(1.0, np.abs(V).max())
     assert np.abs(V).max() > 1e-3
 

@@ -3,9 +3,13 @@
 ``perfbench/spans.py`` replaces each binding of its ``TARGETS`` with a timing
 wrapper.  A deleted or renamed target, or a module-level alias that keeps the
 unwrapped function (``_to_grid = FourierField.to_grid``), would otherwise only
-show up as a failed check in a traced benchmark run.
+show up as a failed check in a traced benchmark run.  Likewise an FFT that
+bypasses ``util.fftn``/``util.ifftn`` would escape the trace's FFT counters
+and the ``KAMFORGE_THREADS`` worker setting.
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -30,3 +34,39 @@ def test_benchmark_trace_targets_are_all_wrapped():
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+FFT_MODULES = ("numpy.fft", "scipy.fft", "scipy.fftpack")
+ALIASES = {"np": "numpy"}
+
+
+def fft_uses(tree):
+    """Dotted names of FFT modules that a module imports or reaches by attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{ALIASES.get(node.value.id, node.value.id)}.{node.attr}"]
+        else:
+            continue
+        found += [n for n in names if n.startswith(FFT_MODULES)]
+    return found
+
+
+def test_only_util_reaches_an_fft_module():
+    offenders = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "kamforge", "*.py"))):
+        if os.path.basename(path) == "util.py":
+            continue
+        with open(path) as fh:
+            uses = fft_uses(ast.parse(fh.read()))
+        if uses:
+            offenders[os.path.basename(path)] = uses
+    assert offenders == {}
+    # the walk does see both spellings
+    assert fft_uses(ast.parse("import scipy.fft\nx = np.fft.ifft(a)")) == ["scipy.fft",
+                                                                            "numpy.fft"]
