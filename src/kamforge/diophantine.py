@@ -33,6 +33,7 @@ from .util import get_workers, spawn_rngs, write_csv
 K_CHUNK = 2048  # k-modes per matmul in _margins_for
 ROW_BLOCK = 16  # frequency rows per element-wise update (16 x 2048 doubles = 256 KB)
 POINT_CHUNK = 1024  # scan points per _margins_for call in find_dc_point
+MEASURE_BLOCKS = 16  # independent random substreams in excluded_measure
 
 
 @dataclass
@@ -223,7 +224,7 @@ def margin_map_csv(path, records, dim, d, comment=None):
     write_csv(path, cols, records, comment=comment)
 
 
-def excluded_measure(p, box, n_samples=10_000, seed=0, blocks=16):
+def excluded_measure(p, box, n_samples=10_000, seed=0):
     """Monte-Carlo estimate of the excluded-frequency fraction over a box.
 
     Samples frequencies uniformly, counts DC failures, and returns
@@ -235,9 +236,9 @@ def excluded_measure(p, box, n_samples=10_000, seed=0, blocks=16):
         raise ValueError("use at least 1000 samples for a meaningful estimate")
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-    rngs = spawn_rngs(seed, blocks)
-    sizes = np.full(blocks, n_samples // blocks)
-    sizes[: n_samples % blocks] += 1
+    rngs = spawn_rngs(seed, MEASURE_BLOCKS)
+    sizes = np.full(MEASURE_BLOCKS, n_samples // MEASURE_BLOCKS)
+    sizes[: n_samples % MEASURE_BLOCKS] += 1
 
     def run_block(args):
         rng, size = args

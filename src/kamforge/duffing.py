@@ -17,6 +17,9 @@ from .fourier import ActionGrid, FourierField
 from .oscillator import YOSHIDA6
 from .util import write_csv
 
+# Aliasing mass at which to_hamiltonian_spec stops doubling its grid.
+ALIAS_TOL = 1e-10
+
 
 class DuffingNetwork:
     """Coupled Duffing oscillators with a time-periodic polynomial coupling potential.
@@ -125,10 +128,6 @@ class DuffingNetwork:
                 int(md["l"]): float(md["re"]) + 1j * float(md["im"]) for md in trm["modes"]
             }
         return cls(int(obj["m"]), int(obj["n"]), terms)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
 
     @classmethod
     def load(cls, path):
@@ -249,13 +248,13 @@ def integrate(net, x0, v0, t0, T, h, sample_every=1, escape=1e8):
 
 
 def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes=5, s0=0.4, K0=24,
-                        base_grid=64, alias_tol=1e-10):
+                        base_grid=64):
     """Project the scaled perturbation onto a Fourier field over action nodes.
 
     Returns a HamiltonianSpec for H = eps^(-a) H0(I) + eps^(-b) R(theta, t, I)
     with R = A^(-(2n+1)) F(A x(theta, I), t) sampled on a (theta, t) grid times
     a Chebyshev action grid centered at ``center`` with radius ``tau0``.  The
-    grid is doubled until the estimated aliasing mass falls below ``alias_tol``.
+    grid is doubled until the estimated aliasing mass falls below ``ALIAS_TOL``.
     """
     from .normal_form import HamiltonianSpec
 
@@ -298,7 +297,7 @@ def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes=5, s0=0.4, K0=24,
             alias = float(mass[top].sum() / mass.sum()) if mass.sum() > 0 else 0.0
         else:
             alias = 0.0
-        if alias <= alias_tol or N >= 8 * base_grid:
+        if alias <= ALIAS_TOL or N >= 8 * base_grid:
             break
         N *= 2
 

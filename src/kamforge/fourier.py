@@ -13,7 +13,6 @@ through rfftn, and the shift composition accumulates in float.
 """
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,8 @@ REALITY_TOL = 1e-8
 PRUNE_TOL = 1e-15
 # Highest angle order that compose_shifted_grid sums before it reports a stall.
 TAYLOR_MAX_ORDER = 12
-# Points per block in FourierField.evaluate, which bounds its (points, modes) phase table.
-EVAL_CHUNK = 4096
+# Bytes of complex (points, modes) phase table per block in FourierField.evaluate.
+EVAL_BYTES = 64 * 2**20
 
 
 @functools.lru_cache(maxsize=64)
@@ -392,39 +391,26 @@ class FourierField:
         keep = mags >= rel_tol * top
         return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep], _canonical=True)
 
-    def norm(self, s=None, tau=None):
+    def norm(self):
         """Weighted-l1 analytic norm: sum over modes of sup-node |coef| * e^{s(|k|+|l|)}.
 
         Vector and matrix values contribute their largest component magnitude.
-        When ``tau`` is given and smaller than the stored grid radius, node
-        values are first restricted to the sub-box of that radius.
         """
         if self.n_modes == 0:
             return 0.0
-        s = self.s if s is None else float(s)
-        f = self
-        if tau is not None and self.grid is not None and tau < self.grid.tau * (1 - 1e-12):
-            f = self.restrict_action(ActionGrid(self.grid.center, tau, self.grid.n))
-        mags = np.abs(f._coeffs).reshape(f.n_modes, -1).max(axis=1)
-        return float(np.sum(mags * np.exp(s * f.orders())))
+        mags = np.abs(self._coeffs).reshape(self.n_modes, -1).max(axis=1)
+        return float(np.sum(mags * np.exp(self.s * self.orders())))
 
     def derive(self, which):
-        """Directional derivative: which is 'angle_j', 'time', or 'action_j'."""
+        """Directional derivative: which is 'time' or 'action_j'."""
         if which == "time":
             factor = 1j * self._modes[:, -1]
             shape = (self.n_modes,) + (1,) * (self._coeffs.ndim - 1)
             return self.replace(coeffs=self._coeffs * factor.reshape(shape),
                                 _canonical=True, enforce_reality=False)
         kind, _, num = which.partition("_")
-        j = int(num)
-        if kind == "angle":
-            if not 0 <= j < self.d:
-                raise ValueError(f"angle index {j} out of range")
-            factor = 1j * self._modes[:, j]
-            shape = (self.n_modes,) + (1,) * (self._coeffs.ndim - 1)
-            return self.replace(coeffs=self._coeffs * factor.reshape(shape),
-                                _canonical=True, enforce_reality=False)
         if kind == "action":
+            j = int(num)
             if self.grid is None:
                 raise ValueError("field has no action dependence to differentiate")
             if not 0 <= j < self.grid.dim:
@@ -488,9 +474,7 @@ class FourierField:
     def interp_action(self, points):
         """Mode coefficients interpolated at action points (N, dim) -> (M, *vshape, N)."""
         if self.grid is None:
-            pts = np.atleast_2d(points)
-            return np.broadcast_to(self._coeffs[..., None],
-                                   self._coeffs.shape + (pts.shape[0],))
+            raise ValueError("field has no action grid")
         WW = self.grid.interp_weights(points)  # (N, *gshape)
         gaxes = list(range(self._coeffs.ndim - self.grid.dim, self._coeffs.ndim))
         return np.tensordot(self._coeffs, WW, axes=(gaxes, list(range(1, self.grid.dim + 1))))
@@ -507,35 +491,39 @@ class FourierField:
         """Evaluate at points; returns real values (imaginary residue checked).
 
         theta: (N, d) or (d,); t: (N,) or scalar; I: (N, dim), (dim,), or None.
+        Per block of points, the phase table E (points, modes) multiplies the
+        coefficients once, and the result is contracted with each point's
+        barycentric action weights; an action-free field has one node of
+        weight 1.
         """
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
         single = theta.shape[0] == 1 and np.ndim(t) == 0
         N = theta.shape[0]
         t_arr = np.broadcast_to(np.asarray(t, dtype=float), (N,))
-        if self.grid is not None:
+        if self.grid is None:
+            W = np.ones((N, 1))
+        else:
             if I is None:
                 raise ValueError("field has action dependence; provide I")
-            I_arr = np.atleast_2d(np.asarray(I, dtype=float))
-            if I_arr.shape[0] == 1:
-                I_arr = np.broadcast_to(I_arr, (N, I_arr.shape[1]))
-        out = np.zeros((N,) + self.vshape, dtype=complex)
-        if self.n_modes:
-            K = self._modes[:, : self.d]
-            L = self._modes[:, -1]
-            for lo in range(0, N, EVAL_CHUNK):
-                hi = min(N, lo + EVAL_CHUNK)
-                phase = theta[lo:hi] @ K.T + np.outer(t_arr[lo:hi], L)
-                E = np.exp(1j * phase)  # (n, M)
-                if self.grid is not None:
-                    cpts = self.interp_action(I_arr[lo:hi])  # (M, *vshape, n)
-                    out[lo:hi] = np.einsum("nm,m...n->n...", E, cpts)
-                else:
-                    out[lo:hi] = np.tensordot(E, self._coeffs, axes=(1, 0))
+            I_arr = np.broadcast_to(np.atleast_2d(np.asarray(I, dtype=float)),
+                                    (N, self.grid.dim))
+            W = self.grid.interp_weights(I_arr).reshape(N, -1)
+        C = int(np.prod(self.vshape))
+        coeffs = self._coeffs.reshape(self.n_modes, C * W.shape[1])
+        K = self._modes[:, : self.d]
+        L = self._modes[:, -1]
+        out = np.zeros((N, C), dtype=complex)
+        step = max(1, EVAL_BYTES // (16 * max(self.n_modes, 1)))
+        for lo in range(0, N, step):
+            hi = min(N, lo + step)
+            E = np.exp(1j * (theta[lo:hi] @ K.T + np.outer(t_arr[lo:hi], L)))
+            Y = (E @ coeffs).reshape(hi - lo, C, W.shape[1])
+            out[lo:hi] = np.einsum("ncq,nq->nc", Y, W[lo:hi])
         scale = max(1.0, float(np.abs(out).max(initial=0.0)))
         imag = float(np.abs(out.imag).max(initial=0.0))
         if imag > 1e-12 * scale:
             raise RealityError(f"imaginary residue {imag:.3e} on evaluation of a real field")
-        res = out.real
+        res = out.real.reshape((N,) + self.vshape)
         return res[0] if single else res
 
     def to_grid(self, nshape):
@@ -637,15 +625,6 @@ class FourierField:
             dtype=complex).reshape(-1, *vshape, *gshape)
         return cls(d, modes, coeffs, float(obj["s"]), float(obj["tau"]),
                    int(obj["cutoff"]), grid=grid, vshape=vshape)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, tol=1e-13,

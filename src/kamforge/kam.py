@@ -25,8 +25,9 @@ from .normal_form import implicit_angle_shift, solve_fixed_point, solve_homologi
 from .util import fast_len
 
 ZETA2 = np.pi**2 / 6.0
-# Finite-difference step of cubic_contraction, as a fraction of the ball radius.
-FD_FRAC = 0.25
+# Tolerance and iteration cap of the implicit angle changes unwound in extract_torus.
+INVERT_TOL = 1e-13
+INVERT_MAX_ITER = 80
 
 
 @dataclass
@@ -140,63 +141,16 @@ def _matrix_apply(M, f):
     return f.replace(coeffs=c, _canonical=True, enforce_reality=False)
 
 
-def cubic_contraction(high, w_grid, nshape, h):
+def cubic_contraction(high, w_grid, nshape):
     """Grids of T3[w]_jk = sum_i d^3 R_high / d rho_i d rho_j d rho_k (0) w_i.
 
-    Third derivatives at the origin are taken by centred finite differences of
-    the sampled remainder along coordinate and diagonal directions at radius h
-    (the polarisation identity recovers mixed entries), then contracted with
-    the vector grid ``w_grid`` of shape (*nshape, d).  Returns (*nshape, d, d).
+    Node coefficients are polynomials in rho, so the third derivatives at the
+    origin are exact: three spectral action gradients frozen at rho = 0, put
+    on the grid once and contracted with the vector grid ``w_grid`` of shape
+    (*nshape, d).  Returns (*nshape, d, d).
     """
-    d = high.d
-
-    def val(point):
-        return high.at_action(np.asarray(point, dtype=float)).to_grid(nshape)
-
-    def T(u):
-        u = np.asarray(u, dtype=float)
-        return (val(2 * h * u) - 2 * val(h * u) + 2 * val(-h * u) - val(-2 * h * u)) \
-            / (2 * h**3)
-
-    Tcache = {}
-
-    def Tdir(u):
-        key = tuple(u)
-        if key not in Tcache:
-            Tcache[key] = T(u)
-        return Tcache[key]
-
-    def unit(i, sign=1):
-        u = np.zeros(d)
-        u[i] = sign
-        return u
-
-    D = {}
-    for i in range(d):
-        D[(i, i, i)] = Tdir(unit(i))
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            ei, ej = unit(i), unit(j)
-            D[tuple(sorted((i, i, j)))] = D.get(
-                tuple(sorted((i, i, j))),
-                (Tdir(ei + ej) - Tdir(ei - ej) - 2 * Tdir(ej)) / 6.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                ei, ej, ek = unit(i), unit(j), unit(k)
-                D[(i, j, k)] = (Tdir(ei + ej + ek) - Tdir(ei + ej - ek)
-                                - Tdir(ei - ej + ek) + Tdir(ei - ej - ek)) / 24.0
-
-    out = np.zeros(tuple(nshape) + (d, d))
-    for jj in range(d):
-        for kk in range(d):
-            acc = 0.0
-            for ii in range(d):
-                acc = acc + D[tuple(sorted((ii, jj, kk)))] * w_grid[..., ii]
-            out[..., jj, kk] = acc
-    return out
+    d3 = high.grad_action().grad_action().grad_action().at_action(np.zeros(high.grid.dim))
+    return np.einsum("...ijk,...i->...jk", d3.to_grid(nshape), w_grid)
 
 
 def kam_step(state, params):
@@ -235,7 +189,7 @@ def kam_step(state, params):
     g0 = A0.to_grid(nshape)                         # (*nshape, d)
     have_high = state.high is not None and state.high.n_modes > 0
     if have_high:
-        T3w = cubic_contraction(state.high, g0, nshape, h=FD_FRAC * state.r)
+        T3w = cubic_contraction(state.high, g0, nshape)
         T3_field = FourierField.from_grid(
             0.5 * T3w, d, state.s, params.K_cap, vshape=(d, d))
         Rss = (R2 + symOmG + T3_field).prune()
@@ -371,7 +325,7 @@ def _jet_matrix(ch):
                         enforce_reality=False)
 
 
-def _invert_kam_change(ch, phi, t, rho, tol=1e-13, max_iter=80):
+def _invert_kam_change(ch, phi, t, rho):
     """Old (theta, I) of points given in the new coordinates of one KAM step.
 
     theta = phi + V solves V = -dS/drho(phi + V), with dS/drho = 2 (Q r)[1:].
@@ -384,19 +338,20 @@ def _invert_kam_change(ch, phi, t, rho, tol=1e-13, max_iter=80):
         q = Q.evaluate(phi + V, t).reshape(n, d + 1, d + 1)
         return -2.0 * np.einsum("nij,nj->ni", q[:, 1:], r)
 
-    theta = phi + solve_fixed_point(step, phi.shape, tol=tol, max_iter=max_iter)[0]
+    theta = phi + solve_fixed_point(step, phi.shape, tol=INVERT_TOL,
+                                    max_iter=INVERT_MAX_ITER)[0]
     dq = Q.grad_angle().evaluate(theta, t).reshape(n, d, d + 1, d + 1)
     return theta, ch.nu[None, :] + rho + np.einsum("nj,nijk,nk->ni", r, dq, r)
 
 
-def _invert_nf_change(S, phi, t, rho, tol=1e-13, max_iter=80):
+def _invert_nf_change(S, phi, t, rho):
     """Old (theta, I) of points given in the new coordinates of one averaging step.
 
     theta = phi + V solves V = -dS/drho(phi + V) at the given points.
     """
     srho = S.grad_action()
     theta = phi + solve_fixed_point(lambda V: -srho.evaluate(phi + V, t, rho), phi.shape,
-                                    tol=tol, max_iter=max_iter)[0]
+                                    tol=INVERT_TOL, max_iter=INVERT_MAX_ITER)[0]
     return theta, rho + S.grad_angle().evaluate(theta, t, rho)
 
 

@@ -30,6 +30,10 @@ from .util import fast_len, fftn, ifftn
 
 # Small divisors must stay above this fraction of their Diophantine bound.
 FLOOR_SCALE = 0.5
+# Largest contraction factor solve_fixed_point accepts while still far from its fixed point.
+LIPSCHITZ_MAX = 0.5
+# Time samples at which twist_compose stops doubling its grid.
+TWIST_MAX_T = 4096
 
 
 @dataclass
@@ -223,13 +227,13 @@ def solve_homological(R, omega_fn, eps, a, dc, include_k0=False, regime="split")
     return R.replace(coeffs=coeffs).prune()
 
 
-def solve_fixed_point(apply_map, shape, tol=1e-13, max_iter=60, lipschitz_max=0.5):
+def solve_fixed_point(apply_map, shape, tol=1e-13, max_iter=60):
     """Iterate V <- apply_map(V) from zero until the sup-change stalls below tol.
 
     Returns (V, n_iterations, residual) where V is the last iterate passed to
     the map, so its residual |apply_map(V) - V| is the measured last change,
     at most tol * max(1, |V|).  Raises ContractionError when the observed
-    contraction factor exceeds ``lipschitz_max`` while the iteration is still
+    contraction factor exceeds ``LIPSCHITZ_MAX`` while the iteration is still
     far from its fixed point.
     """
     V = np.zeros(shape)
@@ -242,7 +246,7 @@ def solve_fixed_point(apply_map, shape, tol=1e-13, max_iter=60, lipschitz_max=0.
             return V, it, delta
         if prev is not None and prev > 0:
             L = delta / prev
-            if L > lipschitz_max and delta > 100 * tol * scale:
+            if L > LIPSCHITZ_MAX and delta > 100 * tol * scale:
                 raise ContractionError(
                     f"implicit change is not a contraction (observed factor {L:.3f})")
         prev = delta
@@ -373,7 +377,7 @@ def run_normal_form(spec, params):
     return state
 
 
-def twist_compose(field, delta_field, tol=1e-12, max_t=4096):
+def twist_compose(field, delta_field, tol=1e-12):
     """Compose a field with a time/action-dependent angle shift, exactly in theta.
 
     Returns the field of (theta, t, I) -> field(theta + Delta(t, I), t, I)
@@ -422,7 +426,7 @@ def twist_compose(field, delta_field, tol=1e-12, max_t=4096):
             lo = np.minimum(np.arange(T), T - np.arange(T))
             spill += float(mags[lo > band].sum())
             out[gi] = B
-        if total == 0 or spill / max(total, 1e-300) < tol or T >= max_t:
+        if total == 0 or spill / max(total, 1e-300) < tol or T >= TWIST_MAX_T:
             if total > 0 and spill / max(total, 1e-300) >= tol:
                 raise ModeOverflowError(
                     f"angle twist did not band-limit at {T} time samples",

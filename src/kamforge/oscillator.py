@@ -20,6 +20,10 @@ _W0 = 1.0 - 2.0 * (_W1 + _W2 + _W3)
 YOSHIDA6 = np.array([_W3, _W2, _W1, _W0, _W1, _W2, _W3])
 
 ORIGIN_ENERGY_FLOOR = 1e-12
+# Yoshida-6 steps per sample of the reference orbit.
+REFERENCE_SUBSTEPS = 16
+# Newton steps that refine the nearest-sample angle in from_cartesian.
+NEWTON_STEPS = 4
 
 
 def compute_period(n, rtol=1e-12):
@@ -114,18 +118,18 @@ class ReferenceOrbit:
         return float(np.abs((self.n + 1) * v**2 + u ** (2 * self.n + 2) - 1.0).max())
 
 
-def reference_solution(n, N=1024, substeps=16):
+def reference_solution(n, N=1024):
     """Integrate the reference orbit and return a ReferenceOrbit with N samples.
 
     N must be a power of two, at least 64.  The per-sample integration uses
-    ``substeps`` Yoshida-6 steps, keeping the energy drift below 1e-10.
+    ``REFERENCE_SUBSTEPS`` Yoshida-6 steps, keeping the energy drift below 1e-10.
     """
     N = int(N)
     if N < 64 or (N & (N - 1)) != 0:
         raise ValueError("N must be a power of two, at least 64")
     T0 = compute_period(n)
     t_grid = T0 * np.arange(N) / N
-    samples = _integrate_reference(n, t_grid, substeps)
+    samples = _integrate_reference(n, t_grid, REFERENCE_SUBSTEPS)
     orbit = ReferenceOrbit(n, T0, samples)
     defect = orbit.energy_defect()
     if defect > 1e-10:
@@ -209,7 +213,7 @@ class ActionAngleMap:
         y = (self.c * I) ** self.beta * v
         return x, y
 
-    def from_cartesian(self, x, y, newton_steps=4):
+    def from_cartesian(self, x, y):
         """(theta, I) for Cartesian arrays of shape (..., m); rejects near-origin points."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -225,7 +229,7 @@ class ActionAngleMap:
         N = samples.shape[0]
         d2 = (samples[None, :, 0] - xhat[:, None]) ** 2 + (samples[None, :, 1] - yhat[:, None]) ** 2
         theta = 2.0 * np.pi * np.argmin(d2, axis=1) / N
-        for _ in range(newton_steps):
+        for _ in range(NEWTON_STEPS):
             u, v = self.orbit.eval_angle(theta)
             # derivative of (u, v) w.r.t. the angle
             du = (self.orbit.period / (2 * np.pi)) * v

@@ -54,8 +54,9 @@ def transport_residual(S, R, unsolved, omega, eps, a, rng, n_pts=60):
     th = rng.uniform(0, 2 * np.pi, (n_pts, d))
     tt = rng.uniform(0, 2 * np.pi, n_pts)
     lhs = S.derive("time").evaluate(th, tt)
+    grad = S.grad_angle().evaluate(th, tt)
     for i in range(d):
-        lhs = lhs + eps ** (-a) * omega[i] * S.derive(f"angle_{i}").evaluate(th, tt)
+        lhs = lhs + eps ** (-a) * omega[i] * grad[:, i]
     rhs = np.asarray(R.evaluate(th, tt))
     if unsolved is not None and unsolved.n_modes:
         rhs = rhs - unsolved.evaluate(th, tt)

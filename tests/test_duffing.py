@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,8 @@ def test_coefficient_is_real_trig_polynomial():
 def test_json_roundtrip(tmp_path):
     net = DuffingNetwork(2, 1, TERMS)
     path = tmp_path / "net.json"
-    net.save(path)
+    with open(path, "w") as fh:
+        json.dump(net.to_json_dict(), fh)
     back = DuffingNetwork.load(path)
     assert back.m == net.m and back.n == net.n
     assert set(back.terms) == set(net.terms)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kamforge import fourier
 from kamforge.errors import RealityError
 from kamforge.fourier import (REALITY_TOL, ActionGrid, FourierField, ball_modes,
                               compose_shifted_grid, jet_split)
@@ -45,10 +46,10 @@ def test_derive_matches_finite_difference():
     f = sample_field()
     th, t = random_points(20, seed=3)
     h = 1e-6
-    for which, shift in [("angle_0", np.array([1, 0])), ("angle_1", np.array([0, 1]))]:
-        g = f.derive(which).evaluate(th, t)
+    grad = f.grad_angle().evaluate(th, t)
+    for i, shift in enumerate([np.array([1, 0]), np.array([0, 1])]):
         fd = (f.evaluate(th + h * shift, t) - f.evaluate(th - h * shift, t)) / (2 * h)
-        np.testing.assert_allclose(g, fd, atol=1e-8)
+        np.testing.assert_allclose(grad[:, i], fd, atol=1e-8)
     g = f.derive("time").evaluate(th, t)
     fd = (f.evaluate(th, t + h) - f.evaluate(th, t - h)) / (2 * h)
     np.testing.assert_allclose(g, fd, atol=1e-8)
@@ -104,8 +105,10 @@ def test_json_roundtrip_is_exact():
 def test_save_load_roundtrip(tmp_path):
     f = sample_field()
     path = tmp_path / "field.json"
-    f.save(path)
-    g = FourierField.load(path)
+    with open(path, "w") as fh:
+        json.dump(f.to_json_dict(), fh)
+    with open(path) as fh:
+        g = FourierField.from_json_dict(json.load(fh))
     np.testing.assert_array_equal(f.coeffs, g.coeffs)
 
 
@@ -235,13 +238,15 @@ def test_grad_angle_stacks_angle_derivatives(vshape):
     f = FourierField.from_modes(2, mapping, s=0.3, vshape=vshape)
     g = f.grad_angle()
     assert g.vshape == (2,) + vshape
-    expect = np.stack([f.derive(f"angle_{i}").coeffs for i in range(2)], axis=1)
+    # reference: d/dtheta_i multiplies the coefficient of mode k by 1j * k_i
+    k = f.modes[:, :2].reshape((f.n_modes, 2) + (1,) * len(vshape))
+    expect = 1j * k * f.coeffs[:, None]
     np.testing.assert_array_equal(g.coeffs, expect)
     th, t = random_points(10, seed=13)
-    np.testing.assert_allclose(
-        g.evaluate(th, t),
-        np.stack([f.derive(f"angle_{i}").evaluate(th, t) for i in range(2)], axis=1),
-        atol=1e-14)
+    vals = g.evaluate(th, t)
+    for i in range(2):
+        ref = f.replace(coeffs=expect[:, i], _canonical=True, enforce_reality=False)
+        np.testing.assert_allclose(vals[:, i], ref.evaluate(th, t), atol=1e-14)
 
 
 def test_jet_split_of_exact_cubic():
@@ -400,6 +405,47 @@ def test_to_grid_is_real_and_matches_evaluate(nshape, vshape, node_grid):
         direct = f.evaluate(th, t, node)
         got = flat[..., q].reshape(direct.shape)
         assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+def table_evaluate(f, theta, t, I=None):
+    """Reference evaluation: interpolate every mode coefficient at each point, then sum."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    N = theta.shape[0]
+    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (N,))
+    E = np.exp(1j * (theta @ f.modes[:, :f.d].T + np.outer(t_arr, f.modes[:, -1])))
+    if f.grid is None:
+        return np.tensordot(E, f.coeffs, axes=(1, 0)).real
+    I_arr = np.broadcast_to(np.atleast_2d(np.asarray(I, dtype=float)), (N, f.grid.dim))
+    WW = f.grid.interp_weights(I_arr)  # (N, *gshape)
+    gaxes = list(range(f.coeffs.ndim - f.grid.dim, f.coeffs.ndim))
+    cpts = np.tensordot(f.coeffs, WW, axes=(gaxes, list(range(1, f.grid.dim + 1))))
+    return np.einsum("nm,m...n->n...", E, cpts).real
+
+
+@pytest.mark.parametrize("points", ["many", "shared_action", "one"])
+@pytest.mark.parametrize("vshape", [(), (2,), (2, 2)])
+@pytest.mark.parametrize("node_grid", [False, True])
+def test_evaluate_matches_table_reference(monkeypatch, points, vshape, node_grid):
+    grid = ActionGrid((1.0, 1.5), 0.01, 4) if node_grid else None
+    f = random_real_field(2, vshape, grid, seed=7 + len(vshape))
+    # blocks of 16 points: 50 points make three full blocks and a partial one
+    monkeypatch.setattr(fourier, "EVAL_BYTES", 16 * 16 * f.n_modes)
+    rng = np.random.default_rng(17)
+    N = 50
+    th, t = random_points(N, seed=18)
+    I = np.array([1.0, 1.5]) + rng.uniform(-0.01, 0.01, (N, 2))
+    if points == "shared_action":
+        I = I[0]                                     # I given as (dim,)
+    if points == "one":
+        th, t, I = th[0], t[0], I[0]
+    got = f.evaluate(th, t, I if node_grid else None)
+    ref = table_evaluate(f, th, t, I)
+    if points == "one":
+        ref = ref[0]
+        assert got.shape == vshape
+    else:
+        assert got.shape == (N,) + vshape
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("nshape", [(9, 7, 11), (8, 10, 12)], ids=["odd", "even"])

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from kamforge.diophantine import DiophantineParams
 from kamforge.errors import DomainError, EscapeError
 from kamforge.fourier import ActionGrid, ActionJet, FourierField
 from kamforge.kam import (KamParams, KamState, _invert_kam_change,
-                          _invert_nf_change, extract_torus, init_state,
+                          _invert_nf_change, cubic_contraction, extract_torus, init_state,
                           invariance_defect, kam_iterate, kam_step)
 
 OMEGA = np.array([(1 + np.sqrt(5)) / 2, 1.3247179572447460])
@@ -144,13 +145,11 @@ def test_inversion_solves_the_generating_equations(steps):
     shift = shift + 2.0 * np.einsum("nij,nj->ni",
                                     ch.S2.evaluate(theta, tt).reshape(N, 2, 2), rho)
     np.testing.assert_allclose(phi, theta + shift, atol=1e-12)
-    grad = np.zeros_like(phi)
-    for i in range(2):
-        grad[:, i] += ch.S0.derive(f"angle_{i}").evaluate(theta, tt)
-        g1 = np.atleast_2d(ch.S1.derive(f"angle_{i}").evaluate(theta, tt))
-        grad[:, i] += np.einsum("nj,nj->n", g1, rho)
-        g2 = ch.S2.derive(f"angle_{i}").evaluate(theta, tt).reshape(N, 2, 2)
-        grad[:, i] += np.einsum("nj,njk,nk->n", rho, g2, rho)
+    grad = ch.S0.grad_angle().evaluate(theta, tt)
+    g1 = ch.S1.grad_angle().evaluate(theta, tt).reshape(N, 2, 2)
+    grad = grad + np.einsum("nij,nj->ni", g1, rho)
+    g2 = ch.S2.grad_angle().evaluate(theta, tt).reshape(N, 2, 2, 2)
+    grad = grad + np.einsum("nj,nijk,nk->ni", rho, g2, rho)
     np.testing.assert_allclose(II, ch.nu[None, :] + rho + grad, atol=1e-12)
 
 
@@ -204,6 +203,50 @@ def test_twist_matrix_update():
     assert out.low_norm() <= 1e-18
 
 
+# node polynomials in u = rho / R_BALL, degree <= 4 per axis, with mixed terms;
+# only the cubic monomials reach the third derivatives at rho = 0
+CUBIC_POLYS = [
+    {(3, 0): 1.0, (1, 2): 0.5, (2, 3): -0.7, (4, 4): 0.2, (1, 4): 0.9, (2, 0): 0.3},
+    {(0, 3): 1.0, (2, 1): -0.4, (3, 3): 0.6, (4, 2): 0.3, (4, 0): -0.8},
+]
+
+
+def third_derivatives(poly):
+    """Tensor d^3 P / d rho_i d rho_j d rho_k at 0 of P(rho / R_BALL) * R_BALL^3."""
+    T = np.zeros((2, 2, 2))
+    for alpha, a in poly.items():
+        if sum(alpha) != 3:
+            continue
+        for idx in np.ndindex(2, 2, 2):
+            if (idx.count(0), idx.count(1)) == alpha:
+                T[idx] = a * math.factorial(alpha[0]) * math.factorial(alpha[1])
+    return T
+
+
+def test_cubic_contraction_is_exact_on_node_polynomials():
+    rng = np.random.default_rng(4)
+    grid = ActionGrid(np.zeros(2), R_BALL, 5)
+    u = grid.node_points() / R_BALL
+    base = ball_noise_field(rng, (2,), 1e-6)         # one mode weight per polynomial
+    vals = [sum(a * u[..., 0] ** i * u[..., 1] ** j for (i, j), a in poly.items())
+            * R_BALL**3 for poly in CUBIC_POLYS]
+    coeffs = sum(base.coeffs[:, p, None, None] * vals[p][None] for p in range(2))
+    high = FourierField(2, base.modes, coeffs, S0_STRIP, grid.tau, base.cutoff, grid=grid)
+    nshape = (8, 8, 8)
+    w = rng.standard_normal(nshape + (2,))
+    got = cubic_contraction(high, w, nshape)
+
+    axes = [2 * np.pi * np.arange(n) / n for n in nshape]
+    th0, th1, tt = np.meshgrid(*axes, indexing="ij")
+    phase = np.exp(1j * (th0[..., None] * base.modes[:, 0] + th1[..., None] * base.modes[:, 1]
+                         + tt[..., None] * base.modes[:, 2]))   # (*nshape, M)
+    D3 = np.stack([third_derivatives(poly) for poly in CUBIC_POLYS])
+    tensor = np.einsum("...m,mp,pijk->...ijk", phase, base.coeffs, D3).real
+    expect = np.einsum("...ijk,...i->...jk", tensor, w)
+    assert got.shape == nshape + (2, 2)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def test_iterate_stops_at_tolerance():
     state = make_state(np.random.default_rng(11))
     out = kam_iterate(state, make_params(tol=1e-6, max_steps=5))
@@ -249,8 +292,7 @@ def test_invert_nf_change_satisfies_implicit_equations():
     theta, II = _invert_nf_change(S, phi, tt, rho)
     srho = np.stack([S.derive(f"action_{i}").evaluate(theta, tt, rho)
                      for i in range(2)], axis=-1)
-    sth = np.stack([S.derive(f"angle_{i}").evaluate(theta, tt, rho)
-                    for i in range(2)], axis=-1)
+    sth = S.grad_angle().evaluate(theta, tt, rho)
     np.testing.assert_allclose(phi, theta + srho, atol=1e-12)
     np.testing.assert_allclose(II, rho + sth, atol=1e-12)
 

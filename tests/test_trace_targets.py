@@ -5,7 +5,8 @@ wrapper.  A deleted or renamed target, or a module-level alias that keeps the
 unwrapped function (``_to_grid = FourierField.to_grid``), would otherwise only
 show up as a failed check in a traced benchmark run.  Likewise an FFT that
 bypasses ``util.fftn``/``util.ifftn`` would escape the trace's FFT counters
-and the ``KAMFORGE_THREADS`` worker setting.
+and the ``KAMFORGE_THREADS`` worker setting.  The last test keeps the number
+of settable values in the package from growing.
 """
 
 import ast
@@ -70,3 +71,38 @@ def test_only_util_reaches_an_fft_module():
     # the walk does see both spellings
     assert fft_uses(ast.parse("import scipy.fft\nx = np.fft.ifft(a)")) == ["scipy.fft",
                                                                             "numpy.fft"]
+
+
+# Keyword defaults plus defaulted dataclass fields in the package: each is a
+# value a caller can set.  Lower the ceiling when a change removes some.
+SETTABLE_CEILING = 115
+
+
+def is_dataclass(cls):
+    for dec in cls.decorator_list:
+        node = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(node, "attr", getattr(node, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(tree):
+    n = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            n += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+            n += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return n
+
+
+def test_settable_values_do_not_grow():
+    total = 0
+    for path in glob.glob(os.path.join(ROOT, "src", "kamforge", "*.py")):
+        with open(path) as fh:
+            total += settable_values(ast.parse(fh.read()))
+    assert total <= SETTABLE_CEILING
+    # the count sees keyword defaults, keyword-only defaults and dataclass fields
+    sample = ("def f(a, b=1, *, c=2, e):\n    pass\n"
+              "@dataclass\nclass P:\n    x: int\n    y: int = 3\n")
+    assert settable_values(ast.parse(sample)) == 3
