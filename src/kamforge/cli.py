@@ -59,6 +59,8 @@ DEFAULT_CONFIG = {
                 "n_samples": 10000, "eps": 1.0, "a": 1.0,
                 "K_split": 40, "K_check": 80},
 }
+# Exit code of each typed failure; any other exception exits 1.
+EXIT_CODES = {SmallDivisorError: 2, ContractionError: 3, EscapeError: 4}
 
 
 def merge_config(base, override):
@@ -335,7 +337,8 @@ def run_verify(cfg, out_dir, torus_path=None, log=None):
         "rotation": [fmt_float(w) for w in rot],
         "rotation_target": [fmt_float(w) for w in torus.omega],
         "rotation_rel_err": fmt_float(rel),
-        "escaped": bool(metrics["escaped"]),
+        # integrate raises EscapeError, so a written orbit never escaped
+        "escaped": False,
     }
     _json_dump(result, os.path.join(out_dir, "verify.json"))
     return result
@@ -441,18 +444,9 @@ def main(argv=None):
         elif args.command == "measure":
             run_measure(cfg, out_dir=args.out, log=print)
         return 0
-    except SmallDivisorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContractionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EscapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # noqa: BLE001
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

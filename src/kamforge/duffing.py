@@ -181,7 +181,6 @@ class Trajectory:
     t: np.ndarray
     x: np.ndarray
     v: np.ndarray
-    escaped: bool = False
 
     def to_csv(self, path, comment=None):
         m = self.x.shape[1]
@@ -289,7 +288,7 @@ def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes=5, s0=0.4, K0=24,
             vals[..., c_idx] = acc * scale
         R = FourierField.from_grid(
             vals.reshape(nshape + grid.shape), m, s0, min(K0, (N - 1) // 2),
-            grid=grid, tau=tau0)
+            grid=grid)
         # aliasing proxy: relative coefficient mass in the top octave of the grid
         if R.n_modes:
             top = np.abs(R.modes).max(axis=1) > N // 4
@@ -322,7 +321,7 @@ def chart_orbit(traj, sys, aa_map):
 
 
 def stability_metrics(traj, actions):
-    """Sup norm, largest action deviation from the first sample, and escape flag.
+    """Sup norm and largest action deviation from the first sample.
 
     ``actions`` are the chart actions of the samples (see ``chart_orbit``).
     """
@@ -330,7 +329,6 @@ def stability_metrics(traj, actions):
     return {
         "sup_norm": sup,
         "action_variation": float(np.abs(actions - actions[0]).max()),
-        "escaped": bool(traj.escaped),
     }
 
 

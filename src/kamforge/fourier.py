@@ -171,8 +171,6 @@ class FourierField:
         coefficient is a Chebyshev node array over the action box.
     s : float
         Angle-strip width used as the default weight in :meth:`norm`.
-    tau : float
-        Action-ball radius of validity (0 for action-independent fields).
     cutoff : int
         Truncation order: all stored modes satisfy |k|_1 + |l| <= cutoff.
     grid : ActionGrid, optional
@@ -184,11 +182,10 @@ class FourierField:
     ``compose_shifted_grid``) are float arrays.
     """
 
-    def __init__(self, d, modes, coeffs, s, tau, cutoff, grid=None, vshape=(),
+    def __init__(self, d, modes, coeffs, s, cutoff, grid=None, vshape=(),
                  enforce_reality=True, _canonical=False):
         self.d = int(d)
         self.s = float(s)
-        self.tau = float(tau)
         self.cutoff = int(cutoff)
         self.grid = grid
         self.vshape = tuple(vshape)
@@ -261,7 +258,7 @@ class FourierField:
         self._coeffs = sym
 
     @classmethod
-    def from_modes(cls, d, mapping, s, tau=0.0, cutoff=None, grid=None, vshape=(),
+    def from_modes(cls, d, mapping, s, cutoff=None, grid=None, vshape=(),
                    enforce_reality=True):
         """Build from a {(k_1, ..., k_d, l): coefficient} mapping."""
         items = sorted(mapping.items())
@@ -271,24 +268,23 @@ class FourierField:
         gshape = grid.shape if grid is not None else ()
         coeffs = np.array([np.broadcast_to(np.asarray(v, dtype=complex), vshape + gshape)
                            for _, v in items], dtype=complex)
-        return cls(d, modes, coeffs, s, tau, cutoff, grid=grid, vshape=vshape,
+        return cls(d, modes, coeffs, s, cutoff, grid=grid, vshape=vshape,
                    enforce_reality=enforce_reality)
 
     @classmethod
-    def zero(cls, d, s, tau=0.0, cutoff=0, grid=None, vshape=()):
+    def zero(cls, d, s, cutoff=0, grid=None, vshape=()):
         gshape = grid.shape if grid is not None else ()
         return cls(d, np.zeros((0, d + 1), dtype=np.int64),
                    np.zeros((0, *vshape, *gshape), dtype=complex),
-                   s, tau, cutoff, grid=grid, vshape=vshape)
+                   s, cutoff, grid=grid, vshape=vshape)
 
-    def replace(self, modes=None, coeffs=None, s=None, tau=None, cutoff=None,
+    def replace(self, modes=None, coeffs=None, s=None, cutoff=None,
                 grid="keep", vshape=None, enforce_reality=True, _canonical=False):
         return FourierField(
             self.d,
             self._modes if modes is None else modes,
             self._coeffs if coeffs is None else coeffs,
             self.s if s is None else s,
-            self.tau if tau is None else tau,
             self.cutoff if cutoff is None else cutoff,
             grid=self.grid if grid == "keep" else grid,
             vshape=self.vshape if vshape is None else vshape,
@@ -297,6 +293,11 @@ class FourierField:
         )
 
     # -- basic access ----------------------------------------------------------
+
+    @property
+    def tau(self):
+        """Action-ball radius of validity: the grid's, or 0 for an action-free field."""
+        return self.grid.tau if self.grid is not None else 0.0
 
     @property
     def modes(self):
@@ -346,8 +347,8 @@ class FourierField:
         modes = np.concatenate([self._modes, other._modes], axis=0)
         coeffs = np.concatenate([self._coeffs, other._coeffs], axis=0)
         return FourierField(self.d, modes, coeffs, min(self.s, other.s),
-                            max(self.tau, other.tau), max(self.cutoff, other.cutoff),
-                            grid=self.grid, vshape=self.vshape)
+                            max(self.cutoff, other.cutoff), grid=self.grid,
+                            vshape=self.vshape)
 
     def __sub__(self, other):
         return self.__add__(other * (-1.0))
@@ -364,7 +365,7 @@ class FourierField:
         gshape = self.grid.shape if self.grid is not None else ()
         zero_mode = np.zeros((1, self.d + 1), dtype=np.int64)
         c = np.full((1, *self.vshape, *gshape), complex(value))
-        return FourierField(self.d, zero_mode, c, self.s, self.tau, self.cutoff,
+        return FourierField(self.d, zero_mode, c, self.s, self.cutoff,
                             grid=self.grid, vshape=self.vshape, _canonical=True)
 
     # -- spec operations -------------------------------------------------------
@@ -459,8 +460,7 @@ class FourierField:
         for j in range(self.grid.dim):
             M = self.grid.interp_matrix(new_grid.nodes1d(j), j)
             c = np.moveaxis(np.tensordot(c, M, axes=([base + j], [1])), -1, base + j)
-        return self.replace(coeffs=c, grid=new_grid, tau=new_grid.tau, _canonical=True,
-                            enforce_reality=False)
+        return self.replace(coeffs=c, grid=new_grid, _canonical=True, enforce_reality=False)
 
     def broadcast_action(self, grid):
         """Give an action-independent field constant values on an ActionGrid."""
@@ -468,8 +468,7 @@ class FourierField:
             raise ValueError("field already has an action grid")
         c = np.broadcast_to(self._coeffs[(...,) + (None,) * grid.dim],
                             self._coeffs.shape + grid.shape).copy()
-        return self.replace(coeffs=c, grid=grid, tau=grid.tau, _canonical=True,
-                            enforce_reality=False)
+        return self.replace(coeffs=c, grid=grid, _canonical=True, enforce_reality=False)
 
     def interp_action(self, points):
         """Mode coefficients interpolated at action points (N, dim) -> (M, *vshape, N)."""
@@ -482,8 +481,7 @@ class FourierField:
     def at_action(self, point):
         """Action-independent field: coefficients frozen at one action point."""
         c = self.interp_action(np.atleast_2d(point))[..., 0]
-        return self.replace(coeffs=c, grid=None, tau=0.0, _canonical=True,
-                            enforce_reality=False)
+        return self.replace(coeffs=c, grid=None, _canonical=True, enforce_reality=False)
 
     # -- evaluation and grids ----------------------------------------------------
 
@@ -548,8 +546,7 @@ class FourierField:
         return ifftn(C, axes=tuple(range(self.d + 1)), s=nshape) * np.prod(nshape)
 
     @classmethod
-    def from_grid(cls, values, d, s, cutoff, grid=None, vshape=(), tau=None,
-                  enforce_reality=True):
+    def from_grid(cls, values, d, s, cutoff, grid=None, vshape=(), enforce_reality=True):
         """Project real uniform (theta, t)-grid values onto modes with |k|+|l| <= cutoff.
 
         The l >= 0 coefficients come from rfftn and the l < 0 ones are the
@@ -583,8 +580,8 @@ class FourierField:
         total = float(weight @ mass)
         kept = float(np.abs(coeffs).sum())
         residual = 0.0 if total == 0 else max(0.0, (total - kept) / total)
-        f = cls(d, modes, coeffs, s, grid.tau if (grid and tau is None) else (tau or 0.0),
-                int(cutoff), grid=grid, vshape=vshape, enforce_reality=enforce_reality)
+        f = cls(d, modes, coeffs, s, int(cutoff), grid=grid, vshape=vshape,
+                enforce_reality=enforce_reality)
         f = f.prune()
         f.projection_residual = residual
         return f
@@ -623,8 +620,8 @@ class FourierField:
         coeffs = np.array(
             [_decode_reim(m["re"]) + 1j * _decode_reim(m["im"]) for m in obj["modes"]],
             dtype=complex).reshape(-1, *vshape, *gshape)
-        return cls(d, modes, coeffs, float(obj["s"]), float(obj["tau"]),
-                   int(obj["cutoff"]), grid=grid, vshape=vshape)
+        return cls(d, modes, coeffs, float(obj["s"]), int(obj["cutoff"]), grid=grid,
+                   vshape=vshape)
 
 
 def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, tol=1e-13,
@@ -785,10 +782,10 @@ def jet_split(field, point, kgrid):
     c2 = 0.25 * (c2 + np.swapaxes(c2, 1, 2))
     jet = c0[:, None] + c1 @ rho.T + np.einsum("nj,mjk,nk->mn", rho, c2, rho)
     tail = field.interp_action(at + rho) - jet
-    flat = {"grid": None, "tau": 0.0, "_canonical": True}
+    flat = {"grid": None, "_canonical": True}
     r0 = field.replace(coeffs=c0, **flat).prune()
     r1 = field.replace(coeffs=c1, vshape=(d,), enforce_reality=False, **flat).prune()
     r2 = field.replace(coeffs=c2, vshape=(d, d), enforce_reality=False, **flat).prune()
     high = field.replace(coeffs=tail.reshape(tail.shape[:1] + kgrid.shape), grid=kgrid,
-                         tau=kgrid.tau, _canonical=True).prune()
+                         _canonical=True).prune()
     return r0, r1, r2, high

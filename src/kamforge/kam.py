@@ -59,11 +59,9 @@ class KamParams:
 
 @dataclass
 class KamChange:
-    """Generating jet of one step plus its action shift."""
+    """Generating function S(theta, t, rho) of one step, on its nodes, plus its action shift."""
 
-    S0: FourierField
-    S1: FourierField
-    S2: FourierField
+    S: FourierField
     nu: np.ndarray
 
 
@@ -171,10 +169,10 @@ def kam_step(state, params):
     Om = state.Omega
 
     # homological solves ----------------------------------------------------
-    S0 = solve_homological(R0, omega, eps, a, params.dc, include_k0=True, regime="full")
+    S0 = solve_homological(R0, omega, eps, a, params.dc, regime="full")
     A0 = S0.grad_angle()                       # d(theta) S0, vector field
     Rstar = (R1 + _matrix_apply(2.0 * epa * Om, A0)).prune()
-    S1 = solve_homological(Rstar, omega, eps, a, params.dc, include_k0=True, regime="full")
+    S1 = solve_homological(Rstar, omega, eps, a, params.dc, regime="full")
     nu = -0.5 * ea * np.linalg.solve(Om, _mode_zero(Rstar))
     if np.abs(nu).max(initial=0.0) > 0.25 * r_next:
         raise DomainError(
@@ -196,15 +194,24 @@ def kam_step(state, params):
     else:
         T3w = None
         Rss = (R2 + symOmG).prune()
-    S2 = solve_homological(Rss, omega, eps, a, params.dc, include_k0=True, regime="full")
+    S2 = solve_homological(Rss, omega, eps, a, params.dc, regime="full")
     S2 = S2.replace(coeffs=0.5 * (S2.coeffs + np.swapaxes(S2.coeffs, 1, 2)),
                     _canonical=True, enforce_reality=False)
     dOm = ea * _mode_zero(Rss)
     dOm = 0.5 * (dOm + dOm.T)
     Om_new = Om + dOm
 
+    # the step's generating function S = S0 + <S1, rho> + <S2 rho, rho> on the
+    # new nodes, where a quadratic in rho is exact
+    nodes = grid_new.node_points()
+    flat = {"vshape": (), "grid": grid_new, "_canonical": True, "enforce_reality": False}
+    S = (S0.broadcast_action(grid_new)
+         + S1.replace(coeffs=np.einsum("mi,...i->m...", S1.coeffs, nodes), **flat)
+         + S2.replace(coeffs=np.einsum("mij,...i,...j->m...", S2.coeffs, nodes, nodes),
+                      **flat))
+
     # remainder assembly in the old angle variables -------------------------
-    rho = grid_new.node_points().reshape(-1, d)      # (P, d)
+    rho = nodes.reshape(-1, d)                       # (P, d)
     base = tuple(nshape) + (rho.shape[0],)
 
     Ggrid = G.to_grid(nshape)                       # (*nshape, d, d)
@@ -237,11 +244,8 @@ def kam_step(state, params):
         rem -= 0.5 * np.einsum("pj,...jk,pk->...p", rho, T3w, rho)
 
     # compose with the implicit angle change theta = phi + V, where
-    # phi = theta + dS/drho and dS/drho = S1 + 2 S2 rho at the new nodes ----
-    srho = S1.broadcast_action(grid_new) + S2.replace(
-        coeffs=2.0 * np.einsum("mij,...j->mi...", S2.coeffs, grid_new.node_points()),
-        vshape=(d,), grid=grid_new, tau=grid_new.tau, _canonical=True,
-        enforce_reality=False)
+    # phi = theta + dS/drho -------------------------------------------------
+    srho = S.grad_action()
     V, fp_iters = implicit_angle_shift(srho, nshape, grid_new)
 
     rem_field = FourierField.from_grid(rem.reshape(tuple(nshape) + grid_new.shape),
@@ -266,7 +270,7 @@ def kam_step(state, params):
         low=ActionJet(r0=R0n, r1=R1n, r2=R2n), high=highn, const=C_new,
         s=s_next, r=r_next, grid=grid_new, s0=state.s0, r0=state.r0,
         nu_total=state.nu_total + nu,
-        changes=state.changes + [KamChange(S0=S0, S1=S1, S2=S2, nu=nu)],
+        changes=state.changes + [KamChange(S=S, nu=nu)],
         diagnostics=list(state.diagnostics),
     )
     row = _diag_row(new_state, max(taylor_errs), proj_res, nu)
@@ -307,47 +311,11 @@ class TorusEmbedding:
         return np.atleast_2d(self.action.evaluate(phi, t))
 
 
-def _jet_matrix(ch):
-    """The generating jet S0 + <S1, rho> + <S2 rho, rho> of a KAM change as one field.
+def _invert_change(S, phi, t, rho):
+    """Old (theta, I) of points given in the new coordinates of the change generated by S.
 
-    The matrix field Q has value shape (d+1, d+1) and S = <Q r, r> with
-    r = (1, rho), so dS/drho = 2 (Q r)[1:] and dS/dtheta_i = <(d_i Q) r, r>.
-    """
-    d = ch.S0.d
-    fields = (ch.S0, ch.S1, ch.S2)
-    q0, q1, q2 = (np.zeros((f.n_modes, d + 1, d + 1), dtype=complex) for f in fields)
-    q0[:, 0, 0] = ch.S0.coeffs
-    q1[:, 0, 1:] = q1[:, 1:, 0] = 0.5 * ch.S1.coeffs
-    q2[:, 1:, 1:] = ch.S2.coeffs
-    return FourierField(d, np.concatenate([f.modes for f in fields]),
-                        np.concatenate([q0, q1, q2]), min(f.s for f in fields), 0.0,
-                        max(f.cutoff for f in fields), vshape=(d + 1, d + 1),
-                        enforce_reality=False)
-
-
-def _invert_kam_change(ch, phi, t, rho):
-    """Old (theta, I) of points given in the new coordinates of one KAM step.
-
-    theta = phi + V solves V = -dS/drho(phi + V), with dS/drho = 2 (Q r)[1:].
-    """
-    n, d = phi.shape
-    Q = _jet_matrix(ch)
-    r = np.concatenate([np.ones((n, 1)), rho], axis=1)
-
-    def step(V):
-        q = Q.evaluate(phi + V, t).reshape(n, d + 1, d + 1)
-        return -2.0 * np.einsum("nij,nj->ni", q[:, 1:], r)
-
-    theta = phi + solve_fixed_point(step, phi.shape, tol=INVERT_TOL,
-                                    max_iter=INVERT_MAX_ITER)[0]
-    dq = Q.grad_angle().evaluate(theta, t).reshape(n, d, d + 1, d + 1)
-    return theta, ch.nu[None, :] + rho + np.einsum("nj,nijk,nk->ni", r, dq, r)
-
-
-def _invert_nf_change(S, phi, t, rho):
-    """Old (theta, I) of points given in the new coordinates of one averaging step.
-
-    theta = phi + V solves V = -dS/drho(phi + V) at the given points.
+    theta = phi + V solves V = -dS/drho(phi + V, t, rho) at the given points,
+    and I = rho + dS/dtheta(theta, t, rho).
     """
     srho = S.grad_action()
     theta = phi + solve_fixed_point(lambda V: -srho.evaluate(phi + V, t, rho), phi.shape,
@@ -372,12 +340,13 @@ def extract_torus(kam_state, form, avg, nf_state, n_phi=32, n_t=32, cutoff=None)
     theta = phi0.copy()
     rho = np.zeros_like(phi0)
     for ch in reversed(kam_state.changes):
-        theta, rho = _invert_kam_change(ch, theta, tt, rho)
+        theta, rho = _invert_change(ch.S, theta, tt, rho)
+        rho = rho + ch.nu
     II = form.I_star[None, :] + rho
     if avg.S_tilde.n_modes:
         theta = theta + avg.S_tilde.grad_action().evaluate(np.zeros_like(theta), tt, II)
-    for ch in reversed(nf_state.changes):
-        theta, II = _invert_nf_change(ch.S, theta, tt, II)
+    for S in reversed(nf_state.changes):
+        theta, II = _invert_change(S, theta, tt, II)
 
     gshape = (n_phi,) * d + (n_t,)
     dev = (theta - phi0).reshape(gshape + (d,))

@@ -96,30 +96,19 @@ class NormalFormParams:
     K0: int = 12
     K_cap: int = 24
     n_nodes: int = 5
-    theta_grid: tuple = None
 
     def K_j(self, j):
         return int(min(self.K0 * 2**j, self.K_cap))
 
     def nshape(self, d):
-        if self.theta_grid is not None:
-            return tuple(self.theta_grid)
         n = fast_len(2 * self.K_cap + 1)
         return (n,) * (d + 1)
 
 
 @dataclass
-class NfChange:
-    """One canonical change of the averaging iteration, kept for pull-backs."""
-
-    S: FourierField
-    grid: ActionGrid
-    s: float
-    tau: float
-
-
-@dataclass
 class NormalFormState:
+    """One averaging stage; ``changes`` holds each step's generating function S."""
+
     j: int
     h: FourierField
     R: FourierField
@@ -149,7 +138,7 @@ def split_tail(spec, params):
     K0 = params.K_j(0)
     state = NormalFormState(
         j=0,
-        h=FourierField.zero(spec.d, spec.s0, tau=spec.tau0, cutoff=params.K_cap, grid=grid0),
+        h=FourierField.zero(spec.d, spec.s0, cutoff=params.K_cap, grid=grid0),
         R=W.truncate(K0).prune(),
         R_plus=W.tail(K0).prune(),
         grid=grid0,
@@ -166,26 +155,28 @@ def split_tail(spec, params):
     return state
 
 
-def solve_homological(R, omega_fn, eps, a, dc, include_k0=False, regime="split"):
+def solve_homological(R, omega_fn, eps, a, dc, regime="split"):
     """Mode-wise solution S of dS/dt + eps^(-a) <omega, dS/dtheta> = -P R.
 
-    P projects onto the solved modes: k != 0 (default) or all (k, l) != 0 when
-    ``include_k0`` is set.  Each divisor eps^(-a) <k, omega> + l is checked
-    against ``FLOOR_SCALE`` times the Diophantine bound of the requested
-    regime ('split': first-regime bound with the eps^(-a) factor; 'full': the
-    classical bound gamma / (1 + |k|)^(d+1)); a violation raises
-    SmallDivisorError.  omega_fn is a callable on actions or a fixed vector.
+    The regime sets the solved modes P and the divisor floor.  'split' (the
+    averaging) solves k != 0 against the first-regime bound with the
+    eps^(-a) factor; 'full' (the KAM step) solves all (k, l) != 0 against the
+    classical bound gamma / (1 + |k|)^(d+1).  Each divisor
+    eps^(-a) <k, omega> + l is checked against ``FLOOR_SCALE`` times that
+    bound; a violation raises SmallDivisorError.  omega_fn is a callable on
+    actions or a fixed vector.
     """
+    if regime not in ("split", "full"):
+        raise ValueError("regime must be 'split' or 'full'")
     modes = R.modes
     k = modes[:, : R.d]
     l = modes[:, -1]
     knorm = np.abs(k).sum(axis=1)
     sel = knorm > 0
-    if include_k0:
-        sel = (knorm > 0) | (l != 0)
+    if regime == "full":
+        sel |= l != 0
     if not np.any(sel):
-        return FourierField.zero(R.d, R.s, tau=R.tau, cutoff=R.cutoff, grid=R.grid,
-                                 vshape=R.vshape)
+        return FourierField.zero(R.d, R.s, cutoff=R.cutoff, grid=R.grid, vshape=R.vshape)
     if callable(omega_fn):
         if R.grid is not None:
             om = np.asarray(omega_fn(R.grid.node_points()), dtype=float)
@@ -203,13 +194,9 @@ def solve_homological(R, omega_fn, eps, a, dc, include_k0=False, regime="split")
 
     kn = knorm[sel].astype(float)
     if regime == "split":
-        floor = np.where(kn > 0,
-                         eps ** (-a) * dc.gamma / np.maximum(kn, 1.0) ** (dc.d + 1),
-                         dc.gamma)
-    elif regime == "full":
-        floor = dc.gamma / (1.0 + kn) ** (dc.d + 1)
+        floor = eps ** (-a) * dc.gamma / kn ** (dc.d + 1)
     else:
-        raise ValueError("regime must be 'split' or 'full'")
+        floor = dc.gamma / (1.0 + kn) ** (dc.d + 1)
     floor = FLOOR_SCALE * floor
     dmin = np.abs(delta).reshape(delta.shape[0], -1).min(axis=1)
     bad = dmin < floor
@@ -337,13 +324,12 @@ def push_forward(state, S, spec, params):
         taylor_errs.append(e)
 
     h_next = (state.h + state.R.angle_average().truncate(params.K_cap)) \
-        .restrict_action(grid_new).replace(s=s_next, tau=tau_next, _canonical=True).prune()
+        .restrict_action(grid_new).replace(s=s_next, _canonical=True).prune()
     tot -= epa * spec.H0.value(nodes)[(None,) * (d + 1)]
     if h_next.n_modes:
         tot -= h_next.to_grid(nshape)
 
-    Rt = FourierField.from_grid(tot, d, s_next, params.K_cap, grid=grid_new,
-                                tau=tau_next)
+    Rt = FourierField.from_grid(tot, d, s_next, params.K_cap, grid=grid_new)
     K_next = params.K_j(j_next)
     new_state = NormalFormState(
         j=j_next,
@@ -354,7 +340,7 @@ def push_forward(state, S, spec, params):
         s=s_next,
         tau=tau_next,
         K=K_next,
-        changes=state.changes + [NfChange(S=S, grid=state.grid, s=state.s, tau=state.tau)],
+        changes=state.changes + [S],
         diagnostics=list(state.diagnostics),
     )
     new_state.diagnostics.append({
@@ -372,7 +358,7 @@ def run_normal_form(spec, params):
     state = split_tail(spec, params)
     for _ in range(params.m0):
         S = solve_homological(state.R, spec.omega, spec.eps, spec.a, params.dc,
-                              include_k0=False, regime="split")
+                              regime="split")
         state = push_forward(state, S, spec, params)
     return state
 
@@ -451,8 +437,8 @@ def twist_compose(field, delta_field, tol=1e-12):
     modes = np.array(modes, dtype=np.int64).reshape(-1, field.d + 1)
     coeffs = np.array(coeffs, dtype=complex)
     cutoff = max(field.cutoff, int(np.abs(modes).sum(axis=1).max(initial=0)))
-    return FourierField(field.d, modes, coeffs, field.s, field.tau, cutoff,
-                        grid=field.grid, vshape=field.vshape).prune()
+    return FourierField(field.d, modes, coeffs, field.s, cutoff, grid=field.grid,
+                        vshape=field.vshape).prune()
 
 
 @dataclass
@@ -501,8 +487,7 @@ def time_average_transform(state, spec, tol=1e-12):
         S_tilde = osc.replace(coeffs=osc.coeffs / (1j * ls.reshape(shape)),
                               _canonical=True)
     else:
-        S_tilde = FourierField.zero(spec.d, state.s, tau=state.tau, cutoff=h.cutoff,
-                                    grid=state.grid)
+        S_tilde = FourierField.zero(spec.d, state.s, cutoff=h.cutoff, grid=state.grid)
     R_tilde = (state.R + state.R_plus).prune()
     if S_tilde.n_modes:
         delta = S_tilde.grad_action()
@@ -604,8 +589,8 @@ def taylor_split(avg, spec, I_star, r0, omega_target=None, kam_nodes=5, s=None):
     taylor0 = (const + epa * (rho @ grad_full)
                + epa * np.einsum("nj,jk,nk->n", rho, Omega, rho))
     tail0 = (g0 - taylor0).reshape((1,) + kgrid.shape)
-    zero_mode = FourierField(d, np.zeros((1, d + 1), dtype=np.int64), tail0, s,
-                             kgrid.tau, 0, grid=kgrid)
+    zero_mode = FourierField(d, np.zeros((1, d + 1), dtype=np.int64), tail0, s, 0,
+                             grid=kgrid)
     high = (high + zero_mode).prune()
 
     return AveragedForm(

@@ -18,8 +18,7 @@ from kamforge import cli
 from kamforge.diophantine import DiophantineParams, check_dc, find_dc_point
 from kamforge.duffing import to_hamiltonian_spec
 from kamforge.fourier import ActionGrid, ActionJet, FourierField
-from kamforge.kam import (KamParams, KamState, _invert_kam_change,
-                          _invert_nf_change, kam_step)
+from kamforge.kam import KamParams, KamState, _invert_change, kam_step
 from kamforge.normal_form import NormalFormParams, run_normal_form, solve_homological
 from kamforge.oscillator import ActionAngleMap, compute_period, reference_solution
 
@@ -132,7 +131,7 @@ def kam_synthetic():
             m=0, eps=1.0, a=1.0, omega=GOLDEN.copy(),
             Omega=np.array([[0.45, 0.08], [0.08, 0.55]]),
             low=ActionJet(r0=fields[0], r1=fields[1], r2=fields[2]),
-            high=FourierField.zero(2, 0.3, tau=grid.tau, cutoff=6, grid=grid),
+            high=FourierField.zero(2, 0.3, cutoff=6, grid=grid),
             const=0.0, s=0.3, r=1e-3, grid=grid, s0=0.3, r0=1e-3)
 
     dc = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30)
@@ -182,17 +181,17 @@ def test_criterion_2_symplecticity(pipeline_run, kam_synthetic):
     defects.append(symplectic_defect(chart_map, w, [1e-6] * (2 * m), m))
 
     tt = rng.uniform(0, 2 * np.pi, 20)
-    for ch in res["nf"].changes:
+    for S in res["nf"].changes:
         w = np.concatenate(
             [rng.uniform(0, 2 * np.pi, (20, m)),
-             ch.grid.center + rng.uniform(-0.3, 0.3, (20, m)) * ch.grid.tau],
+             S.grid.center + rng.uniform(-0.3, 0.3, (20, m)) * S.grid.tau],
             axis=1)
 
-        def nf_map(w, S=ch.S):
-            th, II = _invert_nf_change(S, w[:, :m].copy(), tt, w[:, m:].copy())
+        def nf_map(w, S=S):
+            th, II = _invert_change(S, w[:, :m].copy(), tt, w[:, m:].copy())
             return np.concatenate([th, II], axis=1)
 
-        h = [1e-4] * m + [1e-3 * ch.grid.tau] * m
+        h = [1e-4] * m + [1e-3 * S.grid.tau] * m
         defects.append(symplectic_defect(nf_map, w, h, m))
 
     for j, st in enumerate(states[1:]):
@@ -201,8 +200,8 @@ def test_criterion_2_symplecticity(pipeline_run, kam_synthetic):
                             rng.uniform(-0.3, 0.3, (20, m)) * st.r], axis=1)
 
         def kam_map(w, ch=ch):
-            th, II = _invert_kam_change(ch, w[:, :m].copy(), tt, w[:, m:].copy())
-            return np.concatenate([th, II], axis=1)
+            th, II = _invert_change(ch.S, w[:, :m].copy(), tt, w[:, m:].copy())
+            return np.concatenate([th, ch.nu + II], axis=1)
 
         h = [1e-4] * m + [0.05 * st.r] * m
         defects.append(symplectic_defect(kam_map, w, h, m))
@@ -230,8 +229,7 @@ def test_criterion_3_homological_exactness():
     dc_full = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30)
     for vshape, sym in [((), False), ((2,), False), ((2, 2), True)]:
         R = random_real_field(rng, 2, 8, 0.3, 25, vshape=vshape, sym=sym)
-        S = solve_homological(R, GOLDEN, 1.0, 1.0, dc_full, include_k0=True,
-                              regime="full")
+        S = solve_homological(R, GOLDEN, 1.0, 1.0, dc_full, regime="full")
         rels.append(transport_residual(
             S, R, R.angle_average().time_average(), GOLDEN, 1.0, 1.0, rng))
 
@@ -265,10 +263,10 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
         H_fin = H_fin + nf.R_plus.evaluate(phi, tt, rho)
     theta, II = phi.copy(), rho.copy()
     dts = np.zeros(P)
-    for ch in reversed(nf.changes):
+    for S in reversed(nf.changes):
         rho_stage = II.copy()
-        theta, II = _invert_nf_change(ch.S, theta, tt, rho_stage)
-        dts += ch.S.derive("time").evaluate(theta, tt, rho_stage)
+        theta, II = _invert_change(S, theta, tt, rho_stage)
+        dts += S.derive("time").evaluate(theta, tt, rho_stage)
     H_base = eps_a * spec.H0.value(II) + eps_b * spec.R.evaluate(theta, tt, II)
     scale = max(1.0, float(np.abs(H_base).max()))
     rels.append(float(np.abs(H_fin - (H_base + dts)).max()) / scale)
@@ -305,16 +303,10 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     for old, new in zip(states[:-1], states[1:]):
         ch = new.changes[-1]
         rr = rng.uniform(-0.9, 0.9, (P, m)) * new.r
-        th, II = _invert_kam_change(ch, phi, tt, rr)
-        dts = ch.S0.derive("time").evaluate(th, tt)
-        if ch.S1.n_modes:
-            s1t = np.atleast_2d(ch.S1.derive("time").evaluate(th, tt))
-            dts = dts + np.einsum("nj,nj->n", s1t, rr)
-        if ch.S2.n_modes:
-            s2t = ch.S2.derive("time").evaluate(th, tt).reshape(P, m, m)
-            dts = dts + np.einsum("nj,njk,nk->n", rr, s2t, rr)
+        th, II = _invert_change(ch.S, phi, tt, rr)
         lhs = eval_kam_hamiltonian(new, phi, tt, rr)
-        rhs = eval_kam_hamiltonian(old, th, tt, II) + dts
+        rhs = (eval_kam_hamiltonian(old, th, tt, ch.nu + II)
+               + ch.S.derive("time").evaluate(th, tt, rr))
         scale = max(1.0, float(np.abs(rhs).max()))
         rels.append(float(np.abs(lhs - rhs).max()) / scale)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kamforge import cli
+from kamforge.errors import ContractionError
 from kamforge.oscillator import compute_period
 from kamforge.util import config_hash, fmt_float
 
@@ -217,6 +218,16 @@ def test_verify_nan_orbit_exits_4(flat_run, tmp_path, capsys):
     assert rc == 4
     assert "escape" in capsys.readouterr().err
     assert not (tmp_path / "o" / "verify.json").exists()
+
+
+def test_contraction_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def stall(*args, **kwargs):
+        raise ContractionError("implicit change did not converge in 80 iterations")
+
+    monkeypatch.setattr(cli, "run_pipeline", stall)
+    rc = cli.main(["pipeline", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: implicit change did not converge in 80 iterations\n"
 
 
 def test_verify_missing_torus_exits_1(tmp_path, capsys):

@@ -152,7 +152,6 @@ def test_uncoupled_orbit_conserves_action():
     _, actions = chart_orbit(traj, sys_, aa)
     metrics = stability_metrics(traj, actions)
     assert metrics["action_variation"] < 1e-8
-    assert not metrics["escaped"]
     assert np.isfinite(metrics["sup_norm"])
 
 

@@ -133,8 +133,7 @@ def test_grid_field_action_dependence():
     nodes = grid.node_points()
     # coefficient varying linearly in the first action
     coeffs = np.stack([0.5 * nodes[..., 0], 0.5 * nodes[..., 0]], axis=0).astype(complex)
-    f = FourierField(2, np.array([[1, 0, 0], [-1, 0, 0]]), coeffs, 0.3, grid.tau,
-                     1, grid=grid)
+    f = FourierField(2, np.array([[1, 0, 0], [-1, 0, 0]]), coeffs, 0.3, 1, grid=grid)
     th, t = random_points(15, seed=9)
     rng = np.random.default_rng(10)
     II = np.stack([rng.uniform(0.992, 1.008, 15), rng.uniform(1.292, 1.308, 15)],
@@ -151,8 +150,7 @@ def test_restrict_action_resamples_nodes():
     nodes = grid.node_points()
     coeffs = np.stack([0.5 * nodes[..., 1] ** 2, 0.5 * nodes[..., 1] ** 2],
                       axis=0).astype(complex)
-    f = FourierField(2, np.array([[0, 1, 0], [0, -1, 0]]), coeffs, 0.3, grid.tau,
-                     1, grid=grid)
+    f = FourierField(2, np.array([[0, 1, 0], [0, -1, 0]]), coeffs, 0.3, 1, grid=grid)
     g = f.restrict_action(inner)
     expect = 0.5 * inner.node_points()[..., 1] ** 2
     np.testing.assert_allclose(g.coeffs[0], expect, atol=1e-13)
@@ -167,7 +165,7 @@ def node_field(rng, grid, scale, vshape=()):
     for mode in [(1, 0, 1), (0, 1, -1), (1, -1, 0), (2, 0, 1)]:
         mapping[mode] = draw() + 1j * draw()
         mapping[tuple(-x for x in mode)] = np.conj(mapping[mode])
-    return FourierField.from_modes(2, mapping, s=0.3, tau=grid.tau, grid=grid, vshape=vshape)
+    return FourierField.from_modes(2, mapping, s=0.3, grid=grid, vshape=vshape)
 
 
 def staggered_field(rng, grid):
@@ -275,8 +273,7 @@ def test_jet_split_of_exact_cubic():
                 + cubic(x))
 
     x = grid.node_points().reshape(-1, 2) - point
-    f = FourierField(2, modes, poly(x).reshape(5, *grid.shape), 0.3, grid.tau, 3,
-                     grid=grid)
+    f = FourierField(2, modes, poly(x).reshape(5, *grid.shape), 0.3, 3, grid=grid)
     r0, r1, r2, high = jet_split(f, point, kgrid)
     assert (r1.vshape, r2.vshape, high.grid) == ((2,), (2, 2), kgrid)
     order = [r0.modes.tolist().index(m) for m in modes.tolist()]
@@ -344,8 +341,7 @@ def test_symmetrize_matches_dict_reference(d, vshape, node_grid, closed):
     present = {tuple(m) for m in modes}
     assert closed == all(tuple(-m) in present for m in modes)
     ref_modes, ref_coeffs, ref_drift = dict_symmetrize(modes, c)
-    f = FourierField(d, modes, c, 0.3, 0.1 if grid else 0.0, 3, grid=grid, vshape=vshape,
-                     _canonical=True)
+    f = FourierField(d, modes, c, 0.3, 3, grid=grid, vshape=vshape, _canonical=True)
     assert np.array_equal(f.modes, ref_modes)
     assert np.array_equal(f.coeffs, ref_coeffs)
     assert f.reality_drift == ref_drift
@@ -354,8 +350,7 @@ def test_symmetrize_matches_dict_reference(d, vshape, node_grid, closed):
     c_bad[0] += 1.0
     assert dict_symmetrize(modes, c_bad)[2] > REALITY_TOL
     with pytest.raises(RealityError):
-        FourierField(d, modes, c_bad, 0.3, 0.1 if grid else 0.0, 3, grid=grid,
-                     vshape=vshape, _canonical=True)
+        FourierField(d, modes, c_bad, 0.3, 3, grid=grid, vshape=vshape, _canonical=True)
 
 
 # -- real grids ---------------------------------------------------------------
@@ -374,8 +369,7 @@ def random_real_field(d, vshape, grid, K=3, seed=0):
         if neg == m:
             c = c.real.astype(complex)
         mapping[m], mapping[neg] = c, np.conj(c)
-    return FourierField.from_modes(d, mapping, s=0.3, tau=grid.tau if grid else 0.0,
-                                   grid=grid, vshape=vshape)
+    return FourierField.from_modes(d, mapping, s=0.3, grid=grid, vshape=vshape)
 
 
 REAL_GRID_CASES = {

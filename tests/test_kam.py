@@ -7,9 +7,8 @@ import pytest
 from kamforge.diophantine import DiophantineParams
 from kamforge.errors import DomainError, EscapeError
 from kamforge.fourier import ActionGrid, ActionJet, FourierField
-from kamforge.kam import (KamParams, KamState, _invert_kam_change,
-                          _invert_nf_change, cubic_contraction, extract_torus, init_state,
-                          invariance_defect, kam_iterate, kam_step)
+from kamforge.kam import (KamParams, KamState, _invert_change, cubic_contraction,
+                          extract_torus, init_state, invariance_defect, kam_iterate, kam_step)
 
 OMEGA = np.array([(1 + np.sqrt(5)) / 2, 1.3247179572447460])
 OMEGA_MAT = np.array([[0.45, 0.08], [0.08, 0.55]])
@@ -38,7 +37,7 @@ def ball_noise_field(rng, vshape, scale, K=3, sym=False):
         c[idx[mm]] = np.conj(val)
     if sym:
         c[:] = 0.5 * (c + np.swapaxes(c, -1, -2))
-    return FourierField(2, np.array(modes, dtype=np.int64), c, S0_STRIP, 0.0, K,
+    return FourierField(2, np.array(modes, dtype=np.int64), c, S0_STRIP, K,
                         vshape=vshape).prune()
 
 
@@ -52,7 +51,7 @@ def make_state(rng, with_high=True):
         u = grid.node_points() / R_BALL
         cubic = (u[..., 0] ** 3 + 0.5 * u[..., 1] ** 2 * u[..., 0]) * R_BALL**3
         high = FourierField(2, base.modes, base.coeffs[:, None, None] * cubic[None],
-                            S0_STRIP, grid.tau, base.cutoff, grid=grid)
+                            S0_STRIP, base.cutoff, grid=grid)
     else:
         high = None
     return KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
@@ -120,37 +119,45 @@ def test_each_step_conjugates_the_hamiltonian(steps):
         phi = rng.uniform(0, 2 * np.pi, (N, 2))
         tt = rng.uniform(0, 2 * np.pi, N)
         rho = rng.uniform(-1, 1, (N, 2)) * after.r * 0.9
-        theta, II = _invert_kam_change(ch, phi, tt, rho)
-        dts = ch.S0.derive("time").evaluate(theta, tt)
-        if ch.S1.n_modes:
-            s1t = np.atleast_2d(ch.S1.derive("time").evaluate(theta, tt))
-            dts = dts + np.einsum("nj,nj->n", s1t, rho)
-        if ch.S2.n_modes:
-            s2t = ch.S2.derive("time").evaluate(theta, tt).reshape(N, 2, 2)
-            dts = dts + np.einsum("nj,njk,nk->n", rho, s2t, rho)
+        theta, II = _invert_change(ch.S, phi, tt, rho)
         lhs = eval_H(after, phi, tt, rho)
-        rhs = eval_H(before, theta, tt, II) + dts
+        rhs = (eval_H(before, theta, tt, ch.nu + II)
+               + ch.S.derive("time").evaluate(theta, tt, rho))
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
 
 def test_inversion_solves_the_generating_equations(steps):
-    ch = steps[1].changes[-1]
-    rng = np.random.default_rng(8)
-    N = 25
-    phi = rng.uniform(0, 2 * np.pi, (N, 2))
-    tt = rng.uniform(0, 2 * np.pi, N)
-    rho = rng.uniform(-1, 1, (N, 2)) * steps[1].r * 0.9
-    theta, II = _invert_kam_change(ch, phi, tt, rho)
-    shift = np.atleast_2d(ch.S1.evaluate(theta, tt))
-    shift = shift + 2.0 * np.einsum("nij,nj->ni",
-                                    ch.S2.evaluate(theta, tt).reshape(N, 2, 2), rho)
-    np.testing.assert_allclose(phi, theta + shift, atol=1e-12)
-    grad = ch.S0.grad_angle().evaluate(theta, tt)
-    g1 = ch.S1.grad_angle().evaluate(theta, tt).reshape(N, 2, 2)
-    grad = grad + np.einsum("nij,nj->ni", g1, rho)
-    g2 = ch.S2.grad_angle().evaluate(theta, tt).reshape(N, 2, 2, 2)
-    grad = grad + np.einsum("nj,nijk,nk->ni", rho, g2, rho)
-    np.testing.assert_allclose(II, ch.nu[None, :] + rho + grad, atol=1e-12)
+    # an averaging S on an off-centre ball, and a KAM step's S around rho = 0
+    grid = ActionGrid(np.array([1.0, 1.2]), 0.05, 5)
+    S_avg = FourierField.from_modes(
+        2, {(1, 0, 1): 1e-3, (-1, 0, -1): 1e-3,
+            (0, 1, -2): 2e-3j, (0, -1, 2): -2e-3j},
+        s=0.3, grid=grid, cutoff=8)
+    rng = np.random.default_rng(2)
+    N = 30
+    for S in (S_avg, steps[1].changes[-1].S):
+        phi = rng.uniform(0, 2 * np.pi, (N, 2))
+        tt = rng.uniform(0, 2 * np.pi, N)
+        rho = S.grid.center + rng.uniform(-1, 1, (N, 2)) * S.grid.tau * 0.9
+        theta, II = _invert_change(S, phi, tt, rho)
+        srho = np.stack([S.derive(f"action_{i}").evaluate(theta, tt, rho)
+                         for i in range(2)], axis=-1)
+        sth = S.grad_angle().evaluate(theta, tt, rho)
+        np.testing.assert_allclose(phi, theta + srho, atol=1e-12)
+        np.testing.assert_allclose(II, rho + sth, atol=1e-12)
+
+
+def test_kam_generating_function_is_quadratic_in_the_action(steps):
+    for st in steps[1:]:
+        S = st.changes[-1].S
+        d2 = S.grad_action().grad_action()
+        d3 = d2.grad_action()
+        # roundoff of three spectral derivatives of node values of size |S|
+        floor = (np.finfo(float).eps * np.abs(S.coeffs).max()
+                 * np.abs(S.grid.diff1d).sum(axis=1).max() ** 3)
+        assert np.abs(d3.coeffs).max() <= floor
+        # a cubic term as large as the quadratic one over the ball would show
+        assert np.abs(d2.coeffs).max() / st.r > 1e3 * floor
 
 
 def test_action_shift_oracle():
@@ -171,6 +178,13 @@ def test_action_shift_oracle():
     assert out.low_norm() <= 1e-20
     assert out.const == pytest.approx(1.5 + float(OMEGA @ nu)
                                       + float(nu @ OMEGA_MAT @ nu), rel=1e-14)
+    # S vanishes, so the extracted torus is flat at the shifted action
+    I_star = np.array([1.2, 1.4])
+    torus = extract_at(out, I_star)
+    phi = np.array([[0.3, 5.1], [2.2, 0.7]])
+    np.testing.assert_allclose(torus.angles(phi, 0.5), phi, atol=1e-13)
+    np.testing.assert_allclose(torus.actions(phi, 0.5),
+                               np.broadcast_to(I_star + nu, (2, 2)), rtol=0, atol=1e-15)
 
 
 def test_action_shift_outside_ball_raises():
@@ -231,7 +245,7 @@ def test_cubic_contraction_is_exact_on_node_polynomials():
     vals = [sum(a * u[..., 0] ** i * u[..., 1] ** j for (i, j), a in poly.items())
             * R_BALL**3 for poly in CUBIC_POLYS]
     coeffs = sum(base.coeffs[:, p, None, None] * vals[p][None] for p in range(2))
-    high = FourierField(2, base.modes, coeffs, S0_STRIP, grid.tau, base.cutoff, grid=grid)
+    high = FourierField(2, base.modes, coeffs, S0_STRIP, base.cutoff, grid=grid)
     nshape = (8, 8, 8)
     w = rng.standard_normal(nshape + (2,))
     got = cubic_contraction(high, w, nshape)
@@ -278,25 +292,6 @@ def test_diagnostics_rows_have_stable_keys(steps):
     assert [row["m"] for row in rows] == [1, 2, 3]
 
 
-def test_invert_nf_change_satisfies_implicit_equations():
-    rng = np.random.default_rng(2)
-    grid = ActionGrid(np.array([1.0, 1.2]), 0.05, 5)
-    S = FourierField.from_modes(
-        2, {(1, 0, 1): 1e-3, (-1, 0, -1): 1e-3,
-            (0, 1, -2): 2e-3j, (0, -1, 2): -2e-3j},
-        s=0.3, grid=grid, cutoff=8)
-    N = 30
-    phi = rng.uniform(0, 2 * np.pi, (N, 2))
-    tt = rng.uniform(0, 2 * np.pi, N)
-    rho = grid.center + rng.uniform(-1, 1, (N, 2)) * grid.tau * 0.9
-    theta, II = _invert_nf_change(S, phi, tt, rho)
-    srho = np.stack([S.derive(f"action_{i}").evaluate(theta, tt, rho)
-                     for i in range(2)], axis=-1)
-    sth = S.grad_angle().evaluate(theta, tt, rho)
-    np.testing.assert_allclose(phi, theta + srho, atol=1e-12)
-    np.testing.assert_allclose(II, rho + sth, atol=1e-12)
-
-
 def flat_torus(I_star, omega, eps=0.1):
     z = FourierField.zero(2, 0.3, cutoff=4)
     zv = FourierField.zero(2, 0.3, cutoff=4, vshape=(2,))
@@ -305,6 +300,11 @@ def flat_torus(I_star, omega, eps=0.1):
     kam_state = KamState(m=0, eps=eps, a=1.0, omega=omega, Omega=np.eye(2),
                          low=ActionJet(r0=z, r1=zv, r2=zm), high=None,
                          const=0.0, s=0.3, r=1e-4, grid=grid, s0=0.3, r0=1e-4)
+    return extract_at(kam_state, I_star)
+
+
+def extract_at(kam_state, I_star):
+    """Torus of a KAM state recentred at I_star, with no averaging changes."""
     form = SimpleNamespace(I_star=I_star)
     avg = SimpleNamespace(S_tilde=FourierField.zero(2, 0.3, cutoff=4))
     nf_state = SimpleNamespace(changes=[])

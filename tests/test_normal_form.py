@@ -75,7 +75,7 @@ def test_homological_residual_full_regime_solves_time_modes():
     R = R + FourierField.from_modes(2, {(0, 0, 1): 5e-3j, (0, 0, -1): -5e-3j},
                                     s=0.3, cutoff=R.cutoff)
     dc = DiophantineParams(d=2, gamma=1e-4, eps=0.5, a=1.0, K_split=6, K_check=12)
-    S = solve_homological(R, GOLDEN, 0.5, 1.0, dc, include_k0=True, regime="full")
+    S = solve_homological(R, GOLDEN, 0.5, 1.0, dc, regime="full")
     unsolved = R.angle_average().time_average()
     res = transport_residual(S, R, unsolved, GOLDEN, 0.5, 1.0, rng)
     assert res <= 1e-12 * max(1.0, R.norm())
@@ -87,7 +87,7 @@ def test_homological_vector_valued_components():
     rng = np.random.default_rng(3)
     R = random_real_field(rng, 2, 5, 0.3, 12, scale=1e-2, vshape=(2,))
     dc = DiophantineParams(d=2, gamma=1e-4, eps=1.0, a=1.0, K_split=5, K_check=10)
-    S = solve_homological(R, GOLDEN, 1.0, 1.0, dc, include_k0=True, regime="full")
+    S = solve_homological(R, GOLDEN, 1.0, 1.0, dc, regime="full")
     th = rng.uniform(0, 2 * np.pi, (50, 2))
     tt = rng.uniform(0, 2 * np.pi, 50)
     lhs = S.derive("time").evaluate(th, tt)
@@ -129,7 +129,7 @@ def test_implicit_angle_shift_residual_is_certified():
     S = FourierField.from_modes(
         2, {(1, 0, 1): 0.02 * nodes[..., 0], (-1, 0, -1): 0.02 * nodes[..., 0],
             (0, 1, -1): 0.01j * nodes[..., 1], (0, -1, 1): -0.01j * nodes[..., 1]},
-        s=0.3, tau=grid.tau, grid=grid)
+        s=0.3, grid=grid)
     srho = S.grad_action()
     nshape = (8, 8, 8)
     tol = 1e-13
@@ -192,15 +192,15 @@ def test_split_tail_scales_by_eps_b(chain):
 def test_push_forward_conjugates_the_hamiltonian(chain):
     spec, params = chain["spec"], chain["params"]
     state0, state1 = chain["states"][0], chain["states"][1]
-    ch = state1.changes[-1]
+    S = state1.changes[-1]
     nshape = params.nshape(spec.d)
-    U, V, iters, err = canonical_change(ch.S, nshape)
+    U, V, iters, err = canonical_change(S, nshape)
     assert iters > 0 and err < 1e-12
     # project the grids (*nshape, *gshape, d) onto vector fields in (phi, t, rho)
     ax = len(nshape)
-    cutoff = min(2 * ch.S.cutoff, (min(nshape) - 1) // 2)
-    u, v = (FourierField.from_grid(np.moveaxis(G, -1, ax), spec.d, ch.S.s, cutoff,
-                                   grid=ch.S.grid, vshape=(spec.d,)).prune()
+    cutoff = min(2 * S.cutoff, (min(nshape) - 1) // 2)
+    u, v = (FourierField.from_grid(np.moveaxis(G, -1, ax), spec.d, S.s, cutoff,
+                                   grid=S.grid, vshape=(spec.d,)).prune()
             for G in (U, V))
     rng = np.random.default_rng(5)
     N = 30
@@ -211,16 +211,16 @@ def test_push_forward_conjugates_the_hamiltonian(chain):
     II = rho + u.evaluate(phi, tt, rho)
 
     # generating-function equations phi = theta + dS/drho, I = rho + dS/dtheta
-    srho = np.stack([ch.S.derive(f"action_{i}").evaluate(th, tt, rho)
+    srho = np.stack([S.derive(f"action_{i}").evaluate(th, tt, rho)
                      for i in range(2)], axis=-1)
-    sth = ch.S.grad_angle().evaluate(th, tt, rho)
+    sth = S.grad_angle().evaluate(th, tt, rho)
     np.testing.assert_allclose(phi, th + srho, atol=2e-8)
     np.testing.assert_allclose(II, rho + sth, atol=2e-8)
 
     # H_new(phi, t, rho) = H_old(theta, t, I) + dS/dt(theta, t, rho)
     lhs = eval_state(state1, spec, phi, tt, rho)
     rhs = (eval_state(state0, spec, th, tt, II)
-           + ch.S.derive("time").evaluate(th, tt, rho))
+           + S.derive("time").evaluate(th, tt, rho))
     np.testing.assert_allclose(lhs, rhs, atol=2e-8)
 
 
@@ -295,7 +295,7 @@ def test_locate_expansion_point_solves_frequency_equation(chain):
 def test_locate_expansion_point_pure_power_law(chain):
     spec = chain["spec"]
     avg = chain["avg"]
-    z = FourierField.zero(2, avg.s, tau=avg.tau, cutoff=4, grid=avg.grid)
+    z = FourierField.zero(2, avg.s, cutoff=4, grid=avg.grid)
     flat = AveragedResult(h_bar=z, S_tilde=z, R_breve=z, grid=avg.grid,
                           s=avg.s, tau=avg.tau)
     I_star, resid = locate_expansion_point(flat, spec)
