@@ -126,25 +126,33 @@ def test_each_step_conjugates_the_hamiltonian(steps):
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
 
+def assert_inversion_solves_the_generating_equations(S, rng, N=30):
+    """phi = theta + dS/drho and I = rho + dS/dtheta at the inverted points."""
+    phi = rng.uniform(0, 2 * np.pi, (N, 2))
+    tt = rng.uniform(0, 2 * np.pi, N)
+    rho = S.grid.center + rng.uniform(-1, 1, (N, 2)) * S.grid.tau * 0.9
+    theta, II = _invert_change(S, phi, tt, rho)
+    srho = np.stack([S.derive(f"action_{i}").evaluate(theta, tt, rho)
+                     for i in range(2)], axis=-1)
+    sth = S.grad_angle().evaluate(theta, tt, rho)
+    np.testing.assert_allclose(phi, theta + srho, atol=1e-12)
+    np.testing.assert_allclose(II, rho + sth, atol=1e-12)
+
+
 def test_inversion_solves_the_generating_equations(steps):
-    # an averaging S on an off-centre ball, and a KAM step's S around rho = 0
+    # a KAM step's S around rho = 0
+    assert_inversion_solves_the_generating_equations(
+        steps[1].changes[-1].S, np.random.default_rng(2))
+
+
+def test_invert_nf_change_satisfies_implicit_equations():
+    # an averaging S on an off-centre ball
     grid = ActionGrid(np.array([1.0, 1.2]), 0.05, 5)
-    S_avg = FourierField.from_modes(
+    S = FourierField.from_modes(
         2, {(1, 0, 1): 1e-3, (-1, 0, -1): 1e-3,
             (0, 1, -2): 2e-3j, (0, -1, 2): -2e-3j},
         s=0.3, grid=grid, cutoff=8)
-    rng = np.random.default_rng(2)
-    N = 30
-    for S in (S_avg, steps[1].changes[-1].S):
-        phi = rng.uniform(0, 2 * np.pi, (N, 2))
-        tt = rng.uniform(0, 2 * np.pi, N)
-        rho = S.grid.center + rng.uniform(-1, 1, (N, 2)) * S.grid.tau * 0.9
-        theta, II = _invert_change(S, phi, tt, rho)
-        srho = np.stack([S.derive(f"action_{i}").evaluate(theta, tt, rho)
-                         for i in range(2)], axis=-1)
-        sth = S.grad_angle().evaluate(theta, tt, rho)
-        np.testing.assert_allclose(phi, theta + srho, atol=1e-12)
-        np.testing.assert_allclose(II, rho + sth, atol=1e-12)
+    assert_inversion_solves_the_generating_equations(S, np.random.default_rng(2))
 
 
 def test_kam_generating_function_is_quadratic_in_the_action(steps):
