@@ -26,7 +26,7 @@ from .duffing import (DuffingNetwork, ScaledSystem, chart_orbit, integrate,
                       rotation_vector, stability_metrics, to_hamiltonian_spec)
 from .errors import ContractionError, EscapeError, SmallDivisorError
 from .fourier import FourierField
-from .kam import KamParams, TorusEmbedding, extract_torus, init_state, invariance_defect, kam_iterate
+from .kam import KamParams, TorusEmbedding, extract_torus, invariance_defect, kam_iterate
 from .normal_form import (NormalFormParams, locate_expansion_point, run_normal_form,
                           taylor_split, time_average_transform)
 from .oscillator import ActionAngleMap, compute_period
@@ -208,18 +208,18 @@ def run_pipeline(cfg, out_dir=None, log=None):
     drift = float(np.abs(I_star - I0).max())
     r0 = float(cfg["kam"]["r0"])
     if r0 <= 0:
-        r0 = min(spec.eps ** (2 * spec.b), nf.tau / 4, 0.5 * (nf.tau - drift))
-    form = taylor_split(avg, spec, I_star, r0, kam_nodes=int(cfg["kam"]["n_nodes"]))
+        tau = nf.grid.tau
+        r0 = min(spec.eps ** (2 * spec.b), tau / 4, 0.5 * (tau - drift))
+    kam0 = taylor_split(avg, spec, I_star, r0, kam_nodes=int(cfg["kam"]["n_nodes"]))
     log(f"pipeline: expansion point {I_star} (moved {drift:.3g}, ball {r0:.3g})")
 
     kp = KamParams(dc=dcp, tol=float(cfg["kam"]["tol"]),
                    max_steps=int(cfg["kam"]["max_steps"]),
                    K_cap=int(cfg["kam"]["K_cap"]), n_nodes=int(cfg["kam"]["n_nodes"]))
-    kam = kam_iterate(init_state(form, kp), kp)
+    kam = kam_iterate(kam0, kp)
     log(f"pipeline: kam stopped after {kam.m} steps, low norm {kam.low_norm():.4g}")
 
-    torus = extract_torus(kam, form, avg, nf, n_phi=int(cfg["torus"]["n_phi"]),
-                          n_t=int(cfg["torus"]["n_t"]))
+    torus = extract_torus(kam, n_phi=int(cfg["torus"]["n_phi"]), n_t=int(cfg["torus"]["n_t"]))
     log(f"pipeline: torus extracted ({torus.theta_dev.n_modes} angle modes)")
 
     if out_dir is not None:
@@ -256,7 +256,7 @@ def run_pipeline(cfg, out_dir=None, log=None):
     return {
         "net": net, "system": sys_, "chart": aa, "dc": dcp, "I0": I0,
         "omega0": omega0, "dc_report": report, "spec": spec, "nf": nf,
-        "avg": avg, "I_star": I_star, "r0": r0, "form": form, "kam": kam,
+        "avg": avg, "I_star": I_star, "r0": r0, "kam0": kam0, "kam": kam,
         "torus": torus,
     }
 

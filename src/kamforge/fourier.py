@@ -546,7 +546,7 @@ class FourierField:
         return ifftn(C, axes=tuple(range(self.d + 1)), s=nshape) * np.prod(nshape)
 
     @classmethod
-    def from_grid(cls, values, d, s, cutoff, grid=None, vshape=(), enforce_reality=True):
+    def from_grid(cls, values, d, s, cutoff, grid=None, vshape=()):
         """Project real uniform (theta, t)-grid values onto modes with |k|+|l| <= cutoff.
 
         The l >= 0 coefficients come from rfftn and the l < 0 ones are the
@@ -580,8 +580,7 @@ class FourierField:
         total = float(weight @ mass)
         kept = float(np.abs(coeffs).sum())
         residual = 0.0 if total == 0 else max(0.0, (total - kept) / total)
-        f = cls(d, modes, coeffs, s, int(cutoff), grid=grid, vshape=vshape,
-                enforce_reality=enforce_reality)
+        f = cls(d, modes, coeffs, s, int(cutoff), grid=grid, vshape=vshape)
         f = f.prune()
         f.projection_residual = residual
         return f

@@ -10,9 +10,10 @@ with R_high vanishing to third order at rho = 0.  One step solves three
 homological equations (for the generating jet S = S0 + <S1, rho>
 + <S2 rho, rho>), shifts the action origin by nu to keep the rotation vector
 fixed, updates the twist matrix Omega, and reassembles the remainder, whose
-low-order part shrinks superlinearly while the domain radii barely move.  The
-composed changes carry an invariant-torus parametrisation back to the original
-coordinates.
+low-order part shrinks superlinearly while the domain radii barely move.  Each
+step appends its ``Change(S, nu)`` to the chain that starts with the averaging
+changes, and ``extract_torus`` unwinds the whole chain to carry the invariant
+torus back to the base action-angle frame.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import ContractionError, DomainError, EscapeError
 from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
-from .normal_form import implicit_angle_shift, solve_fixed_point, solve_homological
-from .util import fast_len
+from .normal_form import (Change, NormalFormParams, implicit_angle_shift, solve_fixed_point,
+                          solve_homological)
 
 ZETA2 = np.pi**2 / 6.0
 # Tolerance and iteration cap of the implicit angle changes unwound in extract_torus.
@@ -39,13 +40,8 @@ class KamParams:
     max_steps: int = 12
     K_cap: int = 24
     n_nodes: int = 5
-    theta_grid: tuple = None
 
-    def nshape(self, d):
-        if self.theta_grid is not None:
-            return tuple(self.theta_grid)
-        n = fast_len(2 * self.K_cap + 1)
-        return (n,) * (d + 1)
+    nshape = NormalFormParams.nshape
 
     @staticmethod
     def shrink(m):
@@ -55,14 +51,6 @@ class KamParams:
         """
         e = sum(1.0 / l**2 for l in range(1, m + 1)) / (100.0 * ZETA2)
         return 1.0 - e
-
-
-@dataclass
-class KamChange:
-    """Generating function S(theta, t, rho) of one step, on its nodes, plus its action shift."""
-
-    S: FourierField
-    nu: np.ndarray
 
 
 @dataclass
@@ -80,13 +68,8 @@ class KamState:
     grid: ActionGrid
     s0: float
     r0: float
-    nu_total: np.ndarray = None
-    changes: list = dc_field(default_factory=list)
+    changes: list = dc_field(default_factory=list)   # Change(S, nu), base frame first
     diagnostics: list = dc_field(default_factory=list)
-
-    def __post_init__(self):
-        if self.nu_total is None:
-            self.nu_total = np.zeros(len(self.omega))
 
     def low_norm(self):
         """Size of the low jet over the current ball: ||R0'|| + r ||R1|| + r^2 ||R2||.
@@ -97,31 +80,18 @@ class KamState:
         return (r0_osc.norm() + self.r * self.low.r1.norm()
                 + self.r**2 * self.low.r2.norm())
 
-
-def init_state(form, params):
-    """KamState 0 from the output of the averaging stage."""
-    d = form.low.r0.d
-    state = KamState(
-        m=0, eps=form.eps, a=form.a, omega=np.asarray(form.omega, dtype=float),
-        Omega=np.asarray(form.Omega, dtype=float), low=form.low, high=form.high,
-        const=float(form.const), s=form.s, r=form.r0, grid=form.grid,
-        s0=form.s, r0=form.r0,
-    )
-    state.diagnostics.append(_diag_row(state, 0.0, 0.0, np.zeros(d)))
-    return state
-
-
-def _diag_row(state, taylor_err, proj_res, nu):
-    r0_osc = state.low.r0 - state.low.r0.time_average().angle_average()
-    return {
-        "m": state.m, "R0_norm": r0_osc.norm(), "R1_norm": state.low.r1.norm(),
-        "R2_norm": state.low.r2.norm(), "low_norm": state.low_norm(),
-        "high_norm": state.high.norm() if state.high is not None else 0.0,
-        "nu_inf": float(np.abs(nu).max(initial=0.0)),
-        "dOmega": 0.0, "s": state.s, "r": state.r,
-        "taylor_err": taylor_err, "projection_residual": proj_res,
-        "fp_iters": 0,
-    }
+    def diag_row(self, taylor_err, proj_res, nu):
+        """Diagnostics row of this state, reached by a step with action shift nu."""
+        r0_osc = self.low.r0 - self.low.r0.time_average().angle_average()
+        return {
+            "m": self.m, "R0_norm": r0_osc.norm(), "R1_norm": self.low.r1.norm(),
+            "R2_norm": self.low.r2.norm(), "low_norm": self.low_norm(),
+            "high_norm": self.high.norm() if self.high is not None else 0.0,
+            "nu_inf": float(np.abs(nu).max(initial=0.0)),
+            "dOmega": 0.0, "s": self.s, "r": self.r,
+            "taylor_err": taylor_err, "projection_residual": proj_res,
+            "fp_iters": 0,
+        }
 
 
 def _mode_zero(field):
@@ -169,10 +139,10 @@ def kam_step(state, params):
     Om = state.Omega
 
     # homological solves ----------------------------------------------------
-    S0 = solve_homological(R0, omega, eps, a, params.dc, regime="full")
+    S0 = solve_homological(R0, omega, params.dc, regime="full")
     A0 = S0.grad_angle()                       # d(theta) S0, vector field
     Rstar = (R1 + _matrix_apply(2.0 * epa * Om, A0)).prune()
-    S1 = solve_homological(Rstar, omega, eps, a, params.dc, regime="full")
+    S1 = solve_homological(Rstar, omega, params.dc, regime="full")
     nu = -0.5 * ea * np.linalg.solve(Om, _mode_zero(Rstar))
     if np.abs(nu).max(initial=0.0) > 0.25 * r_next:
         raise DomainError(
@@ -194,7 +164,7 @@ def kam_step(state, params):
     else:
         T3w = None
         Rss = (R2 + symOmG).prune()
-    S2 = solve_homological(Rss, omega, eps, a, params.dc, regime="full")
+    S2 = solve_homological(Rss, omega, params.dc, regime="full")
     S2 = S2.replace(coeffs=0.5 * (S2.coeffs + np.swapaxes(S2.coeffs, 1, 2)),
                     _canonical=True, enforce_reality=False)
     dOm = ea * _mode_zero(Rss)
@@ -269,11 +239,10 @@ def kam_step(state, params):
         m=m_next, eps=eps, a=a, omega=omega, Omega=Om_new,
         low=ActionJet(r0=R0n, r1=R1n, r2=R2n), high=highn, const=C_new,
         s=s_next, r=r_next, grid=grid_new, s0=state.s0, r0=state.r0,
-        nu_total=state.nu_total + nu,
-        changes=state.changes + [KamChange(S=S, nu=nu)],
+        changes=state.changes + [Change(S, nu)],
         diagnostics=list(state.diagnostics),
     )
-    row = _diag_row(new_state, max(taylor_errs), proj_res, nu)
+    row = new_state.diag_row(max(taylor_errs), proj_res, nu)
     row["dOmega"] = float(np.abs(dOm).max(initial=0.0))
     row["fp_iters"] = fp_iters
     new_state.diagnostics.append(row)
@@ -323,12 +292,15 @@ def _invert_change(S, phi, t, rho):
     return theta, rho + S.grad_angle().evaluate(theta, t, rho)
 
 
-def extract_torus(kam_state, form, avg, nf_state, n_phi=32, n_t=32, cutoff=None):
+def extract_torus(kam_state, n_phi=32, n_t=32):
     """Pull the persistent torus rho = 0 back to the base action-angle frame.
 
-    Walks the KAM changes innermost-first, recentres at the matched action I*,
-    applies the time-average twist, then unwinds the averaging changes.  The
-    embedding is projected once onto a Fourier series over the parameters.
+    Walks the state's chain of changes innermost-first: the KAM steps, the
+    recentring at I*, the time average and the averaging steps, each unwound
+    by ``_invert_change`` and its action shift.  The embedding is projected
+    once onto a Fourier series over the parameters, up to the widest 1-norm
+    ball the grid represents (``from_grid`` trims each axis at its Nyquist
+    order).
     """
     d = len(kam_state.omega)
     axes = [np.linspace(0, 2 * np.pi, n_phi, endpoint=False) for _ in range(d)]
@@ -339,22 +311,14 @@ def extract_torus(kam_state, form, avg, nf_state, n_phi=32, n_t=32, cutoff=None)
 
     theta = phi0.copy()
     rho = np.zeros_like(phi0)
-    for ch in reversed(kam_state.changes):
-        theta, rho = _invert_change(ch.S, theta, tt, rho)
-        rho = rho + ch.nu
-    II = form.I_star[None, :] + rho
-    if avg.S_tilde.n_modes:
-        theta = theta + avg.S_tilde.grad_action().evaluate(np.zeros_like(theta), tt, II)
-    for S in reversed(nf_state.changes):
-        theta, II = _invert_change(S, theta, tt, II)
+    for S, nu in reversed(kam_state.changes):
+        theta, rho = _invert_change(S, theta, tt, rho)
+        rho = rho + nu
 
     gshape = (n_phi,) * d + (n_t,)
     dev = (theta - phi0).reshape(gshape + (d,))
-    act = II.reshape(gshape + (d,))
-    if cutoff is None:
-        # widest representable 1-norm ball; the per-axis Nyquist guard in
-        # from_grid trims each direction on its own
-        cutoff = sum((g - 1) // 2 for g in gshape)
+    act = rho.reshape(gshape + (d,))
+    cutoff = sum((g - 1) // 2 for g in gshape)
     s_emb = max(kam_state.s, 1e-6)
     theta_dev = FourierField.from_grid(np.moveaxis(dev, -1, d + 1), d, s_emb,
                                        cutoff, vshape=(d,)).prune(1e-14)

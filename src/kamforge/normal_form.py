@@ -17,9 +17,14 @@ A final time average removes the oscillation of h itself, after which
 ``locate_expansion_point`` and ``taylor_split`` recentre the system at the
 action I* whose corrected frequency matches the target and split the remainder
 into a quadratic jet plus a cubic tail, the starting data for the KAM stage.
+
+Every stage records its coordinate changes as one chain of ``Change(S, nu)``
+entries, each extending the previous stage's list: the averaging steps, the
+time average, the recentring at I* and the KAM steps.
 """
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +39,23 @@ FLOOR_SCALE = 0.5
 LIPSCHITZ_MAX = 0.5
 # Time samples at which twist_compose stops doubling its grid.
 TWIST_MAX_T = 4096
+# Residual and iteration cap of the frequency-matching Newton solve.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+
+
+class Change(NamedTuple):
+    """Canonical change: the one generated by S(theta, t, rho), then I -> I + nu.
+
+    Old coordinates follow from new ones (phi, rho) by solving
+    phi = theta + dS/drho(theta, t, rho) for theta, then
+    I = rho + dS/dtheta(theta, t, rho) + nu (see ``kam._invert_change``).
+    Averaging and time-average changes have nu = 0; the recentring at I* has
+    an empty S.
+    """
+
+    S: FourierField
+    nu: object
 
 
 @dataclass
@@ -101,13 +123,14 @@ class NormalFormParams:
         return int(min(self.K0 * 2**j, self.K_cap))
 
     def nshape(self, d):
+        """Uniform (theta, t) grid resolving every mode up to order K_cap."""
         n = fast_len(2 * self.K_cap + 1)
         return (n,) * (d + 1)
 
 
 @dataclass
 class NormalFormState:
-    """One averaging stage; ``changes`` holds each step's generating function S."""
+    """One averaging stage; ``changes`` holds one ``Change(S, 0.0)`` per step."""
 
     j: int
     h: FourierField
@@ -115,7 +138,6 @@ class NormalFormState:
     R_plus: FourierField
     grid: ActionGrid
     s: float
-    tau: float
     K: int
     changes: list = dc_field(default_factory=list)
     diagnostics: list = dc_field(default_factory=list)
@@ -143,7 +165,6 @@ def split_tail(spec, params):
         R_plus=W.tail(K0).prune(),
         grid=grid0,
         s=spec.s0,
-        tau=spec.tau0,
         K=K0,
     )
     state.diagnostics.append({
@@ -155,13 +176,13 @@ def split_tail(spec, params):
     return state
 
 
-def solve_homological(R, omega_fn, eps, a, dc, regime="split"):
+def solve_homological(R, omega_fn, dc, regime="split"):
     """Mode-wise solution S of dS/dt + eps^(-a) <omega, dS/dtheta> = -P R.
 
-    The regime sets the solved modes P and the divisor floor.  'split' (the
-    averaging) solves k != 0 against the first-regime bound with the
-    eps^(-a) factor; 'full' (the KAM step) solves all (k, l) != 0 against the
-    classical bound gamma / (1 + |k|)^(d+1).  Each divisor
+    eps^(-a) is ``dc.eps_pow``.  The regime sets the solved modes P and the
+    divisor floor.  'split' (the averaging) solves k != 0 against
+    ``dc.bound_regime1``; 'full' (the KAM step) solves all (k, l) != 0
+    against the classical ``dc.bound_regime2``.  Each divisor
     eps^(-a) <k, omega> + l is checked against ``FLOOR_SCALE`` times that
     bound; a violation raises SmallDivisorError.  omega_fn is a callable on
     actions or a fixed vector.
@@ -190,14 +211,11 @@ def solve_homological(R, omega_fn, eps, a, dc, regime="split"):
     else:
         dots = np.tensordot(k[sel].astype(float), om, axes=([1], [-1]))  # (Ms, *gshape)
         extra = om.shape[:-1]
-    delta = eps ** (-a) * dots + l[sel].reshape((-1,) + (1,) * len(extra))
+    delta = dc.eps_pow * dots + l[sel].reshape((-1,) + (1,) * len(extra))
 
     kn = knorm[sel].astype(float)
-    if regime == "split":
-        floor = eps ** (-a) * dc.gamma / kn ** (dc.d + 1)
-    else:
-        floor = dc.gamma / (1.0 + kn) ** (dc.d + 1)
-    floor = FLOOR_SCALE * floor
+    bound = dc.bound_regime1 if regime == "split" else dc.bound_regime2
+    floor = FLOOR_SCALE * bound(kn)
     dmin = np.abs(delta).reshape(delta.shape[0], -1).min(axis=1)
     bad = dmin < floor
     if np.any(bad):
@@ -338,9 +356,8 @@ def push_forward(state, S, spec, params):
         R_plus=Rt.tail(K_next).prune(),
         grid=grid_new,
         s=s_next,
-        tau=tau_next,
         K=K_next,
-        changes=state.changes + [S],
+        changes=state.changes + [Change(S, 0.0)],
         diagnostics=list(state.diagnostics),
     )
     new_state.diagnostics.append({
@@ -357,8 +374,7 @@ def run_normal_form(spec, params):
     """Run m0 averaging steps; returns the final NormalFormState."""
     state = split_tail(spec, params)
     for _ in range(params.m0):
-        S = solve_homological(state.R, spec.omega, spec.eps, spec.a, params.dc,
-                              regime="split")
+        S = solve_homological(state.R, spec.omega, params.dc, regime="split")
         state = push_forward(state, S, spec, params)
     return state
 
@@ -450,7 +466,7 @@ class AveragedResult:
     R_breve: FourierField      # remainder after the angle twist theta -> theta + dS/dI
     grid: ActionGrid
     s: float
-    tau: float
+    changes: list              # the averaging chain plus Change(-S_tilde, 0.0)
 
 
 def _h_bar_jet(avg, points):
@@ -466,14 +482,16 @@ def _h_bar_jet(avg, points):
     return val, g, 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
-def time_average_transform(state, spec, tol=1e-12):
+def time_average_transform(state, spec):
     """Remove the oscillating part of h by the exact change theta -> theta + dS/dI.
 
     S(t, I) is the zero-mean primitive in t of <h> - h; the transformed
     Hamiltonian is eps^(-a) H0(I) + <h>(I) + R_breve(theta, t, I) where
     R_breve(theta, t, I) = R(theta + dS/dI(t, I), t, I): the oscillation of h
     cancels exactly against dS/dt, and the angle shift is computed without
-    truncation in theta by twisting each angle mode.
+    truncation in theta by twisting each angle mode.  The change is generated
+    by -S, whose angle-free S leaves the action unchanged, and is appended to
+    the chain as ``Change(-S, 0.0)``.
     """
     h = state.h
     hbar = h.time_average()
@@ -491,78 +509,59 @@ def time_average_transform(state, spec, tol=1e-12):
     R_tilde = (state.R + state.R_plus).prune()
     if S_tilde.n_modes:
         delta = S_tilde.grad_action()
-        R_breve = twist_compose(R_tilde, delta, tol=tol)
+        R_breve = twist_compose(R_tilde, delta)
     else:
         R_breve = R_tilde
     return AveragedResult(h_bar=hbar, S_tilde=S_tilde, R_breve=R_breve,
-                          grid=state.grid, s=state.s, tau=state.tau)
+                          grid=state.grid, s=state.s,
+                          changes=state.changes + [Change(S_tilde * -1.0, 0.0)])
 
 
-def locate_expansion_point(avg, spec, omega_target=None, tol=1e-12, max_iter=50):
-    """Newton-solve grad H0(I) + eps^a grad <h>(I) = omega_target inside the ball.
+def locate_expansion_point(avg, spec):
+    """Newton-solve grad H0(I) + eps^a grad <h>(I) = omega(I0) inside the ball.
 
     Returns (I_star, residual_vector).  DomainError if an iterate leaves the
     node box of the averaged data.
     """
-    if omega_target is None:
-        omega_target = spec.omega(spec.I0)
-    omega_target = np.asarray(omega_target, dtype=float)
+    omega_target = spec.omega(spec.I0)
     ea = spec.eps ** spec.a
     lo = avg.grid.center - avg.grid.tau
     hi = avg.grid.center + avg.grid.tau
     I = spec.I0.astype(float).copy()
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if np.any(I < lo - 1e-12) or np.any(I > hi + 1e-12):
             raise DomainError(
                 f"frequency matching left the averaged action ball at I = {I}")
         _, hg, hh = _h_bar_jet(avg, I[None])
         g = spec.H0.grad(I) + ea * hg[0] - omega_target
-        if float(np.abs(g).max()) <= tol:
+        if float(np.abs(g).max()) <= NEWTON_TOL:
             return I, g
         I = I - np.linalg.solve(spec.H0.hess(I) + ea * hh[0], g)
     g = spec.H0.grad(I) + ea * _h_bar_jet(avg, I[None])[1][0] - omega_target
-    if float(np.abs(g).max()) > tol:
+    if float(np.abs(g).max()) > NEWTON_TOL:
         raise ContractionError(
             f"frequency matching stalled with residual {float(np.abs(g).max()):.3e}")
     return I, g
 
 
-@dataclass
-class AveragedForm:
-    """KAM-ready data: quadratic model at I* plus sampled cubic remainder.
-
-    The Hamiltonian equals const + eps^(-a)(<omega, rho> + <Omega rho, rho>)
-    + R0 + <R1, rho> + <R2 rho, rho> + high(theta, t, rho) with rho = I - I*,
-    exactly (the frequency-matching residual is folded into R1).
-    """
-
-    I_star: np.ndarray
-    Omega: np.ndarray
-    omega: np.ndarray
-    const: float
-    low: ActionJet
-    high: FourierField
-    grid: ActionGrid
-    s: float
-    r0: float
-    eps: float
-    a: float
-
-
-def taylor_split(avg, spec, I_star, r0, omega_target=None, kam_nodes=5, s=None):
+def taylor_split(avg, spec, I_star, r0, kam_nodes=5):
     """Expand the averaged Hamiltonian at I* and split off the cubic remainder.
 
-    The remainder field is split by ``jet_split`` at I* into R0 + <R1, rho>
-    + <R2 rho, rho> plus a cubic tail sampled on a fresh node ball of radius
-    r0 around zero.  The integrable part contributes its own exact cubic tail
-    on the same nodes.
+    Returns the KAM stage's starting ``KamState`` (m = 0, with its first
+    diagnostics row), whose Hamiltonian is exactly
+    const + eps^(-a)(<omega, rho> + <Omega rho, rho>) + R0 + <R1, rho>
+    + <R2 rho, rho> + high(theta, t, rho) with rho = I - I* and omega = omega(I0);
+    the frequency-matching residual is folded into R1.  The remainder field is
+    split by ``jet_split`` at I* into the quadratic jet plus a cubic tail
+    sampled on a fresh node ball of radius r0 around zero.  The integrable
+    part contributes its own exact cubic tail on the same nodes.  The state's
+    chain is the averaging chain plus the recentring ``Change(empty S, I*)``.
     """
+    from .kam import KamState
+
     d = spec.d
-    if omega_target is None:
-        omega_target = spec.omega(spec.I0)
-    omega_target = np.asarray(omega_target, dtype=float)
-    if s is None:
-        s = avg.s
+    omega_target = spec.omega(spec.I0)
+    s = avg.s
     ea = spec.eps ** spec.a
     epa = spec.eps ** (-spec.a)
     hv, hg, hh = _h_bar_jet(avg, I_star[None])
@@ -593,8 +592,11 @@ def taylor_split(avg, spec, I_star, r0, omega_target=None, kam_nodes=5, s=None):
                              grid=kgrid)
     high = (high + zero_mode).prune()
 
-    return AveragedForm(
-        I_star=np.asarray(I_star, dtype=float), Omega=Omega, omega=omega_target,
-        const=const, low=ActionJet(r0=R0, r1=R1, r2=R2), high=high, grid=kgrid,
-        s=s, r0=float(r0), eps=spec.eps, a=spec.a,
+    recentre = Change(FourierField.zero(d, s, grid=kgrid), np.asarray(I_star, dtype=float))
+    state = KamState(
+        m=0, eps=spec.eps, a=spec.a, omega=omega_target, Omega=Omega,
+        low=ActionJet(r0=R0, r1=R1, r2=R2), high=high, const=float(const), s=s,
+        r=float(r0), grid=kgrid, s0=s, r0=float(r0), changes=avg.changes + [recentre],
     )
+    state.diagnostics.append(state.diag_row(0.0, 0.0, np.zeros(d)))
+    return state

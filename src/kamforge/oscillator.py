@@ -24,14 +24,18 @@ ORIGIN_ENERGY_FLOOR = 1e-12
 REFERENCE_SUBSTEPS = 16
 # Newton steps that refine the nearest-sample angle in from_cartesian.
 NEWTON_STEPS = 4
+# Relative error bound on the period quadrature in compute_period.
+PERIOD_RTOL = 1e-12
+# Reference-orbit Fourier coefficients below this fraction of the largest are dropped.
+SPECTRUM_REL_TOL = 1e-15
 
 
-def compute_period(n, rtol=1e-12):
+def compute_period(n):
     """Period T0 of the energy-one reference orbit of x'' + x^(2n+1) = 0.
 
     The quarter-period integral is regularized by the substitution
     x = sin(t**(n+1))**(1/(n+1)), which leaves a smooth integrand; the
-    quadrature error estimate is checked against ``rtol``.
+    quadrature error estimate is checked against ``PERIOD_RTOL``.
     """
     n = int(n)
     if n < 0:
@@ -49,7 +53,7 @@ def compute_period(n, rtol=1e-12):
     b = (np.pi / 2.0) ** (1.0 / (n + 1))
     val, err = scipy.integrate.quad(g, 0.0, b, epsabs=1e-14, epsrel=1e-13, limit=200)
     T0 = 4.0 * np.sqrt(n + 1.0) * val
-    if err * 4.0 * np.sqrt(n + 1.0) > rtol * T0:
+    if err * 4.0 * np.sqrt(n + 1.0) > PERIOD_RTOL * T0:
         raise RuntimeError(f"period quadrature error {err:.3e} above tolerance")
     return T0
 
@@ -74,17 +78,17 @@ def _integrate_reference(n, t_grid, substeps):
     return out
 
 
-def _real_spectrum(samples, rel_tol=1e-15):
+def _real_spectrum(samples):
     """Fourier modes q and coefficients of real periodic samples, |q| < N/2.
 
-    Coefficients are conjugate-symmetrised and those below ``rel_tol`` times
-    the largest are dropped.
+    Coefficients are conjugate-symmetrised and those below ``SPECTRUM_REL_TOL``
+    times the largest are dropped.
     """
     N = samples.size
     qs = np.arange(-(N // 2 - 1), N // 2)
     c = fftn(samples.astype(complex))[np.mod(qs, N)] / N
     c = 0.5 * (c + np.conj(c[::-1]))
-    keep = np.abs(c) >= rel_tol * np.abs(c).max()
+    keep = np.abs(c) >= SPECTRUM_REL_TOL * np.abs(c).max()
     return qs[keep], c[keep]
 
 

@@ -181,7 +181,7 @@ def test_criterion_2_symplecticity(pipeline_run, kam_synthetic):
     defects.append(symplectic_defect(chart_map, w, [1e-6] * (2 * m), m))
 
     tt = rng.uniform(0, 2 * np.pi, 20)
-    for S in res["nf"].changes:
+    for S, _ in res["nf"].changes:
         w = np.concatenate(
             [rng.uniform(0, 2 * np.pi, (20, m)),
              S.grid.center + rng.uniform(-0.3, 0.3, (20, m)) * S.grid.tau],
@@ -223,13 +223,13 @@ def test_criterion_3_homological_exactness():
     dc_split = DiophantineParams(d=2, gamma=1e-4, eps=0.5, a=2.0,
                                  K_split=10, K_check=20)
     R = random_real_field(rng, 2, 8, 0.3, 25)
-    S = solve_homological(R, GOLDEN, 0.5, 2.0, dc_split)
+    S = solve_homological(R, GOLDEN, dc_split)
     rels.append(transport_residual(S, R, R.angle_average(), GOLDEN, 0.5, 2.0, rng))
 
     dc_full = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30)
     for vshape, sym in [((), False), ((2,), False), ((2, 2), True)]:
         R = random_real_field(rng, 2, 8, 0.3, 25, vshape=vshape, sym=sym)
-        S = solve_homological(R, GOLDEN, 1.0, 1.0, dc_full, regime="full")
+        S = solve_homological(R, GOLDEN, dc_full, regime="full")
         rels.append(transport_residual(
             S, R, R.angle_average().time_average(), GOLDEN, 1.0, 1.0, rng))
 
@@ -244,7 +244,7 @@ def test_criterion_3_homological_exactness():
 def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     cfg, _, res = pipeline_run
     states, _ = kam_synthetic
-    spec, nf, avg, form = res["spec"], res["nf"], res["avg"], res["form"]
+    spec, nf, avg, form = res["spec"], res["nf"], res["avg"], res["kam0"]
     m = res["net"].m
     eps_a = spec.eps ** (-spec.a)
     eps_b = spec.eps ** (-spec.b)
@@ -256,14 +256,14 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     P = 50
     phi = rng.uniform(0, 2 * np.pi, (P, m))
     tt = rng.uniform(0, 2 * np.pi, P)
-    rho = spec.I0[None, :] + rng.uniform(-0.5, 0.5, (P, m)) * nf.tau
+    rho = spec.I0[None, :] + rng.uniform(-0.5, 0.5, (P, m)) * nf.grid.tau
     H_fin = (eps_a * spec.H0.value(rho) + nf.h.evaluate(phi, tt, rho)
              + nf.R.evaluate(phi, tt, rho))
     if nf.R_plus.n_modes:
         H_fin = H_fin + nf.R_plus.evaluate(phi, tt, rho)
     theta, II = phi.copy(), rho.copy()
     dts = np.zeros(P)
-    for S in reversed(nf.changes):
+    for S, _ in reversed(nf.changes):
         rho_stage = II.copy()
         theta, II = _invert_change(S, theta, tt, rho_stage)
         dts += S.derive("time").evaluate(theta, tt, rho_stage)
@@ -293,7 +293,7 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
            + form.low.evaluate_low(phi, tt, rho_s))
     if form.high.n_modes:
         lhs = lhs + form.high.evaluate(phi, tt, rho_s)
-    I_abs = form.I_star[None, :] + rho_s
+    I_abs = res["I_star"][None, :] + rho_s
     rhs = (eps_a * spec.H0.value(I_abs) + avg.h_bar.evaluate(phi, tt, I_abs)
            + avg.R_breve.evaluate(phi, tt, I_abs))
     scale = max(1.0, float(np.abs(rhs).max()))

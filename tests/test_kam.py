@@ -1,5 +1,5 @@
+import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from kamforge.diophantine import DiophantineParams
 from kamforge.errors import DomainError, EscapeError
 from kamforge.fourier import ActionGrid, ActionJet, FourierField
 from kamforge.kam import (KamParams, KamState, _invert_change, cubic_contraction,
-                          extract_torus, init_state, invariance_defect, kam_iterate, kam_step)
+                          extract_torus, invariance_defect, kam_iterate, kam_step)
+from kamforge.normal_form import Change
 
 OMEGA = np.array([(1 + np.sqrt(5)) / 2, 1.3247179572447460])
 OMEGA_MAT = np.array([[0.45, 0.08], [0.08, 0.55]])
@@ -61,8 +62,7 @@ def make_state(rng, with_high=True):
 
 
 def make_params(**kw):
-    kw.setdefault("K_cap", 16)
-    kw.setdefault("theta_grid", (16, 16, 16))
+    kw.setdefault("K_cap", 7)
     kw.setdefault("tol", 1e-30)
     kw.setdefault("max_steps", 3)
     return KamParams(dc=DC, **kw)
@@ -276,22 +276,6 @@ def test_iterate_stops_at_tolerance():
     assert out.low_norm() <= 1e-6
 
 
-def test_init_state_copies_the_averaged_form(steps):
-    src = steps[0]
-    form = SimpleNamespace(eps=src.eps, a=src.a, omega=src.omega, Omega=src.Omega,
-                           low=src.low, high=src.high, const=2.5, s=src.s,
-                           r0=src.r, grid=src.grid)
-    state = init_state(form, make_params())
-    assert state.m == 0
-    assert state.const == 2.5
-    assert state.low_norm() == pytest.approx(src.low_norm())
-    assert state.diagnostics[0]["m"] == 0
-    keys = {"m", "R0_norm", "R1_norm", "R2_norm", "low_norm", "high_norm",
-            "nu_inf", "dOmega", "s", "r", "taylor_err", "projection_residual",
-            "fp_iters"}
-    assert keys <= set(state.diagnostics[0])
-
-
 def test_diagnostics_rows_have_stable_keys(steps):
     rows = steps[-1].diagnostics
     keys = set(rows[0])
@@ -312,11 +296,10 @@ def flat_torus(I_star, omega, eps=0.1):
 
 
 def extract_at(kam_state, I_star):
-    """Torus of a KAM state recentred at I_star, with no averaging changes."""
-    form = SimpleNamespace(I_star=I_star)
-    avg = SimpleNamespace(S_tilde=FourierField.zero(2, 0.3, cutoff=4))
-    nf_state = SimpleNamespace(changes=[])
-    return extract_torus(kam_state, form, avg, nf_state, n_phi=8, n_t=8)
+    """Torus of a KAM state whose chain starts with the recentring at I_star."""
+    recentre = Change(FourierField.zero(2, 0.3, grid=kam_state.grid), I_star)
+    chain = dataclasses.replace(kam_state, changes=[recentre] + kam_state.changes)
+    return extract_torus(chain, n_phi=8, n_t=8)
 
 
 def test_extract_flat_torus():

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kamforge.diophantine import DiophantineParams
 from kamforge.errors import ContractionError, SmallDivisorError
 from kamforge.fourier import ActionGrid, FourierField, compose_shifted_grid
+from kamforge.kam import INVERT_TOL, _invert_change
 from kamforge.normal_form import (AveragedResult, HamiltonianSpec,
                                   NormalFormParams, canonical_change,
                                   implicit_angle_shift, locate_expansion_point,
@@ -48,7 +51,7 @@ def test_homological_single_mode_closed_form():
     omega = np.array([2.0, np.sqrt(2.0)])
     dc = DiophantineParams(d=2, gamma=1e-3, eps=1.0, a=1.0, K_split=6, K_check=12)
     R = FourierField.from_modes(2, {(1, 0, 1): 0.5, (-1, 0, -1): 0.5}, s=0.3)
-    S = solve_homological(R, omega, 1.0, 1.0, dc)
+    S = solve_homological(R, omega, dc)
     rng = np.random.default_rng(0)
     th = rng.uniform(0, 2 * np.pi, (40, 2))
     tt = rng.uniform(0, 2 * np.pi, 40)
@@ -62,7 +65,7 @@ def test_homological_residual_split_regime(eps, a):
     rng = np.random.default_rng(42)
     R = random_real_field(rng, 2, 6, 0.3, 20, scale=1e-2)
     dc = DiophantineParams(d=2, gamma=1e-4, eps=eps, a=a, K_split=6, K_check=12)
-    S = solve_homological(R, GOLDEN, eps, a, dc, regime="split")
+    S = solve_homological(R, GOLDEN, dc, regime="split")
     res = transport_residual(S, R, R.angle_average(), GOLDEN, eps, a, rng)
     assert res <= 1e-12 * max(1.0, R.norm())
     # the k = 0 modes stay untouched in the split regime
@@ -75,7 +78,7 @@ def test_homological_residual_full_regime_solves_time_modes():
     R = R + FourierField.from_modes(2, {(0, 0, 1): 5e-3j, (0, 0, -1): -5e-3j},
                                     s=0.3, cutoff=R.cutoff)
     dc = DiophantineParams(d=2, gamma=1e-4, eps=0.5, a=1.0, K_split=6, K_check=12)
-    S = solve_homological(R, GOLDEN, 0.5, 1.0, dc, regime="full")
+    S = solve_homological(R, GOLDEN, dc, regime="full")
     unsolved = R.angle_average().time_average()
     res = transport_residual(S, R, unsolved, GOLDEN, 0.5, 1.0, rng)
     assert res <= 1e-12 * max(1.0, R.norm())
@@ -87,7 +90,7 @@ def test_homological_vector_valued_components():
     rng = np.random.default_rng(3)
     R = random_real_field(rng, 2, 5, 0.3, 12, scale=1e-2, vshape=(2,))
     dc = DiophantineParams(d=2, gamma=1e-4, eps=1.0, a=1.0, K_split=5, K_check=10)
-    S = solve_homological(R, GOLDEN, 1.0, 1.0, dc, regime="full")
+    S = solve_homological(R, GOLDEN, dc, regime="full")
     th = rng.uniform(0, 2 * np.pi, (50, 2))
     tt = rng.uniform(0, 2 * np.pi, 50)
     lhs = S.derive("time").evaluate(th, tt)
@@ -102,7 +105,7 @@ def test_homological_raises_on_resonance():
     R = FourierField.from_modes(2, {(1, -1, 0): 1e-3, (-1, 1, 0): 1e-3}, s=0.3)
     dc = DiophantineParams(d=2, gamma=1e-3, eps=1.0, a=1.0, K_split=6, K_check=12)
     with pytest.raises(SmallDivisorError) as err:
-        solve_homological(R, np.array([1.0, 1.0]), 1.0, 1.0, dc)
+        solve_homological(R, np.array([1.0, 1.0]), dc)
     assert err.value.mode in ((1, -1, 0), (-1, 1, 0))
     assert err.value.divisor == pytest.approx(0.0, abs=1e-15)
     assert err.value.floor > 0
@@ -159,14 +162,13 @@ def chain():
     params = NormalFormParams(dc=dc, m0=2, K0=4, K_cap=8, n_nodes=5)
     states = [split_tail(spec, params)]
     for _ in range(params.m0):
-        S = solve_homological(states[-1].R, spec.omega, spec.eps, spec.a,
-                              params.dc, regime="split")
+        S = solve_homological(states[-1].R, spec.omega, params.dc, regime="split")
         states.append(push_forward(states[-1], S, spec, params))
     avg = time_average_transform(states[-1], spec)
     I_star, resid = locate_expansion_point(avg, spec)
-    form = taylor_split(avg, spec, I_star, 2e-4)
+    kam0 = taylor_split(avg, spec, I_star, 2e-4)
     return {"spec": spec, "params": params, "states": states, "avg": avg,
-            "I_star": I_star, "resid": resid, "form": form}
+            "I_star": I_star, "resid": resid, "kam0": kam0}
 
 
 def eval_state(state, spec, th, tt, I):
@@ -192,7 +194,7 @@ def test_split_tail_scales_by_eps_b(chain):
 def test_push_forward_conjugates_the_hamiltonian(chain):
     spec, params = chain["spec"], chain["params"]
     state0, state1 = chain["states"][0], chain["states"][1]
-    S = state1.changes[-1]
+    S = state1.changes[-1].S
     nshape = params.nshape(spec.d)
     U, V, iters, err = canonical_change(S, nshape)
     assert iters > 0 and err < 1e-12
@@ -254,6 +256,31 @@ def test_time_average_removes_oscillation(chain):
                                R_tilde.evaluate(th + delta, tt, I), atol=1e-15)
 
 
+def test_time_average_change_inverts_to_the_angle_twist(chain):
+    spec = chain["spec"]
+    state = chain["states"][-1]
+    grid = state.grid
+    # an oscillation of h whose action gradient is far above the inversion tolerance
+    rel = grid.node_points() - grid.center
+    z = 1e-3 * (rel[..., 0] + 0.5j * rel[..., 1])
+    osc = FourierField.from_modes(2, {(0, 0, 1): z, (0, 0, -1): np.conj(z)},
+                                  s=state.s, grid=grid, cutoff=state.h.cutoff)
+    avg = time_average_transform(dataclasses.replace(state, h=state.h + osc), spec)
+    assert avg.changes[:-1] == state.changes
+    S, nu = avg.changes[-1]
+    assert nu == 0.0
+    rng = np.random.default_rng(6)
+    N = 40
+    phi = rng.uniform(0, 2 * np.pi, (N, 2))
+    tt = rng.uniform(0, 2 * np.pi, N)
+    I = grid.center + rng.uniform(-1, 1, (N, 2)) * grid.tau * 0.9
+    twist = avg.S_tilde.grad_action().evaluate(phi, tt, I)
+    assert np.abs(twist).max() > 1e6 * INVERT_TOL
+    theta, II = _invert_change(S, phi, tt, I)
+    np.testing.assert_allclose(theta, phi + twist, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(II, I)
+
+
 def test_twist_compose_matches_direct_shift():
     grid = ActionGrid(np.array([1.0, 1.5]), 0.1, 5)
     nodes = grid.node_points()
@@ -297,7 +324,7 @@ def test_locate_expansion_point_pure_power_law(chain):
     avg = chain["avg"]
     z = FourierField.zero(2, avg.s, cutoff=4, grid=avg.grid)
     flat = AveragedResult(h_bar=z, S_tilde=z, R_breve=z, grid=avg.grid,
-                          s=avg.s, tau=avg.tau)
+                          s=avg.s, changes=avg.changes)
     I_star, resid = locate_expansion_point(flat, spec)
     np.testing.assert_allclose(I_star, spec.I0, atol=1e-14)
     np.testing.assert_allclose(resid, 0.0, atol=1e-14)
@@ -306,7 +333,7 @@ def test_locate_expansion_point_pure_power_law(chain):
 def test_taylor_split_reproduces_hamiltonian(chain):
     spec = chain["spec"]
     avg = chain["avg"]
-    form = chain["form"]
+    form = chain["kam0"]
     I_star = chain["I_star"]
     np.testing.assert_array_equal(form.omega, spec.omega(spec.I0))
     np.testing.assert_allclose(form.Omega, form.Omega.T, atol=1e-15)
@@ -326,6 +353,28 @@ def test_taylor_split_reproduces_hamiltonian(chain):
     # the sampled tail vanishes to third order at the expansion point
     zero = np.zeros((N, 2))
     np.testing.assert_allclose(form.high.evaluate(th, tt, zero), 0.0, atol=1e-18)
+
+
+def test_taylor_split_starts_the_kam_chain(chain):
+    kam0 = chain["kam0"]
+    assert kam0.m == 0
+    keys = {"m", "R0_norm", "R1_norm", "R2_norm", "low_norm", "high_norm",
+            "nu_inf", "dOmega", "s", "r", "taylor_err", "projection_residual",
+            "fp_iters"}
+    (row,) = kam0.diagnostics
+    assert set(row) == keys
+    assert row["m"] == 0 and row["nu_inf"] == 0.0
+    assert row["low_norm"] == kam0.low_norm()
+    # the averaging changes, then the time average, then the recentring at I*
+    nf_changes = chain["states"][-1].changes
+    assert kam0.changes[:-2] == nf_changes
+    assert all(nu == 0.0 for _, nu in nf_changes)
+    S_avg, nu_avg = kam0.changes[-2]
+    np.testing.assert_array_equal(S_avg.coeffs, -chain["avg"].S_tilde.coeffs)
+    assert nu_avg == 0.0
+    S_rec, nu_rec = kam0.changes[-1]
+    assert S_rec.n_modes == 0 and S_rec.grid is kam0.grid
+    np.testing.assert_array_equal(nu_rec, chain["I_star"])
 
 
 def test_spec_validation():
