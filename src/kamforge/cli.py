@@ -94,6 +94,9 @@ def load_config(path=None, overrides=None):
         raise ValueError("amplitude must exceed 1")
     if cfg["dc"]["gamma"] <= 0:
         raise ValueError("gamma must be positive")
+    if cfg["kam"]["K_cap"] < cfg["normal_form"]["K_cap"]:
+        # the KAM grid must resolve every mode of the averaged remainder
+        raise ValueError("kam.K_cap must be at least normal_form.K_cap")
     return cfg
 
 
@@ -203,7 +206,7 @@ def run_pipeline(cfg, out_dir=None, log=None):
     nf = run_normal_form(spec, nfp)
     log(f"pipeline: normal form done, angle norm {nf.angle_norm():.4g}")
 
-    avg = time_average_transform(nf, spec)
+    avg = time_average_transform(nf, spec, nfp)
     I_star, residual = locate_expansion_point(avg, spec)
     drift = float(np.abs(I_star - I0).max())
     r0 = float(cfg["kam"]["r0"])

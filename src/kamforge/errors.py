@@ -9,23 +9,6 @@ class RealityError(KamforgeError):
     """A field that must represent a real function failed the conjugate-symmetry check."""
 
 
-class ModeOverflowError(KamforgeError):
-    """A spectral operation dropped more mass past the mode cap than allowed.
-
-    Attributes
-    ----------
-    dropped_mass : float
-        Absolute coefficient mass (sum of magnitudes) outside the cap.
-    total_mass : float
-        Total coefficient mass before truncation.
-    """
-
-    def __init__(self, msg, dropped_mass=0.0, total_mass=0.0):
-        super().__init__(msg)
-        self.dropped_mass = dropped_mass
-        self.total_mass = total_mass
-
-
 class SmallDivisorError(KamforgeError):
     """A homological solve met a divisor below the admissible floor.
 

@@ -258,8 +258,7 @@ class FourierField:
         self._coeffs = sym
 
     @classmethod
-    def from_modes(cls, d, mapping, s, cutoff=None, grid=None, vshape=(),
-                   enforce_reality=True):
+    def from_modes(cls, d, mapping, s, cutoff=None, grid=None, vshape=()):
         """Build from a {(k_1, ..., k_d, l): coefficient} mapping."""
         items = sorted(mapping.items())
         if cutoff is None:
@@ -268,8 +267,7 @@ class FourierField:
         gshape = grid.shape if grid is not None else ()
         coeffs = np.array([np.broadcast_to(np.asarray(v, dtype=complex), vshape + gshape)
                            for _, v in items], dtype=complex)
-        return cls(d, modes, coeffs, s, cutoff, grid=grid, vshape=vshape,
-                   enforce_reality=enforce_reality)
+        return cls(d, modes, coeffs, s, cutoff, grid=grid, vshape=vshape)
 
     @classmethod
     def zero(cls, d, s, cutoff=0, grid=None, vshape=()):

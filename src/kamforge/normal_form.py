@@ -29,16 +29,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .diophantine import DiophantineParams
-from .errors import ContractionError, DomainError, ModeOverflowError, SmallDivisorError
+from .errors import ContractionError, DomainError, SmallDivisorError
 from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
-from .util import fast_len, fftn, ifftn
+from .util import fast_len
 
 # Small divisors must stay above this fraction of their Diophantine bound.
 FLOOR_SCALE = 0.5
 # Largest contraction factor solve_fixed_point accepts while still far from its fixed point.
 LIPSCHITZ_MAX = 0.5
-# Time samples at which twist_compose stops doubling its grid.
-TWIST_MAX_T = 4096
 # Residual and iteration cap of the frequency-matching Newton solve.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -379,94 +377,31 @@ def run_normal_form(spec, params):
     return state
 
 
-def twist_compose(field, delta_field, tol=1e-12):
-    """Compose a field with a time/action-dependent angle shift, exactly in theta.
+def twist_compose(field, S, nshape, cutoff):
+    """Compose a field with the angle shift of an angle-free change S(t, I).
 
-    Returns the field of (theta, t, I) -> field(theta + Delta(t, I), t, I)
-    where Delta is the vector NodeField ``delta_field`` (k = 0 modes only).
-    Angle modes transform individually, c_k(t, I) -> c_k(t, I) e^{i<k, Delta>},
-    so only the time axis needs resampling; the grid is doubled until the
-    spilled top-band coefficient mass is below ``tol``.
+    The change generated by S leaves the action unchanged and maps theta to
+    phi = theta + dS/dI(t, I), so the field in the new angles is
+    field(phi - dS/dI(t, I), t, I).  It is composed on the uniform grid
+    ``nshape`` by ``compose_shifted_grid`` and projected onto modes up to
+    ``cutoff``.  Returns (projected field, Taylor error of the composition).
     """
-    if field.n_modes == 0:
-        return field
-    if np.any(delta_field.modes[:, : field.d] != 0):
-        raise ValueError("angle shift must be independent of the angles")
-    gshape = field.grid.shape if field.grid is not None else ()
-    l_ext = int(np.abs(field.modes[:, -1]).max(initial=0))
-    dl_ext = int(np.abs(delta_field.modes[:, -1]).max(initial=0)) if delta_field.n_modes else 0
-    k_max = int(np.abs(field.modes[:, : field.d]).sum(axis=1).max(initial=0))
-    dscale = delta_field.norm() if delta_field.n_modes else 0.0
-    T = fast_len(max(16, 2 * (l_ext + dl_ext * (1 + int(k_max * dscale))) + 1))
-
-    kurows, inv = np.unique(field.modes[:, : field.d], axis=0, return_inverse=True)
-    while True:
-        tgrid = (1,) * field.d + (T,)
-        if delta_field.n_modes:
-            # to_grid lays out (*nshape, *vshape, *gshape); move the vector
-            # axis last so the tensordot below contracts over components
-            arr = delta_field.to_grid(tgrid).reshape((T, field.d) + gshape)
-            dvals = np.moveaxis(arr, 1, -1)
-        else:
-            dvals = np.zeros((T,) + gshape + (field.d,))
-        out = {}
-        spill = 0.0
-        total = 0.0
-        for gi in range(kurows.shape[0]):
-            rows = np.flatnonzero(inv == gi)
-            kvec = kurows[gi]
-            sig = np.zeros((T,) + field.vshape + gshape, dtype=complex)
-            ls = field.modes[rows, -1]
-            sig[np.mod(ls, T)] = field.coeffs[rows]
-            A = ifftn(sig, axes=(0,)) * T
-            phase = np.exp(1j * np.tensordot(dvals, kvec.astype(float), axes=([-1], [0])))
-            ph = phase.reshape((T,) + (1,) * len(field.vshape) + gshape)
-            B = fftn(A * ph, axes=(0,)) / T
-            mags = np.abs(B).reshape(T, -1).max(axis=1)
-            total += float(mags.sum())
-            band = T // 4
-            lo = np.minimum(np.arange(T), T - np.arange(T))
-            spill += float(mags[lo > band].sum())
-            out[gi] = B
-        if total == 0 or spill / max(total, 1e-300) < tol or T >= TWIST_MAX_T:
-            if total > 0 and spill / max(total, 1e-300) >= tol:
-                raise ModeOverflowError(
-                    f"angle twist did not band-limit at {T} time samples",
-                    dropped_mass=spill, total_mass=total)
-            break
-        T = fast_len(2 * T)
-
-    band = T // 4
-    modes = []
-    coeffs = []
-    for gi in range(kurows.shape[0]):
-        B = out[gi]
-        for idx in range(T):
-            l = idx if idx <= T // 2 else idx - T
-            if abs(l) > band:
-                continue
-            c = B[idx]
-            if np.abs(c).max(initial=0.0) == 0.0:
-                continue
-            modes.append(np.concatenate([kurows[gi], [l]]))
-            coeffs.append(c)
-    modes = np.array(modes, dtype=np.int64).reshape(-1, field.d + 1)
-    coeffs = np.array(coeffs, dtype=complex)
-    cutoff = max(field.cutoff, int(np.abs(modes).sum(axis=1).max(initial=0)))
-    return FourierField(field.d, modes, coeffs, field.s, cutoff, grid=field.grid,
-                        vshape=field.vshape).prune()
+    d = field.d
+    dtheta = -np.moveaxis(S.grad_action().to_grid(nshape), d + 1, -1)
+    vals, err = compose_shifted_grid(field, nshape, dtheta=dtheta)
+    return FourierField.from_grid(vals, d, field.s, cutoff, grid=field.grid), err
 
 
 @dataclass
 class AveragedResult:
-    """Output of the final time average: h split into its mean and a primitive."""
+    """Output of the final time average: the mean of h, the twisted remainder, the chain."""
 
     h_bar: FourierField        # (0, 0) mode: averaged correction of the action part
-    S_tilde: FourierField      # zero-mean primitive of <h> - h (k = 0, l != 0 modes)
-    R_breve: FourierField      # remainder after the angle twist theta -> theta + dS/dI
+    taylor_err: float          # Taylor error of the twist composition
+    R_breve: FourierField      # remainder in the twisted angles, projected at K_cap
     grid: ActionGrid
     s: float
-    changes: list              # the averaging chain plus Change(-S_tilde, 0.0)
+    changes: list              # the averaging chain plus the twist's Change(S, 0.0)
 
 
 def _h_bar_jet(avg, points):
@@ -482,39 +417,31 @@ def _h_bar_jet(avg, points):
     return val, g, 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
-def time_average_transform(state, spec):
-    """Remove the oscillating part of h by the exact change theta -> theta + dS/dI.
+def time_average_transform(state, spec, params):
+    """Remove the oscillating part of h by the angle-free change generated by S(t, I).
 
-    S(t, I) is the zero-mean primitive in t of <h> - h; the transformed
-    Hamiltonian is eps^(-a) H0(I) + <h>(I) + R_breve(theta, t, I) where
-    R_breve(theta, t, I) = R(theta + dS/dI(t, I), t, I): the oscillation of h
-    cancels exactly against dS/dt, and the angle shift is computed without
-    truncation in theta by twisting each angle mode.  The change is generated
-    by -S, whose angle-free S leaves the action unchanged, and is appended to
-    the chain as ``Change(-S, 0.0)``.
+    S is the zero-mean primitive in t of <h> - h, so its change leaves the
+    action unchanged and shifts the angle, phi = theta + dS/dI.  The
+    transformed Hamiltonian is eps^(-a) H0(I) + <h>(I) + R_breve(phi, t, I):
+    the oscillation of h cancels exactly against dS/dt, and
+    R_breve(phi, t, I) = R(phi - dS/dI(t, I), t, I) is composed by
+    ``twist_compose`` on the averaging grid ``params.nshape(d)`` and projected
+    at ``params.K_cap``.  The change is appended to the chain as
+    ``Change(S, 0.0)``.
     """
     h = state.h
     hbar = h.time_average()
-    osc = h - hbar
-    osc = osc.prune()
-    if osc.n_modes:
-        ls = osc.modes[:, -1]
-        if np.any(ls == 0):
-            raise AssertionError("oscillating part retained a time average")
-        shape = (osc.n_modes,) + (1,) * (osc.coeffs.ndim - 1)
-        S_tilde = osc.replace(coeffs=osc.coeffs / (1j * ls.reshape(shape)),
-                              _canonical=True)
-    else:
-        S_tilde = FourierField.zero(spec.d, state.s, cutoff=h.cutoff, grid=state.grid)
+    osc = (h - hbar).prune()
+    ls = osc.modes[:, -1]
+    if np.any(ls == 0):
+        raise AssertionError("oscillating part retained a time average")
+    shape = (osc.n_modes,) + (1,) * (osc.coeffs.ndim - 1)
+    S = osc.replace(coeffs=osc.coeffs / (1j * ls.reshape(shape)), _canonical=True) * -1.0
     R_tilde = (state.R + state.R_plus).prune()
-    if S_tilde.n_modes:
-        delta = S_tilde.grad_action()
-        R_breve = twist_compose(R_tilde, delta)
-    else:
-        R_breve = R_tilde
-    return AveragedResult(h_bar=hbar, S_tilde=S_tilde, R_breve=R_breve,
+    R_breve, err = twist_compose(R_tilde, S, params.nshape(spec.d), params.K_cap)
+    return AveragedResult(h_bar=hbar, taylor_err=err, R_breve=R_breve,
                           grid=state.grid, s=state.s,
-                          changes=state.changes + [Change(S_tilde * -1.0, 0.0)])
+                          changes=state.changes + [Change(S, 0.0)])
 
 
 def locate_expansion_point(avg, spec):
@@ -598,5 +525,6 @@ def taylor_split(avg, spec, I_star, r0, kam_nodes=5):
         low=ActionJet(r0=R0, r1=R1, r2=R2), high=high, const=float(const), s=s,
         r=float(r0), grid=kgrid, s0=s, r0=float(r0), changes=avg.changes + [recentre],
     )
-    state.diagnostics.append(state.diag_row(0.0, 0.0, np.zeros(d)))
+    state.diagnostics.append(state.diag_row(avg.taylor_err, avg.R_breve.projection_residual,
+                                            np.zeros(d)))
     return state

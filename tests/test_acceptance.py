@@ -274,9 +274,10 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     # time-average twist: H_avg(phi) = H_nf(phi + dS/dI) - dS/dt
     delta = np.zeros((P, m))
     dSdt = np.zeros(P)
-    if avg.S_tilde.n_modes:
-        delta = np.atleast_2d(avg.S_tilde.grad_action().evaluate(phi, tt, rho))
-        dSdt = avg.S_tilde.derive("time").evaluate(phi, tt, rho)
+    S_tilde = avg.changes[-1].S * -1.0
+    if S_tilde.n_modes:
+        delta = np.atleast_2d(S_tilde.grad_action().evaluate(phi, tt, rho))
+        dSdt = S_tilde.derive("time").evaluate(phi, tt, rho)
     R_tilde = (nf.R + nf.R_plus).prune()
     H_nf = (eps_a * spec.H0.value(rho) + nf.h.evaluate(phi, tt, rho)
             + R_tilde.evaluate(phi + delta, tt, rho))
@@ -404,3 +405,14 @@ def test_criterion_9_determinism(pipeline_run, tmp_path):
     report(9, "byte-identical reruns", ok,
            ", ".join(f"{n} {'same' if s else 'DIFFERS'}" for n, s in same.items())
            + f", {elapsed:.0f}s")
+
+
+def test_default_m0_state_takes_a_kam_step(pipeline_run):
+    # the averaged remainder must fit the KAM grid, or the step cannot run
+    cfg, _, res = pipeline_run
+    kc = cfg["kam"]
+    params = KamParams(dc=res["dc"], tol=1e-20, max_steps=int(kc["max_steps"]),
+                       K_cap=int(kc["K_cap"]), n_nodes=int(kc["n_nodes"]))
+    assert res["avg"].R_breve.cutoff <= cfg["normal_form"]["K_cap"]
+    state = kam_step(res["kam0"], params)
+    assert state.m == 1

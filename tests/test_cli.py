@@ -64,6 +64,14 @@ def test_load_config_rejects_small_amplitude(tmp_path):
         cli.load_config(path)
 
 
+def test_load_config_rejects_kam_cap_below_normal_form_cap(tmp_path):
+    # the KAM grid could not resolve the averaged remainder's modes
+    path = dump_config(tmp_path / "c.json",
+                       {"normal_form": {"K_cap": 10}, "kam": {"K_cap": 8}})
+    with pytest.raises(ValueError, match="K_cap"):
+        cli.load_config(path)
+
+
 def test_eps_flag_sets_amplitude():
     args = cli._build_parser().parse_args(["pipeline", "--eps", "0.05"])
     over = cli._overrides_from_args(args)

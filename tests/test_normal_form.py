@@ -164,7 +164,7 @@ def chain():
     for _ in range(params.m0):
         S = solve_homological(states[-1].R, spec.omega, params.dc, regime="split")
         states.append(push_forward(states[-1], S, spec, params))
-    avg = time_average_transform(states[-1], spec)
+    avg = time_average_transform(states[-1], spec, params)
     I_star, resid = locate_expansion_point(avg, spec)
     kam0 = taylor_split(avg, spec, I_star, 2e-4)
     return {"spec": spec, "params": params, "states": states, "avg": avg,
@@ -238,20 +238,21 @@ def test_time_average_removes_oscillation(chain):
     spec = chain["spec"]
     state = chain["states"][-1]
     avg = chain["avg"]
-    assert np.all(np.abs(avg.S_tilde.modes[:, :2]).sum(axis=1) == 0)
-    assert np.all(avg.S_tilde.modes[:, -1] != 0)
+    S_tilde = avg.changes[-1].S * -1.0
+    assert np.all(np.abs(S_tilde.modes[:, :2]).sum(axis=1) == 0)
+    assert np.all(S_tilde.modes[:, -1] != 0)
     np.testing.assert_array_equal(avg.h_bar.modes, [[0, 0, 0]])
     rng = np.random.default_rng(9)
     N = 40
     th = rng.uniform(0, 2 * np.pi, (N, 2))
     tt = rng.uniform(0, 2 * np.pi, N)
     I = state.grid.center + rng.uniform(-1, 1, (N, 2)) * state.grid.tau * 0.9
-    dst = avg.S_tilde.derive("time").evaluate(th, tt, I)
+    dst = S_tilde.derive("time").evaluate(th, tt, I)
     osc = state.h.evaluate(th, tt, I) - avg.h_bar.evaluate(th, tt, I)
     np.testing.assert_allclose(dst, osc, atol=1e-13)
     # R_breve is the remainder composed with the angle twist
     R_tilde = (state.R + state.R_plus).prune()
-    delta = avg.S_tilde.grad_action().evaluate(th, tt, I)
+    delta = S_tilde.grad_action().evaluate(th, tt, I)
     np.testing.assert_allclose(avg.R_breve.evaluate(th, tt, I),
                                R_tilde.evaluate(th + delta, tt, I), atol=1e-15)
 
@@ -265,7 +266,8 @@ def test_time_average_change_inverts_to_the_angle_twist(chain):
     z = 1e-3 * (rel[..., 0] + 0.5j * rel[..., 1])
     osc = FourierField.from_modes(2, {(0, 0, 1): z, (0, 0, -1): np.conj(z)},
                                   s=state.s, grid=grid, cutoff=state.h.cutoff)
-    avg = time_average_transform(dataclasses.replace(state, h=state.h + osc), spec)
+    avg = time_average_transform(dataclasses.replace(state, h=state.h + osc), spec,
+                                 chain["params"])
     assert avg.changes[:-1] == state.changes
     S, nu = avg.changes[-1]
     assert nu == 0.0
@@ -274,7 +276,7 @@ def test_time_average_change_inverts_to_the_angle_twist(chain):
     phi = rng.uniform(0, 2 * np.pi, (N, 2))
     tt = rng.uniform(0, 2 * np.pi, N)
     I = grid.center + rng.uniform(-1, 1, (N, 2)) * grid.tau * 0.9
-    twist = avg.S_tilde.grad_action().evaluate(phi, tt, I)
+    twist = -S.grad_action().evaluate(phi, tt, I)
     assert np.abs(twist).max() > 1e6 * INVERT_TOL
     theta, II = _invert_change(S, phi, tt, I)
     np.testing.assert_allclose(theta, phi + twist, rtol=0, atol=1e-13)
@@ -291,7 +293,9 @@ def test_twist_compose_matches_direct_shift():
     St = FourierField.from_modes(2, {(0, 0, 1): z, (0, 0, -1): np.conj(z)},
                                  s=0.3, grid=grid)
     delta = St.grad_action()
-    shifted = twist_compose(g, delta, tol=1e-13)
+    # the change's S is -St, so the result is g(theta + dSt/dI)
+    shifted, err = twist_compose(g, St * -1.0, (32, 32, 32), 14)
+    assert err < 1e-13
     rng = np.random.default_rng(2)
     N = 50
     th = rng.uniform(0, 2 * np.pi, (N, 2))
@@ -323,7 +327,7 @@ def test_locate_expansion_point_pure_power_law(chain):
     spec = chain["spec"]
     avg = chain["avg"]
     z = FourierField.zero(2, avg.s, cutoff=4, grid=avg.grid)
-    flat = AveragedResult(h_bar=z, S_tilde=z, R_breve=z, grid=avg.grid,
+    flat = AveragedResult(h_bar=z, taylor_err=0.0, R_breve=z, grid=avg.grid,
                           s=avg.s, changes=avg.changes)
     I_star, resid = locate_expansion_point(flat, spec)
     np.testing.assert_allclose(I_star, spec.I0, atol=1e-14)
@@ -365,12 +369,15 @@ def test_taylor_split_starts_the_kam_chain(chain):
     assert set(row) == keys
     assert row["m"] == 0 and row["nu_inf"] == 0.0
     assert row["low_norm"] == kam0.low_norm()
+    # the m = 0 state was reached through the twist composition and its projection
+    avg = chain["avg"]
+    assert row["taylor_err"] == avg.taylor_err < 1e-13
+    assert row["projection_residual"] == avg.R_breve.projection_residual < 1e-8
     # the averaging changes, then the time average, then the recentring at I*
     nf_changes = chain["states"][-1].changes
     assert kam0.changes[:-2] == nf_changes
     assert all(nu == 0.0 for _, nu in nf_changes)
     S_avg, nu_avg = kam0.changes[-2]
-    np.testing.assert_array_equal(S_avg.coeffs, -chain["avg"].S_tilde.coeffs)
     assert nu_avg == 0.0
     S_rec, nu_rec = kam0.changes[-1]
     assert S_rec.n_modes == 0 and S_rec.grid is kam0.grid
