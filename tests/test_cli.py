@@ -72,6 +72,20 @@ def test_load_config_rejects_kam_cap_below_normal_form_cap(tmp_path):
         cli.load_config(path)
 
 
+def test_network_file_gives_the_inline_network(tmp_path):
+    inline, _ = cli.network_from_config(cli.load_config())
+    path = dump_config(tmp_path / "net.json", inline.to_json_dict())
+    # empty inline terms, so only the file can supply the coupling
+    cfg = cli.load_config(overrides={"system": {"network_file": path, "terms": []}})
+    net, scaled = cli.network_from_config(cfg)
+    assert (net.m, net.n, net.terms) == (inline.m, inline.n, inline.terms)
+    assert scaled.A == cfg["system"]["amplitude"]
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-2.0, 2.0, (5, inline.m))
+    t = rng.uniform(0.0, 2 * np.pi, 5)
+    assert np.array_equal(net.potential_gradient(x, t), inline.potential_gradient(x, t))
+
+
 def test_eps_flag_sets_amplitude():
     args = cli._build_parser().parse_args(["pipeline", "--eps", "0.05"])
     over = cli._overrides_from_args(args)

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from kamforge.oscillator import (ActionAngleMap, PowerLawH0, compute_period,
-                                 reference_solution)
+from kamforge.oscillator import (YOSHIDA6, ActionAngleMap, PowerLawH0, _integrate_reference,
+                                 compute_period, reference_solution)
 
 
 def period_oracle(n, dps=50):
-    """Quadrature value of the reference period via the Beta function.
+    """50-digit value of the reference period via the Beta function.
 
     Separating u'' = -u^(2n+1) at unit energy (n+1)v^2 + u^(2n+2) = 1 gives
     T0 = 4 sqrt(n+1)/(2n+2) * B(1/(2n+2), 1/2).
@@ -22,9 +24,47 @@ def test_period_harmonic_case():
     assert compute_period(0) == pytest.approx(2 * np.pi, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_period_matches_beta_oracle(n):
-    assert compute_period(n) == pytest.approx(period_oracle(n), abs=1e-11)
+    oracle = period_oracle(n)
+    assert abs(compute_period(n) - oracle) <= math.ulp(oracle)
+    if n == 1:
+        # The shipped n = 1 period must not move by a single bit: one ulp less
+        # (the math.gamma form of the same closed form) moves verify's
+        # invariance defect by 3.4e-8 relative, beyond the benchmark's 1e-8
+        # check on the certify workload.
+        assert compute_period(1) == 7.4162987092054875
+
+
+def integrate_reference_numpy_scalars(n, t_grid, substeps):
+    """Reference for ``_integrate_reference``: the same loop on numpy scalars.
+
+    This is the loop before it moved to Python floats, kept here so that the
+    two can be compared bit for bit.
+    """
+    u, v = 1.0, 0.0
+    out = np.empty((t_grid.size, 2))
+    out[0] = (u, v)
+    t_prev = 0.0
+    p = 2 * n + 1
+    for i in range(1, t_grid.size):
+        h = (t_grid[i] - t_prev) / substeps
+        for _ in range(substeps):
+            for w in YOSHIDA6:
+                hh = w * h
+                v -= 0.5 * hh * u**p
+                u += hh * v
+                v -= 0.5 * hh * u**p
+        t_prev = t_grid[i]
+        out[i] = (u, v)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reference_loop_matches_numpy_scalar_loop(n):
+    t_grid = compute_period(n) * np.arange(64) / 64
+    new = _integrate_reference(n, t_grid, 16)
+    assert np.array_equal(new, integrate_reference_numpy_scalars(n, t_grid, 16))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

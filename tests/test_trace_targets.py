@@ -5,8 +5,10 @@ wrapper.  A deleted or renamed target, or a module-level alias that keeps the
 unwrapped function (``_to_grid = FourierField.to_grid``), would otherwise only
 show up as a failed check in a traced benchmark run.  Likewise an FFT that
 bypasses ``util.fftn``/``util.ifftn`` would escape the trace's FFT counters
-and the ``KAMFORGE_THREADS`` worker setting.  The last test keeps the number
-of settable values in the package from growing.
+and the ``KAMFORGE_THREADS`` worker setting.  Importing the package must not
+load the heavy scipy subpackages, whose import time and memory every run
+would otherwise pay.  The last test keeps the number of settable values in
+the package from growing.
 """
 
 import ast
@@ -71,6 +73,20 @@ def test_only_util_reaches_an_fft_module():
     # the walk does see both spellings
     assert fft_uses(ast.parse("import scipy.fft\nx = np.fft.ifft(a)")) == ["scipy.fft",
                                                                             "numpy.fft"]
+
+
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
+               "scipy.spatial")
+
+
+def test_package_import_leaves_heavy_scipy_unloaded():
+    script = (f"import sys\nsys.path.insert(0, {os.path.join(ROOT, 'src')!r})\n"
+              "import kamforge.cli\n"
+              f"print(sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # Keyword defaults plus defaulted dataclass fields in the package: each is a
