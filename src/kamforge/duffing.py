@@ -19,6 +19,8 @@ from .util import write_csv
 
 # Aliasing mass at which to_hamiltonian_spec stops doubling its grid.
 ALIAS_TOL = 1e-10
+# Steps of integrate whose stage times and coupling time factors are computed at once.
+BLOCK_STEPS = 512
 
 
 class DuffingNetwork:
@@ -66,7 +68,7 @@ class DuffingNetwork:
         # P_r(t) = sum_l Re c_l cos(l t) - Im c_l sin(l t), sin(l t) = cos(l t - pi/2).
         rows = [(a, j) for j in range(self.m) for a in self._alphas if a[j] > 0]
         self._expo = np.array([a - (np.arange(self.m) == j) for a, j in rows],
-                              dtype=np.int64).reshape(-1, self.m)
+                              dtype=float).reshape(-1, self.m)
         self._scatter = np.zeros((len(rows), self.m))
         lmodes = sorted({l for p in self.terms.values() for l in p})
         freq = np.array(lmodes * 2, dtype=float)
@@ -97,16 +99,23 @@ class DuffingNetwork:
             out = out + P * np.prod(x**alpha, axis=-1)
         return out
 
-    def potential_gradient(self, x, t):
-        """dF/dx at x of shape (..., m) and t broadcastable against x's batch shape.
+    def force_coefficients(self, t):
+        """P_r(t) of every row r of the force kernel, shape t.shape + (rows,).
+
+        One cos over the time features and one matmul, for any shape of t.
+        """
+        t = np.asarray(t, dtype=float)
+        return np.cos(t[..., None] * self._freq - self._phase) @ self._coef
+
+    def potential_gradient(self, x, P):
+        """dF/dx at x of shape (..., m), given P = force_coefficients(t).
 
         One fused expression over the tables built at construction, the same
         for every batch shape: sum_r alpha_j(r) P_r(t) x^(alpha(r) - e_j(r)).
+        P's leading shape broadcasts against x's batch shape.
         """
         x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        P = np.cos(t[..., None] * self._freq - self._phase) @ self._coef
-        mono = np.prod(x[..., None, :] ** self._expo, axis=-1)
+        mono = np.multiply.reduce(x[..., None, :] ** self._expo, axis=-1)
         return (P * mono) @ self._scatter
 
     def to_json_dict(self):
@@ -198,25 +207,33 @@ def integrate(net, x0, v0, t0, T, h, sample_every=1, escape=1e8):
     (v += h * force(x, t)) with Yoshida-6 weights; kicks of adjacent stages are
     merged.  Raises EscapeError when |x|_inf exceeds ``escape`` or is NaN.
 
+    The stage times do not depend on the state.  For each block of
+    ``BLOCK_STEPS`` steps they are one sequential ``np.add.accumulate`` of the
+    drift increments, the same sums as ``t += dt`` stage by stage, and the
+    coupling's time factors at all of them come from one
+    ``net.force_coefficients`` call; each kick then calls
+    ``net.potential_gradient`` on the state alone.
+
     Batches are supported: x0 and v0 may have shape (..., m) with t0 scalar or
     shaped like the leading dimensions, in which case every orbit advances in
     lockstep and the sampled arrays keep the batch axes.
     """
-    m = net.m
-    x = np.array(x0, dtype=float).copy()
-    v = np.array(v0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
+    v = np.array(v0, dtype=float)
     t = np.array(t0, dtype=float)
     if t.shape not in (x.shape[:-1], ()):
         raise ValueError("t0 must be scalar or match the batch shape")
     nsteps = int(round(T / h))
-    p = 2 * net.n + 1
+    p = float(2 * net.n + 1)  # the same pow bits as the int exponent, without its cast
     has_coupling = len(net.terms) > 0
     # merged kick weights: leading half-stage, interior sums, trailing half-stage
     kick_w = np.empty(len(YOSHIDA6) + 1)
     kick_w[0] = 0.5 * YOSHIDA6[0]
     kick_w[1:-1] = 0.5 * (YOSHIDA6[:-1] + YOSHIDA6[1:])
     kick_w[-1] = 0.5 * YOSHIDA6[-1]
-    drift_w = YOSHIDA6
+    kick_h = (kick_w * h).tolist()
+    drift = (YOSHIDA6 * h).tolist()
+    stages = len(drift)
 
     n_samples = nsteps // sample_every + 1
     ts = np.empty((n_samples,) + t.shape)
@@ -225,24 +242,34 @@ def integrate(net, x0, v0, t0, T, h, sample_every=1, escape=1e8):
     ts[0], xs[0], vs[0] = t, x, v
     ptr = 1
 
-    def force(x, t):
-        f = -(x**p)
+    f = None
+    for lo in range(0, nsteps, BLOCK_STEPS):
+        nb = min(BLOCK_STEPS, nsteps - lo)
+        # stage times of the block: kick i of step s sits at times[stages * s + i]
+        times = np.empty((stages * nb + 1,) + t.shape)
+        times[0] = t
+        times[1:] = np.tile(drift, nb).reshape((-1,) + (1,) * t.ndim)
+        np.add.accumulate(times, axis=0, out=times)
         if has_coupling:
-            f -= net.potential_gradient(x, t)
-        return f
-
-    for step in range(nsteps):
-        v += (kick_w[0] * h) * force(x, t)
-        for i in range(len(drift_w)):
-            dt = drift_w[i] * h
-            x += dt * v
-            t += dt
-            v += (kick_w[i + 1] * h) * force(x, t)
-        if not np.abs(x).max() <= escape:  # a NaN state escapes too
-            raise EscapeError(f"trajectory escaped at t = {np.max(t):.6g}")
-        if (step + 1) % sample_every == 0:
-            ts[ptr], xs[ptr], vs[ptr] = t, x, v
-            ptr += 1
+            P = net.force_coefficients(times)
+        for s in range(nb):
+            k = stages * s
+            for i, kh in enumerate(kick_h):
+                # a leading kick acts at the previous step's trailing (x, t): reuse its force
+                if i or f is None:
+                    f = x**p
+                    if has_coupling:
+                        f += net.potential_gradient(x, P[k + i])
+                v -= kh * f
+                if i < stages:
+                    x += drift[i] * v
+            if not np.abs(x).max() <= escape:  # a NaN state escapes too
+                raise EscapeError(
+                    f"trajectory escaped at t = {np.max(times[k + stages]):.6g}")
+            if (lo + s + 1) % sample_every == 0:
+                ts[ptr], xs[ptr], vs[ptr] = times[k + stages], x, v
+                ptr += 1
+        t = times[-1]
     return Trajectory(ts[:ptr], xs[:ptr], vs[:ptr])
 
 

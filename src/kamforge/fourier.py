@@ -746,18 +746,6 @@ class ActionJet:
             if sym_defect > 1e-10 * scale:
                 raise ValueError(f"quadratic jet matrix is not symmetric (defect {sym_defect:.3e})")
 
-    def evaluate_low(self, theta, t, rho):
-        """r0 + <r1, rho> + <rho, r2 rho> at the given points."""
-        rho = np.asarray(rho, dtype=float)
-        v0 = self.r0.evaluate(theta, t)
-        v1 = self.r1.evaluate(theta, t)
-        v2 = self.r2.evaluate(theta, t)
-        if rho.ndim == 1:
-            return v0 + v1 @ rho + rho @ v2 @ rho
-        return (v0 + np.einsum("nj,nj->n", v1, rho)
-                + np.einsum("nj,njk,nk->n", rho, v2, rho))
-
-
 
 def jet_split(field, point, kgrid):
     """Quadratic jet of a node-sampled scalar field at an action point, plus its tail.

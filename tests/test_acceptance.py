@@ -22,6 +22,8 @@ from kamforge.kam import KamParams, KamState, _invert_change, kam_step
 from kamforge.normal_form import NormalFormParams, run_normal_form, solve_homological
 from kamforge.oscillator import ActionAngleMap, compute_period, reference_solution
 
+from jets import evaluate_jet, kam_hamiltonian
+
 GOLDEN = np.array([(1 + np.sqrt(5)) / 2, 1.3247179572447460])
 
 
@@ -77,16 +79,6 @@ def symplectic_defect(fmap, w0, h, m):
     Om[m:, :m] = -np.eye(m)
     res = np.einsum("nji,jk,nkl->nil", J, Om, J) - Om[None]
     return float(np.abs(res).max())
-
-
-def eval_kam_hamiltonian(st, th, tt, rho):
-    epa = st.eps ** (-st.a)
-    out = st.const + epa * (rho @ st.omega
-                            + np.einsum("nj,jk,nk->n", rho, st.Omega, rho))
-    out = out + st.low.evaluate_low(th, tt, rho)
-    if st.high is not None and st.high.n_modes:
-        out = out + st.high.evaluate(th, tt, rho)
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +283,7 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     lhs = (form.const
            + eps_a * (rho_s @ form.omega
                       + np.einsum("nj,jk,nk->n", rho_s, form.Omega, rho_s))
-           + form.low.evaluate_low(phi, tt, rho_s))
+           + evaluate_jet(form.low, phi, tt, rho_s))
     if form.high.n_modes:
         lhs = lhs + form.high.evaluate(phi, tt, rho_s)
     I_abs = res["I_star"][None, :] + rho_s
@@ -305,8 +297,8 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
         ch = new.changes[-1]
         rr = rng.uniform(-0.9, 0.9, (P, m)) * new.r
         th, II = _invert_change(ch.S, phi, tt, rr)
-        lhs = eval_kam_hamiltonian(new, phi, tt, rr)
-        rhs = (eval_kam_hamiltonian(old, th, tt, ch.nu + II)
+        lhs = kam_hamiltonian(new, phi, tt, rr)
+        rhs = (kam_hamiltonian(old, th, tt, ch.nu + II)
                + ch.S.derive("time").evaluate(th, tt, rr))
         scale = max(1.0, float(np.abs(rhs).max()))
         rels.append(float(np.abs(lhs - rhs).max()) / scale)

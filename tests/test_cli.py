@@ -83,7 +83,8 @@ def test_network_file_gives_the_inline_network(tmp_path):
     rng = np.random.default_rng(3)
     x = rng.uniform(-2.0, 2.0, (5, inline.m))
     t = rng.uniform(0.0, 2 * np.pi, 5)
-    assert np.array_equal(net.potential_gradient(x, t), inline.potential_gradient(x, t))
+    assert np.array_equal(net.potential_gradient(x, net.force_coefficients(t)),
+                          inline.potential_gradient(x, inline.force_coefficients(t)))
 
 
 def test_eps_flag_sets_amplitude():

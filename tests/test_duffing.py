@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from kamforge.duffing import (DuffingNetwork, ScaledSystem, Trajectory, chart_orbit,
-                              integrate, rotation_vector, stability_metrics,
+from kamforge.duffing import (BLOCK_STEPS, DuffingNetwork, ScaledSystem, Trajectory,
+                              chart_orbit, integrate, rotation_vector, stability_metrics,
                               to_hamiltonian_spec)
 from kamforge.errors import EscapeError
-from kamforge.oscillator import ActionAngleMap
+from kamforge.oscillator import YOSHIDA6, ActionAngleMap
 
 TERMS = {
     (1, 1): {1: 2.5e-5, -1: 2.5e-5},
@@ -39,7 +39,7 @@ def test_potential_gradient_matches_finite_difference(network, shape):
         "batch8": (rng.uniform(-1.5, 1.5, (8, m)), rng.uniform(0, 2 * np.pi, 8)),
         "grid5x3": (rng.uniform(-1.5, 1.5, (5, 3, m)), 2.3),
     }[shape]
-    g = net.potential_gradient(x, t)
+    g = net.potential_gradient(x, net.force_coefficients(t))
     assert g.shape == x.shape
     # the gradient assembled term by term from coefficient(alpha, t)
     ref = np.zeros_like(x)
@@ -57,6 +57,21 @@ def test_potential_gradient_matches_finite_difference(network, shape):
         e[j] = h
         fd = (net.potential(x + e, t) - net.potential(x - e, t)) / (2 * h)
         np.testing.assert_allclose(g[..., j], fd, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("network", list(NETWORKS))
+def test_force_coefficients_match_coefficient(network):
+    m, terms = NETWORKS[network]
+    net = DuffingNetwork(m, 1, terms)
+    t = np.random.default_rng(5).uniform(-10, 10, (6, 4))
+    P = net.force_coefficients(t)
+    # kernel rows: one per component j and term alpha with alpha_j > 0, grouped by j
+    alphas = [alpha for j in range(m) for alpha in sorted(net.terms) if alpha[j]]
+    assert P.shape == t.shape + (len(alphas),)
+    for r, alpha in enumerate(alphas):
+        scale = sum(abs(c) for c in net.terms[alpha].values())
+        np.testing.assert_allclose(P[..., r], net.coefficient(alpha, t), rtol=0,
+                                   atol=1e-14 * scale)
 
 
 def test_coefficient_is_real_trig_polynomial():
@@ -122,10 +137,70 @@ def test_batched_integration_matches_single_orbits():
         np.testing.assert_allclose(batch.v[-1, i], single.v[-1], rtol=1e-12)
 
 
+def stage_loop(net, x0, v0, t0, nsteps, h):
+    """Reference Yoshida-6 loop: t += dt and the time factors at every stage.
+
+    Returns the (t, x, v) samples after every step, the first one included.
+    """
+    x = np.array(x0, dtype=float)
+    v = np.array(v0, dtype=float)
+    t = np.array(t0, dtype=float)
+    p = 2 * net.n + 1
+    kick_w = np.empty(len(YOSHIDA6) + 1)
+    kick_w[0] = 0.5 * YOSHIDA6[0]
+    kick_w[1:-1] = 0.5 * (YOSHIDA6[:-1] + YOSHIDA6[1:])
+    kick_w[-1] = 0.5 * YOSHIDA6[-1]
+
+    def force(x, t):
+        return -(x**p) - net.potential_gradient(x, net.force_coefficients(t))
+
+    ts, xs, vs = [t.copy()], [x.copy()], [v.copy()]
+    for _ in range(nsteps):
+        v += (kick_w[0] * h) * force(x, t)
+        for i in range(len(YOSHIDA6)):
+            dt = YOSHIDA6[i] * h
+            x += dt * v
+            t += dt
+            v += (kick_w[i + 1] * h) * force(x, t)
+        ts.append(t.copy())
+        xs.append(x.copy())
+        vs.append(v.copy())
+    return np.array(ts), np.array(xs), np.array(vs)
+
+
+# A scalar stage time makes force_coefficients a vector-matrix product; BLAS
+# rounds it as the block's matrix product for the shipped terms, not for every
+# network, so the m = 3 network is compared with per-orbit times only.
+@pytest.mark.parametrize("network,batch", [("shipped", False), ("shipped", True),
+                                           ("complex_m3", True)])
+def test_integrate_matches_stage_loop_bitwise(network, batch):
+    m, terms = NETWORKS[network]
+    net = DuffingNetwork(m, 1, terms)
+    rng = np.random.default_rng(6)
+    shape = (4, m) if batch else (m,)
+    x0, v0 = rng.uniform(-1, 1, (2,) + shape)
+    t0 = rng.uniform(0, 2 * np.pi, 4) if batch else 0.7
+    nsteps, h = 2 * BLOCK_STEPS + 3, 0.01
+    traj = integrate(net, x0, v0, t0, nsteps * h, h)
+    ts, xs, vs = stage_loop(net, x0, v0, t0, nsteps, h)
+    assert traj.t.shape == ts.shape
+    assert np.array_equal(traj.t, ts)
+    assert np.array_equal(traj.x, xs)
+    assert np.array_equal(traj.v, vs)
+
+
 def test_escape_raises():
     net = DuffingNetwork(1, 1, {})
     with pytest.raises(EscapeError):
         integrate(net, np.array([0.0]), np.array([1.0]), 0.0, 5.0, 0.01, escape=0.5)
+    # an orbit that crosses the bound inside the second block of steps
+    h, escape, nsteps = 1e-3, 0.7, 2 * BLOCK_STEPS
+    ts, xs, _ = stage_loop(net, [0.0], [1.0], 0.0, nsteps, h)
+    first = int(np.argmax(np.abs(xs).max(axis=1) > escape))
+    assert BLOCK_STEPS < first <= nsteps
+    with pytest.raises(EscapeError, match=f"at t = {ts[first]:.6g}$"):
+        integrate(net, np.array([0.0]), np.array([1.0]), 0.0, nsteps * h, h,
+                  escape=escape)
 
 
 def test_trajectory_csv_layout(tmp_path):

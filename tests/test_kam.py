@@ -11,6 +11,8 @@ from kamforge.kam import (KamParams, KamState, _invert_change, cubic_contraction
                           extract_torus, invariance_defect, kam_iterate, kam_step)
 from kamforge.normal_form import Change
 
+from jets import kam_hamiltonian
+
 OMEGA = np.array([(1 + np.sqrt(5)) / 2, 1.3247179572447460])
 OMEGA_MAT = np.array([[0.45, 0.08], [0.08, 0.55]])
 S0_STRIP = 0.3
@@ -77,16 +79,6 @@ def steps():
     return states
 
 
-def eval_H(st, th, t, rho):
-    epa = st.eps ** (-st.a)
-    out = st.const + epa * (rho @ st.omega
-                            + np.einsum("nj,jk,nk->n", rho, st.Omega, rho))
-    out = out + st.low.evaluate_low(th, t, rho)
-    if st.high is not None and st.high.n_modes:
-        out = out + st.high.evaluate(th, t, rho)
-    return out
-
-
 def test_low_norm_weighs_jet_by_ball_radius():
     state = make_state(np.random.default_rng(11))
     r0_osc = state.low.r0 - state.low.r0.time_average().angle_average()
@@ -120,8 +112,8 @@ def test_each_step_conjugates_the_hamiltonian(steps):
         tt = rng.uniform(0, 2 * np.pi, N)
         rho = rng.uniform(-1, 1, (N, 2)) * after.r * 0.9
         theta, II = _invert_change(ch.S, phi, tt, rho)
-        lhs = eval_H(after, phi, tt, rho)
-        rhs = (eval_H(before, theta, tt, ch.nu + II)
+        lhs = kam_hamiltonian(after, phi, tt, rho)
+        rhs = (kam_hamiltonian(before, theta, tt, ch.nu + II)
                + ch.S.derive("time").evaluate(theta, tt, rho))
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
