@@ -44,8 +44,10 @@ def ball_modes(d, K):
     return out
 
 
-def _canonical_order(modes):
-    return np.lexsort(modes.T[::-1])
+def _mode_keys(modes):
+    """Integer keys of mode rows that sort like their canonical order."""
+    off = int(np.abs(modes).max(initial=0))
+    return np.ravel_multi_index((modes + off).T, (2 * off + 1,) * modes.shape[1])
 
 
 class ActionGrid:
@@ -176,14 +178,15 @@ class FourierField:
     grid : ActionGrid, optional
     vshape : tuple, optional
 
-    Fields are immutable; every operation returns a new instance.  They are
-    real functions: coefficient conjugate symmetry, checked at construction,
-    is the reality guard, and grid values (``to_grid``, ``from_grid``,
-    ``compose_shifted_grid``) are float arrays.
+    Fields are immutable; every operation returns a new instance.  Every
+    construction puts the modes in canonical order, summing duplicate rows,
+    and symmetrises the coefficients: they are real functions, whose
+    conjugate symmetry, checked at construction, is the reality guard, and
+    grid values (``to_grid``, ``from_grid``, ``compose_shifted_grid``) are
+    float arrays.  Only real scalars scale a field.
     """
 
-    def __init__(self, d, modes, coeffs, s, cutoff, grid=None, vshape=(),
-                 enforce_reality=True, _canonical=False):
+    def __init__(self, d, modes, coeffs, s, cutoff, grid=None, vshape=()):
         self.d = int(d)
         self.s = float(s)
         self.cutoff = int(cutoff)
@@ -195,34 +198,31 @@ class FourierField:
             modes.shape[0], *self.vshape, *gshape)
         if modes.shape[0] and np.abs(modes).sum(axis=1).max(initial=0) > self.cutoff:
             raise ValueError("a stored mode exceeds the declared cutoff")
-        if not _canonical:
-            modes, coeffs = self._merge_sorted(modes, coeffs)
-        self._modes = modes
-        self._coeffs = coeffs
+        self._modes, self._coeffs = self._merge_sorted(modes, coeffs)
         self.reality_drift = 0.0
-        if enforce_reality:
-            self._symmetrize()
+        self._symmetrize()
         self._modes.setflags(write=False)
         self._coeffs.setflags(write=False)
-        self._index = None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _merge_sorted(modes, coeffs):
-        if modes.shape[0] == 0:
+        """Rows in strictly increasing canonical order, duplicate modes summed.
+
+        Rows that are already strictly increasing are kept as given.
+        """
+        keys = _mode_keys(modes)
+        if np.all(keys[1:] > keys[:-1]):
             return modes, coeffs
-        order = _canonical_order(modes)
+        order = np.argsort(keys, kind="stable")
         modes, coeffs = modes[order], coeffs[order]
         keep = np.ones(modes.shape[0], dtype=bool)
-        dup = np.all(modes[1:] == modes[:-1], axis=1)
-        if np.any(dup):
-            coeffs = coeffs.copy()
-            for i in np.nonzero(dup)[0]:
-                coeffs[i + 1] += coeffs[i]
-                keep[i] = False
-            modes, coeffs = modes[keep], coeffs[keep]
-        return modes, coeffs
+        dup = np.nonzero(keys[order][1:] == keys[order][:-1])[0]
+        for i in dup:
+            coeffs[i + 1] += coeffs[i]
+            keep[i] = False
+        return modes[keep], coeffs[keep]
 
     def _symmetrize(self):
         """Average with the conjugate-negated partner; record the relative drift.
@@ -230,27 +230,28 @@ class FourierField:
         Canonical (lexicographic) order reverses under negation, so a mode set
         closed under negation is its own reversal and the partner of row i is
         row M-1-i.  Missing partners are merged in with zero coefficients.
+        The stored coefficients are always the symmetrised ones, which also
+        normalises the sign of zero parts.
         """
         modes = self._modes
         if modes.shape[0] == 0:
             return
         partners = -modes[::-1]
         if not np.array_equal(modes, partners):
-            # integer keys that sort like the modes; the partners sort ascending too
-            off = int(np.abs(modes).max())
-            dims = (2 * off + 1,) * (self.d + 1)
-            keys = np.ravel_multi_index((modes + off).T, dims)
-            if np.any(keys[1:] <= keys[:-1]):
-                raise ValueError("modes are not in canonical order")
-            pkeys = np.ravel_multi_index((partners + off).T, dims)
+            # the partners have the same largest entry, so their keys compare
+            # with the modes' keys and sort ascending too
+            keys, pkeys = _mode_keys(modes), _mode_keys(partners)
             pos = np.searchsorted(keys, pkeys)
             missing = keys[np.minimum(pos, keys.size - 1)] != pkeys
             self._modes = np.insert(modes, pos[missing], partners[missing], axis=0)
             self._coeffs = np.insert(self._coeffs, pos[missing], 0, axis=0)
         c = self._coeffs
-        scale = np.abs(c).max(initial=0.0)
-        sym = 0.5 * (c + np.conj(c[::-1]))
-        if scale > 0:
+        sym = np.conj(c[::-1])
+        sym += c
+        sym *= 0.5
+        # exactly symmetric input, the common case, has drift 0 at any scale
+        if not np.array_equal(c, sym):
+            scale = np.abs(c).max()
             self.reality_drift = float(np.abs(c - sym).max() / scale)
             if self.reality_drift > REALITY_TOL:
                 raise RealityError(
@@ -277,7 +278,7 @@ class FourierField:
                    s, cutoff, grid=grid, vshape=vshape)
 
     def replace(self, modes=None, coeffs=None, s=None, cutoff=None,
-                grid="keep", vshape=None, enforce_reality=True, _canonical=False):
+                grid="keep", vshape=None):
         return FourierField(
             self.d,
             self._modes if modes is None else modes,
@@ -286,8 +287,6 @@ class FourierField:
             self.cutoff if cutoff is None else cutoff,
             grid=self.grid if grid == "keep" else grid,
             vshape=self.vshape if vshape is None else vshape,
-            enforce_reality=enforce_reality,
-            _canonical=_canonical,
         )
 
     # -- basic access ----------------------------------------------------------
@@ -309,22 +308,6 @@ class FourierField:
     def n_modes(self):
         return self._modes.shape[0]
 
-    def _mode_index(self):
-        if self._index is None:
-            self._index = {tuple(m): i for i, m in enumerate(self._modes)}
-        return self._index
-
-    def mode(self, *mode):
-        """Coefficient of one mode (k_1, ..., k_d, l); zero if absent."""
-        if len(mode) == 1 and isinstance(mode[0], (tuple, list, np.ndarray)):
-            mode = tuple(int(x) for x in mode[0])
-        i = self._mode_index().get(tuple(int(x) for x in mode))
-        gshape = self.grid.shape if self.grid is not None else ()
-        if i is None:
-            return np.zeros(self.vshape + gshape, dtype=complex) if (self.vshape or gshape) else 0j
-        c = self._coeffs[i]
-        return c if (self.vshape or gshape) else complex(c)
-
     def orders(self):
         return np.abs(self._modes).sum(axis=1)
 
@@ -339,8 +322,6 @@ class FourierField:
             raise ValueError("action grids do not match")
 
     def __add__(self, other):
-        if np.isscalar(other):
-            other = self._scalar_field(other)
         self._compatible(other)
         modes = np.concatenate([self._modes, other._modes], axis=0)
         coeffs = np.concatenate([self._coeffs, other._coeffs], axis=0)
@@ -352,19 +333,11 @@ class FourierField:
         return self.__add__(other * (-1.0))
 
     def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            raise TypeError("fields only scale by scalars")
-        return self.replace(coeffs=self._coeffs * scalar, _canonical=True,
-                            enforce_reality=not np.iscomplexobj(np.asarray(scalar)))
+        if not np.isscalar(scalar) or np.iscomplexobj(scalar):
+            raise TypeError("fields only scale by real scalars")
+        return self.replace(coeffs=self._coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def _scalar_field(self, value):
-        gshape = self.grid.shape if self.grid is not None else ()
-        zero_mode = np.zeros((1, self.d + 1), dtype=np.int64)
-        c = np.full((1, *self.vshape, *gshape), complex(value))
-        return FourierField(self.d, zero_mode, c, self.s, self.cutoff,
-                            grid=self.grid, vshape=self.vshape, _canonical=True)
 
     # -- spec operations -------------------------------------------------------
 
@@ -372,12 +345,12 @@ class FourierField:
         """Keep modes with |k|_1 + |l| <= K (the projection Gamma_K)."""
         keep = self.orders() <= K
         return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep],
-                            cutoff=int(K), _canonical=True)
+                            cutoff=int(K))
 
     def tail(self, K):
         """Complementary projection: modes with |k|_1 + |l| > K."""
         keep = self.orders() > K
-        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep], _canonical=True)
+        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep])
 
     def prune(self, rel_tol=PRUNE_TOL):
         """Drop modes whose coefficient magnitude is below rel_tol times the maximum."""
@@ -386,9 +359,9 @@ class FourierField:
         mags = np.abs(self._coeffs).reshape(self.n_modes, -1).max(axis=1)
         top = mags.max()
         if top == 0.0:
-            return self.replace(modes=self._modes[:0], coeffs=self._coeffs[:0], _canonical=True)
+            return self.replace(modes=self._modes[:0], coeffs=self._coeffs[:0])
         keep = mags >= rel_tol * top
-        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep], _canonical=True)
+        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep])
 
     def norm(self):
         """Weighted-l1 analytic norm: sum over modes of sup-node |coef| * e^{s(|k|+|l|)}.
@@ -400,52 +373,41 @@ class FourierField:
         mags = np.abs(self._coeffs).reshape(self.n_modes, -1).max(axis=1)
         return float(np.sum(mags * np.exp(self.s * self.orders())))
 
-    def derive(self, which):
-        """Directional derivative: which is 'time' or 'action_j'."""
-        if which == "time":
-            factor = 1j * self._modes[:, -1]
-            shape = (self.n_modes,) + (1,) * (self._coeffs.ndim - 1)
-            return self.replace(coeffs=self._coeffs * factor.reshape(shape),
-                                _canonical=True, enforce_reality=False)
-        kind, _, num = which.partition("_")
-        if kind == "action":
-            j = int(num)
-            if self.grid is None:
-                raise ValueError("field has no action dependence to differentiate")
-            if not 0 <= j < self.grid.dim:
-                raise ValueError(f"action index {j} out of range")
-            axis = self._coeffs.ndim - self.grid.dim + j
-            D = self.grid.diff1d
-            c = np.moveaxis(np.tensordot(self._coeffs, D, axes=([axis], [1])), -1, axis)
-            return self.replace(coeffs=c, _canonical=True, enforce_reality=False)
-        raise ValueError(f"unknown derivative direction {which!r}")
+    def time_derivative(self):
+        """Derivative in t: the coefficient of mode (k, l) times i l."""
+        factor = 1j * self._modes[:, -1]
+        shape = (self.n_modes,) + (1,) * (self._coeffs.ndim - 1)
+        return self.replace(coeffs=self._coeffs * factor.reshape(shape))
 
     def grad_angle(self):
         """Angle gradient, derivative index first: value shape (d,) + vshape."""
         k = self._modes[:, : self.d].T  # (d, M)
         shape = (self.d, self.n_modes) + (1,) * (self._coeffs.ndim - 1)
         c = np.moveaxis((1j * k).reshape(shape) * self._coeffs[None], 0, 1)
-        return self.replace(coeffs=c, vshape=(self.d,) + self.vshape, _canonical=True,
-                            enforce_reality=False)
+        return self.replace(coeffs=c, vshape=(self.d,) + self.vshape)
 
     def grad_action(self):
-        """Action gradient, derivative index first: value shape (dim,) + vshape."""
+        """Action gradient, derivative index first: value shape (dim,) + vshape.
+
+        Each node axis is contracted with the spectral differentiation matrix.
+        """
         if self.grid is None:
             raise ValueError("field has no action dependence to differentiate")
-        c = np.stack([self.derive(f"action_{j}")._coeffs for j in range(self.grid.dim)],
-                     axis=1)
-        return self.replace(coeffs=c, vshape=(self.grid.dim,) + self.vshape,
-                            _canonical=True, enforce_reality=False)
+        base = self._coeffs.ndim - self.grid.dim
+        D = self.grid.diff1d
+        c = np.stack([np.moveaxis(np.tensordot(self._coeffs, D, axes=([base + j], [1])),
+                                  -1, base + j) for j in range(self.grid.dim)], axis=1)
+        return self.replace(coeffs=c, vshape=(self.grid.dim,) + self.vshape)
 
     def angle_average(self):
         """Projection onto k = 0: the time-dependent, angle-free part."""
         keep = np.all(self._modes[:, : self.d] == 0, axis=1)
-        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep], _canonical=True)
+        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep])
 
     def time_average(self):
         """Projection onto the (k, l) = (0, 0) mode (as a function of action)."""
         keep = np.all(self._modes == 0, axis=1)
-        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep], _canonical=True)
+        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep])
 
     # -- action-node manipulation ----------------------------------------------
 
@@ -458,7 +420,7 @@ class FourierField:
         for j in range(self.grid.dim):
             M = self.grid.interp_matrix(new_grid.nodes1d(j), j)
             c = np.moveaxis(np.tensordot(c, M, axes=([base + j], [1])), -1, base + j)
-        return self.replace(coeffs=c, grid=new_grid, _canonical=True, enforce_reality=False)
+        return self.replace(coeffs=c, grid=new_grid)
 
     def broadcast_action(self, grid):
         """Give an action-independent field constant values on an ActionGrid."""
@@ -466,7 +428,7 @@ class FourierField:
             raise ValueError("field already has an action grid")
         c = np.broadcast_to(self._coeffs[(...,) + (None,) * grid.dim],
                             self._coeffs.shape + grid.shape).copy()
-        return self.replace(coeffs=c, grid=grid, _canonical=True, enforce_reality=False)
+        return self.replace(coeffs=c, grid=grid)
 
     def interp_action(self, points):
         """Mode coefficients interpolated at action points (N, dim) -> (M, *vshape, N)."""
@@ -476,10 +438,19 @@ class FourierField:
         gaxes = list(range(self._coeffs.ndim - self.grid.dim, self._coeffs.ndim))
         return np.tensordot(self._coeffs, WW, axes=(gaxes, list(range(1, self.grid.dim + 1))))
 
+    def interp_jet(self, points):
+        """Mode coefficients of the value, action gradient and action Hessian at points (N, dim).
+
+        Returns arrays of shapes (M, *vshape, N), (M, dim, *vshape, N) and
+        (M, dim, dim, *vshape, N).
+        """
+        grad = self.grad_action()
+        return tuple(f.interp_action(points) for f in (self, grad, grad.grad_action()))
+
     def at_action(self, point):
         """Action-independent field: coefficients frozen at one action point."""
         c = self.interp_action(np.atleast_2d(point))[..., 0]
-        return self.replace(coeffs=c, grid=None, _canonical=True, enforce_reality=False)
+        return self.replace(coeffs=c, grid=None)
 
     # -- evaluation and grids ----------------------------------------------------
 
@@ -677,8 +648,8 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, t
         """Values of the alpha-th derivative grid for the active components."""
         g = None if grids is None else grids.get(alpha)
         if g is None:
-            g = f.replace(coeffs=coeffs * fac[:, None, None], vshape=(C,), _canonical=True,
-                          enforce_reality=False).to_grid(nshape).reshape(P, C, -1)
+            g = f.replace(coeffs=coeffs * fac[:, None, None], vshape=(C,)) \
+                .to_grid(nshape).reshape(P, C, -1)
             if grids is not None:
                 grids[alpha] = g
         if active.size < C:
@@ -760,17 +731,12 @@ def jet_split(field, point, kgrid):
     d = field.grid.dim
     at = np.atleast_2d(np.asarray(point, dtype=float))
     rho = kgrid.node_points().reshape(-1, d)
-    grad = field.grad_action()
-    c0 = field.interp_action(at)[..., 0]                      # (M,)
-    c1 = grad.interp_action(at)[..., 0]                       # (M, d)
-    c2 = grad.grad_action().interp_action(at)[..., 0]         # (M, d, d)
+    c0, c1, c2 = (c[..., 0] for c in field.interp_jet(at))   # (M,), (M, d), (M, d, d)
     c2 = 0.25 * (c2 + np.swapaxes(c2, 1, 2))
     jet = c0[:, None] + c1 @ rho.T + np.einsum("nj,mjk,nk->mn", rho, c2, rho)
     tail = field.interp_action(at + rho) - jet
-    flat = {"grid": None, "_canonical": True}
-    r0 = field.replace(coeffs=c0, **flat).prune()
-    r1 = field.replace(coeffs=c1, vshape=(d,), enforce_reality=False, **flat).prune()
-    r2 = field.replace(coeffs=c2, vshape=(d, d), enforce_reality=False, **flat).prune()
-    high = field.replace(coeffs=tail.reshape(tail.shape[:1] + kgrid.shape), grid=kgrid,
-                         _canonical=True).prune()
+    r0 = field.replace(coeffs=c0, grid=None).prune()
+    r1 = field.replace(coeffs=c1, vshape=(d,), grid=None).prune()
+    r2 = field.replace(coeffs=c2, vshape=(d, d), grid=None).prune()
+    high = field.replace(coeffs=tail.reshape(tail.shape[:1] + kgrid.shape), grid=kgrid).prune()
     return r0, r1, r2, high

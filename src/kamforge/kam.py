@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ContractionError, DomainError, EscapeError
+from .errors import DomainError, EscapeError
 from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
 from .normal_form import (Change, NormalFormParams, implicit_angle_shift, solve_fixed_point,
                           solve_homological)
@@ -71,21 +71,25 @@ class KamState:
     changes: list = dc_field(default_factory=list)   # Change(S, nu), base frame first
     diagnostics: list = dc_field(default_factory=list)
 
-    def low_norm(self):
-        """Size of the low jet over the current ball: ||R0'|| + r ||R1|| + r^2 ||R2||.
+    def low_norms(self):
+        """Norms ||R0'||, ||R1||, ||R2|| of the low jet, and its size over the current ball.
 
-        The constant mode of R0 is excluded; it only shifts the energy.
+        The size is ||R0'|| + r ||R1|| + r^2 ||R2||.  R0' excludes the constant
+        mode of R0, which only shifts the energy.
         """
         r0_osc = self.low.r0 - self.low.r0.time_average().angle_average()
-        return (r0_osc.norm() + self.r * self.low.r1.norm()
-                + self.r**2 * self.low.r2.norm())
+        n0, n1, n2 = r0_osc.norm(), self.low.r1.norm(), self.low.r2.norm()
+        return n0, n1, n2, n0 + self.r * n1 + self.r**2 * n2
+
+    def low_norm(self):
+        """Size of the low jet over the current ball (see ``low_norms``)."""
+        return self.low_norms()[3]
 
     def diag_row(self, taylor_err, proj_res, nu):
         """Diagnostics row of this state, reached by a step with action shift nu."""
-        r0_osc = self.low.r0 - self.low.r0.time_average().angle_average()
+        n0, n1, n2, low = self.low_norms()
         return {
-            "m": self.m, "R0_norm": r0_osc.norm(), "R1_norm": self.low.r1.norm(),
-            "R2_norm": self.low.r2.norm(), "low_norm": self.low_norm(),
+            "m": self.m, "R0_norm": n0, "R1_norm": n1, "R2_norm": n2, "low_norm": low,
             "high_norm": self.high.norm() if self.high is not None else 0.0,
             "nu_inf": float(np.abs(nu).max(initial=0.0)),
             "dOmega": 0.0, "s": self.s, "r": self.r,
@@ -95,18 +99,15 @@ class KamState:
 
 
 def _mode_zero(field):
-    """Real (0, ..., 0) coefficient of an action-free field."""
-    c = field.mode(*([0] * (field.d + 1)))
-    c = np.asarray(c)
-    if c.size and np.abs(c.imag).max(initial=0.0) > 1e-10 * max(1.0, np.abs(c).max()):
-        raise ContractionError("constant mode of a real field came out complex")
-    return c.real if c.ndim else float(np.real(c))
+    """(0, ..., 0) coefficient of an action-free field; real by the field's symmetry."""
+    c = field.time_average().coeffs.sum(axis=0).real
+    return c if c.ndim else float(c)
 
 
 def _matrix_apply(M, f):
     """Field with coefficients M @ f (vector field, contraction over its index)."""
     c = np.einsum("ij,mj->mi", M, f.coeffs)
-    return f.replace(coeffs=c, _canonical=True, enforce_reality=False)
+    return f.replace(coeffs=c)
 
 
 def cubic_contraction(high, w_grid, nshape):
@@ -151,8 +152,7 @@ def kam_step(state, params):
 
     G = S1.grad_angle()                        # G_ij = d(theta_i) S1_j
     OmG = np.einsum("ij,mjk->mik", Om, G.coeffs)
-    symOmG = G.replace(coeffs=epa * (OmG + np.swapaxes(OmG, 1, 2)),
-                       _canonical=True, enforce_reality=False)
+    symOmG = G.replace(coeffs=epa * (OmG + np.swapaxes(OmG, 1, 2)))
 
     g0 = A0.to_grid(nshape)                         # (*nshape, d)
     have_high = state.high is not None and state.high.n_modes > 0
@@ -165,8 +165,7 @@ def kam_step(state, params):
         T3w = None
         Rss = (R2 + symOmG).prune()
     S2 = solve_homological(Rss, omega, params.dc, regime="full")
-    S2 = S2.replace(coeffs=0.5 * (S2.coeffs + np.swapaxes(S2.coeffs, 1, 2)),
-                    _canonical=True, enforce_reality=False)
+    S2 = S2.replace(coeffs=0.5 * (S2.coeffs + np.swapaxes(S2.coeffs, 1, 2)))
     dOm = ea * _mode_zero(Rss)
     dOm = 0.5 * (dOm + dOm.T)
     Om_new = Om + dOm
@@ -174,7 +173,7 @@ def kam_step(state, params):
     # the step's generating function S = S0 + <S1, rho> + <S2 rho, rho> on the
     # new nodes, where a quadratic in rho is exact
     nodes = grid_new.node_points()
-    flat = {"vshape": (), "grid": grid_new, "_canonical": True, "enforce_reality": False}
+    flat = {"vshape": (), "grid": grid_new}
     S = (S0.broadcast_action(grid_new)
          + S1.replace(coeffs=np.einsum("mi,...i->m...", S1.coeffs, nodes), **flat)
          + S2.replace(coeffs=np.einsum("mij,...i,...j->m...", S2.coeffs, nodes, nodes),

@@ -145,6 +145,15 @@ class NormalFormState:
         osc = self.R - self.R.angle_average()
         return osc.norm()
 
+    def diag_row(self, taylor_err, proj_res, fp_iters):
+        """Diagnostics row of this state, reached by a step with these health numbers."""
+        return {
+            "j": self.j, "h_norm": self.h.norm(), "R_norm": self.R.norm(),
+            "R_plus_norm": self.R_plus.norm(), "R_angle_norm": self.angle_norm(),
+            "K": self.K, "s": self.s, "tau": self.grid.tau,
+            "taylor_err": taylor_err, "projection_residual": proj_res, "fp_iters": fp_iters,
+        }
+
 
 def split_tail(spec, params):
     """Initial state: scale by eps^(-b) and split at the first truncation order."""
@@ -154,7 +163,7 @@ def split_tail(spec, params):
         R = R.broadcast_action(grid0)
     elif not R.grid.same_as(grid0):
         R = R.restrict_action(grid0)
-    W = (R * spec.eps ** (-spec.b)).replace(s=spec.s0, _canonical=True)
+    W = (R * spec.eps ** (-spec.b)).replace(s=spec.s0)
     K0 = params.K_j(0)
     state = NormalFormState(
         j=0,
@@ -165,12 +174,7 @@ def split_tail(spec, params):
         s=spec.s0,
         K=K0,
     )
-    state.diagnostics.append({
-        "j": 0, "h_norm": 0.0, "R_norm": state.R.norm(),
-        "R_plus_norm": state.R_plus.norm(), "R_angle_norm": state.angle_norm(),
-        "K": K0, "s": spec.s0, "tau": spec.tau0,
-        "taylor_err": 0.0, "projection_residual": 0.0, "fp_iters": 0,
-    })
+    state.diagnostics.append(state.diag_row(0.0, 0.0, 0))
     return state
 
 
@@ -334,13 +338,13 @@ def push_forward(state, S, spec, params):
             tot += vals
             taylor_errs.append(e)
     if S.n_modes:
-        vals, e = compose_shifted_grid(S.derive("time"), nshape, dtheta=V,
+        vals, e = compose_shifted_grid(S.time_derivative(), nshape, dtheta=V,
                                        out_grid=grid_new)
         tot += vals
         taylor_errs.append(e)
 
     h_next = (state.h + state.R.angle_average().truncate(params.K_cap)) \
-        .restrict_action(grid_new).replace(s=s_next, _canonical=True).prune()
+        .restrict_action(grid_new).replace(s=s_next).prune()
     tot -= epa * spec.H0.value(nodes)[(None,) * (d + 1)]
     if h_next.n_modes:
         tot -= h_next.to_grid(nshape)
@@ -358,13 +362,8 @@ def push_forward(state, S, spec, params):
         changes=state.changes + [Change(S, 0.0)],
         diagnostics=list(state.diagnostics),
     )
-    new_state.diagnostics.append({
-        "j": j_next, "h_norm": h_next.norm(), "R_norm": new_state.R.norm(),
-        "R_plus_norm": new_state.R_plus.norm(), "R_angle_norm": new_state.angle_norm(),
-        "K": K_next, "s": s_next, "tau": tau_next,
-        "taylor_err": max(taylor_errs), "projection_residual": Rt.projection_residual,
-        "fp_iters": fp_iters,
-    })
+    new_state.diagnostics.append(new_state.diag_row(max(taylor_errs), Rt.projection_residual,
+                                                    fp_iters))
     return new_state
 
 
@@ -411,9 +410,8 @@ def _h_bar_jet(avg, points):
     coefficients is its value.  Returns arrays of shapes (N,), (N, dim) and
     (N, dim, dim).
     """
-    grad = avg.h_bar.grad_action()
-    val, g, hess = (np.moveaxis(f.interp_action(points).sum(axis=0).real, -1, 0)
-                    for f in (avg.h_bar, grad, grad.grad_action()))
+    val, g, hess = (np.moveaxis(c.sum(axis=0).real, -1, 0)
+                    for c in avg.h_bar.interp_jet(points))
     return val, g, 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
@@ -436,7 +434,7 @@ def time_average_transform(state, spec, params):
     if np.any(ls == 0):
         raise AssertionError("oscillating part retained a time average")
     shape = (osc.n_modes,) + (1,) * (osc.coeffs.ndim - 1)
-    S = osc.replace(coeffs=osc.coeffs / (1j * ls.reshape(shape)), _canonical=True) * -1.0
+    S = osc.replace(coeffs=osc.coeffs / (1j * ls.reshape(shape))) * -1.0
     R_tilde = (state.R + state.R_plus).prune()
     R_breve, err = twist_compose(R_tilde, S, params.nshape(spec.d), params.K_cap)
     return AveragedResult(h_bar=hbar, taylor_err=err, R_breve=R_breve,
@@ -503,7 +501,7 @@ def taylor_split(avg, spec, I_star, r0, kam_nodes=5):
     R = avg.R_breve
     if R.grid is None:
         R = R.broadcast_action(avg.grid)
-    R = R.replace(s=s, enforce_reality=False, _canonical=True)
+    R = R.replace(s=s)
     R0, R1, R2, high = jet_split(R, I_star, kgrid)
     extra = FourierField.from_modes(d, {(0,) * (d + 1): epa * delta}, s, vshape=(d,))
     R1 = (R1 + extra).prune()

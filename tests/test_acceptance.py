@@ -54,7 +54,7 @@ def transport_residual(S, R, unsolved, omega, eps, a, rng, n_pts=60):
     d = R.d
     th = rng.uniform(0, 2 * np.pi, (n_pts, d))
     tt = rng.uniform(0, 2 * np.pi, n_pts)
-    lhs = S.derive("time").evaluate(th, tt)
+    lhs = S.time_derivative().evaluate(th, tt)
     grad = S.grad_angle().evaluate(th, tt)
     for i in range(d):
         lhs = lhs + eps ** (-a) * omega[i] * grad[:, i]
@@ -258,7 +258,7 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     for S, _ in reversed(nf.changes):
         rho_stage = II.copy()
         theta, II = _invert_change(S, theta, tt, rho_stage)
-        dts += S.derive("time").evaluate(theta, tt, rho_stage)
+        dts += S.time_derivative().evaluate(theta, tt, rho_stage)
     H_base = eps_a * spec.H0.value(II) + eps_b * spec.R.evaluate(theta, tt, II)
     scale = max(1.0, float(np.abs(H_base).max()))
     rels.append(float(np.abs(H_fin - (H_base + dts)).max()) / scale)
@@ -269,7 +269,7 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     S_tilde = avg.changes[-1].S * -1.0
     if S_tilde.n_modes:
         delta = np.atleast_2d(S_tilde.grad_action().evaluate(phi, tt, rho))
-        dSdt = S_tilde.derive("time").evaluate(phi, tt, rho)
+        dSdt = S_tilde.time_derivative().evaluate(phi, tt, rho)
     R_tilde = (nf.R + nf.R_plus).prune()
     H_nf = (eps_a * spec.H0.value(rho) + nf.h.evaluate(phi, tt, rho)
             + R_tilde.evaluate(phi + delta, tt, rho))
@@ -299,7 +299,7 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
         th, II = _invert_change(ch.S, phi, tt, rr)
         lhs = kam_hamiltonian(new, phi, tt, rr)
         rhs = (kam_hamiltonian(old, th, tt, ch.nu + II)
-               + ch.S.derive("time").evaluate(th, tt, rr))
+               + ch.S.time_derivative().evaluate(th, tt, rr))
         scale = max(1.0, float(np.abs(rhs).max()))
         rels.append(float(np.abs(lhs - rhs).max()) / scale)
 

@@ -50,7 +50,7 @@ def test_derive_matches_finite_difference():
     for i, shift in enumerate([np.array([1, 0]), np.array([0, 1])]):
         fd = (f.evaluate(th + h * shift, t) - f.evaluate(th - h * shift, t)) / (2 * h)
         np.testing.assert_allclose(grad[:, i], fd, atol=1e-8)
-    g = f.derive("time").evaluate(th, t)
+    g = f.time_derivative().evaluate(th, t)
     fd = (f.evaluate(th, t + h) - f.evaluate(th, t - h)) / (2 * h)
     np.testing.assert_allclose(g, fd, atol=1e-8)
 
@@ -140,8 +140,8 @@ def test_grid_field_action_dependence():
                   axis=-1)
     np.testing.assert_allclose(f.evaluate(th, t, II), II[:, 0] * np.cos(th[:, 0]),
                                atol=1e-12)
-    g = f.derive("action_0")
-    np.testing.assert_allclose(g.evaluate(th, t, II), np.cos(th[:, 0]), atol=1e-9)
+    g = f.grad_action()
+    np.testing.assert_allclose(g.evaluate(th, t, II)[:, 0], np.cos(th[:, 0]), atol=1e-9)
 
 
 def test_restrict_action_resamples_nodes():
@@ -173,7 +173,7 @@ def staggered_field(rng, grid):
     f = node_field(rng, grid, 0.005, (2,))
     c = f.coeffs.copy()
     c[np.any(f.modes[:, :2] != 0, axis=1), 0] = 0.0
-    return f.replace(coeffs=c, _canonical=True)
+    return f.replace(coeffs=c)
 
 
 # case: (value shape, action-free field, angle shift, action shift).  Node
@@ -243,7 +243,7 @@ def test_grad_angle_stacks_angle_derivatives(vshape):
     th, t = random_points(10, seed=13)
     vals = g.evaluate(th, t)
     for i in range(2):
-        ref = f.replace(coeffs=expect[:, i], _canonical=True, enforce_reality=False)
+        ref = f.replace(coeffs=expect[:, i])
         np.testing.assert_allclose(vals[:, i], ref.evaluate(th, t), atol=1e-14)
 
 
@@ -341,7 +341,7 @@ def test_symmetrize_matches_dict_reference(d, vshape, node_grid, closed):
     present = {tuple(m) for m in modes}
     assert closed == all(tuple(-m) in present for m in modes)
     ref_modes, ref_coeffs, ref_drift = dict_symmetrize(modes, c)
-    f = FourierField(d, modes, c, 0.3, 3, grid=grid, vshape=vshape, _canonical=True)
+    f = FourierField(d, modes, c, 0.3, 3, grid=grid, vshape=vshape)
     assert np.array_equal(f.modes, ref_modes)
     assert np.array_equal(f.coeffs, ref_coeffs)
     assert f.reality_drift == ref_drift
@@ -350,7 +350,7 @@ def test_symmetrize_matches_dict_reference(d, vshape, node_grid, closed):
     c_bad[0] += 1.0
     assert dict_symmetrize(modes, c_bad)[2] > REALITY_TOL
     with pytest.raises(RealityError):
-        FourierField(d, modes, c_bad, 0.3, 3, grid=grid, vshape=vshape, _canonical=True)
+        FourierField(d, modes, c_bad, 0.3, 3, grid=grid, vshape=vshape)
 
 
 # -- real grids ---------------------------------------------------------------
@@ -508,3 +508,83 @@ def test_compose_reuses_shared_derivative_grids(with_drho):
         stored.append(len(grids))
     # the larger shift adds orders, the smaller one after it reuses them all
     assert stored[0] < stored[1] == stored[2]
+
+
+# -- construction invariants ----------------------------------------------------
+
+def derived_fields(f):
+    """The field operations whose raw coefficients the constructor now checks too."""
+    out = {"grad_angle": f.grad_angle(), "time_derivative": f.time_derivative(),
+           "scaled": f * -0.37, "sum": f + f.time_derivative()}
+    if f.grid is None:
+        out["broadcast_action"] = f.broadcast_action(ActionGrid((1.0, 1.5), 0.01, 3))
+        return out
+    point = np.array([1.003, 1.496])
+    out["grad_action"] = f.grad_action()
+    out["restrict_action"] = f.restrict_action(ActionGrid((1.0, 1.5), 0.005, 3))
+    out["at_action"] = f.at_action(point)
+    if not f.vshape:
+        parts = jet_split(f, point, ActionGrid(np.zeros(2), 0.004, 3))
+        out.update(zip(("jet_r0", "jet_r1", "jet_r2", "jet_high"), parts))
+    return out
+
+
+@pytest.mark.parametrize("vshape", [(), (2,), (2, 2)])
+@pytest.mark.parametrize("node_grid", [False, True])
+def test_derived_fields_are_exactly_symmetric(vshape, node_grid):
+    grid = ActionGrid((1.0, 1.5), 0.01, 3) if node_grid else None
+    f = random_real_field(2, vshape, grid, seed=5 + len(vshape))
+    fields = derived_fields(f)
+    assert len(fields) == (5 if grid is None else 7 if vshape else 11)
+    for name, g in fields.items():
+        assert g.reality_drift == 0.0, name
+        assert np.array_equal(g.modes, -g.modes[::-1]), name
+        assert np.array_equal(g.coeffs, np.conj(g.coeffs[::-1])), name
+    if grid is not None:
+        # jet_split prunes its outputs, so also check the jet coefficients it reads
+        for c in f.interp_jet(np.array([[1.003, 1.496], [0.995, 1.507]])):
+            assert np.array_equal(c, np.conj(c[::-1]))
+
+
+@pytest.mark.parametrize("node_grid", [False, True])
+def test_constructor_sorts_and_merges_shuffled_duplicates(node_grid):
+    grid = ActionGrid((1.0, 1.5), 0.01, 3) if node_grid else None
+    f = random_real_field(2, (2,), grid, seed=11)
+    rng = np.random.default_rng(12)
+    # each coefficient split into dyadic parts that sum back exactly
+    parts = {1: [1.0], 2: [0.5, 0.5], 3: [0.25, 0.25, 0.5]}
+    modes, coeffs = [], []
+    for m, c in zip(f.modes, f.coeffs):
+        for w in parts[int(rng.integers(1, 4))]:
+            modes.append(m)
+            coeffs.append(w * c)
+    perm = rng.permutation(len(modes))
+    assert len(modes) > f.n_modes
+    g = FourierField(2, np.array(modes)[perm], np.array(coeffs)[perm], f.s, f.cutoff,
+                     grid=grid, vshape=(2,))
+    assert np.array_equal(g.modes, f.modes)
+    assert np.array_equal(g.coeffs, f.coeffs)
+    assert g.reality_drift == 0.0
+    # canonical input is kept as given
+    h = FourierField(2, f.modes, f.coeffs, f.s, f.cutoff, grid=grid, vshape=(2,))
+    assert np.array_equal(h.modes, f.modes) and np.array_equal(h.coeffs, f.coeffs)
+
+
+def test_construction_stores_the_symmetrised_sum():
+    # exact partners whose zero real parts differ in sign: the drift is 0, and
+    # the stored average has +0 in both rather than keeping the given -0
+    f = FourierField(1, [[-1, 0], [1, 0]], [complex(-0.0, 0.5), complex(0.0, -0.5)], 0.3, 1)
+    assert f.reality_drift == 0.0
+    assert not np.signbit(f.coeffs.real).any()
+
+
+def test_only_real_scalars_scale_a_field():
+    f = sample_field()
+    for scalar in (1j, np.complex128(2.0), 0.5 + 0j):
+        with pytest.raises(TypeError):
+            f * scalar
+        with pytest.raises(TypeError):
+            scalar * f
+    with pytest.raises(TypeError):
+        f * np.ones(2)
+    np.testing.assert_array_equal((f * 2.0).coeffs, 2.0 * f.coeffs)

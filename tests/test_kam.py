@@ -114,7 +114,7 @@ def test_each_step_conjugates_the_hamiltonian(steps):
         theta, II = _invert_change(ch.S, phi, tt, rho)
         lhs = kam_hamiltonian(after, phi, tt, rho)
         rhs = (kam_hamiltonian(before, theta, tt, ch.nu + II)
-               + ch.S.derive("time").evaluate(theta, tt, rho))
+               + ch.S.time_derivative().evaluate(theta, tt, rho))
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
 
 
@@ -124,8 +124,7 @@ def assert_inversion_solves_the_generating_equations(S, rng, N=30):
     tt = rng.uniform(0, 2 * np.pi, N)
     rho = S.grid.center + rng.uniform(-1, 1, (N, 2)) * S.grid.tau * 0.9
     theta, II = _invert_change(S, phi, tt, rho)
-    srho = np.stack([S.derive(f"action_{i}").evaluate(theta, tt, rho)
-                     for i in range(2)], axis=-1)
+    srho = S.grad_action().evaluate(theta, tt, rho)
     sth = S.grad_angle().evaluate(theta, tt, rho)
     np.testing.assert_allclose(phi, theta + srho, atol=1e-12)
     np.testing.assert_allclose(II, rho + sth, atol=1e-12)

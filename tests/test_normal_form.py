@@ -39,7 +39,7 @@ def transport_residual(S, R, unsolved, omega, eps, a, rng, n_pts=60):
     d = R.d
     th = rng.uniform(0, 2 * np.pi, (n_pts, d))
     tt = rng.uniform(0, 2 * np.pi, n_pts)
-    lhs = S.derive("time").evaluate(th, tt)
+    lhs = S.time_derivative().evaluate(th, tt)
     grad = S.grad_angle().evaluate(th, tt)
     for i in range(d):
         lhs = lhs + eps ** (-a) * omega[i] * grad[:, i]
@@ -95,7 +95,7 @@ def test_homological_vector_valued_components():
     S = solve_homological(R, GOLDEN, dc, regime="full")
     th = rng.uniform(0, 2 * np.pi, (50, 2))
     tt = rng.uniform(0, 2 * np.pi, 50)
-    lhs = S.derive("time").evaluate(th, tt)
+    lhs = S.time_derivative().evaluate(th, tt)
     grad = S.grad_angle().evaluate(th, tt)
     for i in range(2):
         lhs = lhs + GOLDEN[i] * grad[:, i]
@@ -215,8 +215,7 @@ def test_push_forward_conjugates_the_hamiltonian(chain):
     II = rho + u.evaluate(phi, tt, rho)
 
     # generating-function equations phi = theta + dS/drho, I = rho + dS/dtheta
-    srho = np.stack([S.derive(f"action_{i}").evaluate(th, tt, rho)
-                     for i in range(2)], axis=-1)
+    srho = S.grad_action().evaluate(th, tt, rho)
     sth = S.grad_angle().evaluate(th, tt, rho)
     np.testing.assert_allclose(phi, th + srho, atol=2e-8)
     np.testing.assert_allclose(II, rho + sth, atol=2e-8)
@@ -224,7 +223,7 @@ def test_push_forward_conjugates_the_hamiltonian(chain):
     # H_new(phi, t, rho) = H_old(theta, t, I) + dS/dt(theta, t, rho)
     lhs = eval_state(state1, spec, phi, tt, rho)
     rhs = (eval_state(state0, spec, th, tt, II)
-           + S.derive("time").evaluate(th, tt, rho))
+           + S.time_derivative().evaluate(th, tt, rho))
     np.testing.assert_allclose(lhs, rhs, atol=2e-8)
 
 
@@ -249,7 +248,7 @@ def test_time_average_removes_oscillation(chain):
     th = rng.uniform(0, 2 * np.pi, (N, 2))
     tt = rng.uniform(0, 2 * np.pi, N)
     I = state.grid.center + rng.uniform(-1, 1, (N, 2)) * state.grid.tau * 0.9
-    dst = S_tilde.derive("time").evaluate(th, tt, I)
+    dst = S_tilde.time_derivative().evaluate(th, tt, I)
     osc = state.h.evaluate(th, tt, I) - avg.h_bar.evaluate(th, tt, I)
     np.testing.assert_allclose(dst, osc, atol=1e-13)
     # R_breve is the remainder composed with the angle twist
