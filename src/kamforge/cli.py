@@ -8,9 +8,11 @@ pipeline   run the whole chain and export diagnostics plus the torus file
 verify     check an exported torus against the integrated network
 measure    estimate excluded-frequency fractions for a sequence of gammas
 
-Configuration is a JSON file merged over built-in defaults; command-line flags
-override file values.  Exit codes: 0 success, 2 Diophantine failure,
-3 contraction failure, 4 escape, 1 anything else.
+``DEFAULT_CONFIG`` holds every default setting of the package; the library
+functions take these settings as arguments.  Configuration is a JSON file
+merged over it, and command-line flags override file values; a key that
+``DEFAULT_CONFIG`` does not declare is rejected.  Exit codes: 0 success,
+2 Diophantine failure, 3 contraction failure, 4 escape, 1 anything else.
 """
 
 import argparse
@@ -74,22 +76,41 @@ def merge_config(base, override):
     return out
 
 
+def _check_keys(cfg, ref, prefix):
+    """Raise ValueError naming the first dotted key of ``cfg`` that ``ref`` does not declare.
+
+    Only dicts are walked; a list such as ``system.terms`` is one value.  The
+    one optional key, ``system.network_file``, replaces the inline network.
+    """
+    for key, val in cfg.items():
+        name = prefix + key
+        if key not in ref and name != "system.network_file":
+            raise ValueError(f"unknown config key {name}")
+        if isinstance(val, dict) and isinstance(ref.get(key), dict):
+            _check_keys(val, ref[key], name + ".")
+
+
 def load_config(path=None, overrides=None):
     """Resolve the experiment configuration.
 
     Parameters
     ----------
     path : str, optional
-        JSON file merged over the defaults.
+        JSON file merged over the defaults.  The top-level ``config_hash``
+        that ``run_pipeline`` writes into config.json is dropped, so a
+        written config reloads to the same hash.
     overrides : dict, optional
         Final layer, typically from command-line flags.
     """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
-            cfg = merge_config(cfg, json.load(fh))
+            loaded = json.load(fh)
+        loaded.pop("config_hash", None)
+        cfg = merge_config(cfg, loaded)
     if overrides:
         cfg = merge_config(cfg, overrides)
+    _check_keys(cfg, DEFAULT_CONFIG, "")
     if cfg["system"]["amplitude"] <= 1:
         raise ValueError("amplitude must exceed 1")
     if cfg["dc"]["gamma"] <= 0:
@@ -272,7 +293,7 @@ def make_chart(aa):
     return chart
 
 
-def make_flow(sys_, h, escape=1e8):
+def make_flow(sys_, h, escape):
     """Return flow(states, t0, T) integrating the original network in scaled coordinates."""
     net = sys_.net
     m = net.m
@@ -416,6 +437,8 @@ def _overrides_from_args(args):
     if args.seed is not None:
         over["seed"] = args.seed
     if args.eps is not None:
+        if not 0 < args.eps < 1:
+            raise ValueError(f"--eps must lie in (0, 1), got {args.eps:g}")
         over.setdefault("system", {})["amplitude"] = 1.0 / args.eps
     if args.amplitude is not None:
         over.setdefault("system", {})["amplitude"] = args.amplitude

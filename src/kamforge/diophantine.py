@@ -24,7 +24,7 @@ included, are those of the full scan, bit for bit.
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,22 +38,23 @@ MEASURE_BLOCKS = 16  # independent random substreams in excluded_measure
 
 @dataclass
 class DiophantineParams:
-    """Parameters of the two-regime small-divisor condition."""
+    """Parameters of the two-regime small-divisor condition.
+
+    The default eps = a = 1 is the unscaled condition, eps^(-a) = 1.
+    """
 
     d: int
-    gamma: float = 1e-3
+    gamma: float
+    K_split: int
+    K_check: int
     eps: float = 1.0
     a: float = 1.0
-    K_split: int = 40
-    K_check: int = 0  # 0 means the default 10 * K_split
 
     def __post_init__(self):
         if not 0 < self.eps <= 1:
             raise ValueError("eps must lie in (0, 1]")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.K_check == 0:
-            self.K_check = 10 * self.K_split
         if self.K_check < self.K_split:
             raise ValueError("K_check must be at least K_split")
 
@@ -96,7 +97,7 @@ class DcReport:
     margin: float
     worst_mode: tuple
     n_checked: int
-    omega: np.ndarray = field(default=None)
+    omega: np.ndarray
 
 
 def _fold_modes(best, worst, z, lc, kk, knorm, b1, b2, p):
@@ -175,7 +176,7 @@ def check_dc(omega, p):
     )
 
 
-def find_dc_point(omega_of, box, p, grid=33):
+def find_dc_point(omega_of, box, p, grid):
     """Scan an action box for the point whose frequency has the largest DC margin.
 
     Parameters
@@ -224,7 +225,7 @@ def margin_map_csv(path, records, dim, d, comment=None):
     write_csv(path, cols, records, comment=comment)
 
 
-def excluded_measure(p, box, n_samples=10_000, seed=0):
+def excluded_measure(p, box, n_samples, seed=0):
     """Monte-Carlo estimate of the excluded-frequency fraction over a box.
 
     Samples frequencies uniformly, counts DC failures, and returns

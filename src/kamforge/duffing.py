@@ -34,24 +34,22 @@ class DuffingNetwork:
         Nonlinearity exponent; the restoring force is x^(2n+1).
     terms : dict
         Maps a degree multi-index alpha (tuple of m non-negative ints with
-        |alpha|_1 <= 2n+1) to the coefficient P_alpha(t), given either as a
-        {l: complex} mapping of time modes or as a d=0 FourierField.
+        |alpha|_1 <= 2n+1) to the coefficient P_alpha(t), given as a
+        {l: complex} mapping of time modes.
     """
 
-    def __init__(self, m, n, terms=None):
+    def __init__(self, m, n, terms):
         self.m = int(m)
         self.n = int(n)
         if self.m < 1 or self.n < 0:
             raise ValueError("need m >= 1 oscillators and n >= 0")
         self.terms = {}
-        for alpha, p in (terms or {}).items():
+        for alpha, p in terms.items():
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != self.m or min(alpha) < 0:
                 raise ValueError(f"bad multi-index {alpha}")
             if sum(alpha) > 2 * self.n + 1:
                 raise ValueError(f"|alpha| = {sum(alpha)} exceeds 2n+1 = {2 * self.n + 1}")
-            if isinstance(p, FourierField):
-                p = {int(mode[-1]): complex(c) for mode, c in zip(p.modes, p.coeffs)}
             self.terms[alpha] = {int(l): complex(c) for l, c in p.items()}
         # per-term mode arrays of the loop-form references `coefficient` and `potential`
         self._alphas = np.array(sorted(self.terms), dtype=np.int64).reshape(-1, self.m)
@@ -200,7 +198,7 @@ class Trajectory:
         write_csv(path, cols, rows, comment=comment)
 
 
-def integrate(net, x0, v0, t0, T, h, sample_every=1, escape=1e8):
+def integrate(net, x0, v0, t0, T, h, sample_every, escape):
     """Integrate the original network with a 6th-order time-extended splitting.
 
     The kinetic/potential split alternates drifts (x += h v, t += h) and kicks
@@ -273,8 +271,7 @@ def integrate(net, x0, v0, t0, T, h, sample_every=1, escape=1e8):
     return Trajectory(ts[:ptr], xs[:ptr], vs[:ptr])
 
 
-def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes=5, s0=0.4, K0=24,
-                        base_grid=64):
+def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes, s0, K0, base_grid):
     """Project the scaled perturbation onto a Fourier field over action nodes.
 
     Returns a HamiltonianSpec for H = eps^(-a) H0(I) + eps^(-b) R(theta, t, I)
@@ -286,7 +283,7 @@ def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes=5, s0=0.4, K0=24,
 
     net, A = sys.net, sys.A
     m, n = net.m, net.n
-    grid = ActionGrid(center, tau0, n=n_nodes)
+    grid = ActionGrid(center, tau0, n_nodes)
     nodes = grid.node_points().reshape(-1, m)
     scale = A ** (-(2 * n + 1))
 

@@ -27,6 +27,9 @@ REALITY_TOL = 1e-8
 PRUNE_TOL = 1e-15
 # Highest angle order that compose_shifted_grid sums before it reports a stall.
 TAYLOR_MAX_ORDER = 12
+# Relative size at which a shift composition's Taylor series stops, and the
+# fixed-point tolerance of the implicit angle changes built on it.
+SHIFT_TOL = 1e-13
 # Bytes of complex (points, modes) phase table per block in FourierField.evaluate.
 EVAL_BYTES = 64 * 2**20
 
@@ -58,7 +61,7 @@ class ActionGrid:
     and derivatives use the spectral differentiation matrix.
     """
 
-    def __init__(self, center, tau, n=5):
+    def __init__(self, center, tau, n):
         self.center = np.atleast_1d(np.asarray(center, dtype=float)).copy()
         self.center.setflags(write=False)
         self.dim = self.center.size
@@ -592,15 +595,14 @@ class FourierField:
                    vshape=vshape)
 
 
-def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, tol=1e-13,
-                         grids=None):
+def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, grids=None):
     """Grid values of field(theta + dtheta, t, rho + drho), Taylor in the angles only.
 
     The values live on the uniform (theta, t) grid of shape ``nshape`` crossed
     with the nodes rho of ``out_grid`` (default: the field's own grid).  The
     angle shift is summed as a Taylor series whose derivative grids come from
     mode factors; each value component's series runs until its last order is
-    below ``tol`` relative to that component's sum.  The action shift is exact:
+    below ``SHIFT_TOL`` relative to that component's sum.  The action shift is exact:
     node coefficients are polynomials in the action, so each derivative grid
     is contracted with the barycentric weights of ``field.grid`` at the points
     rho + drho.  Without ``drho`` the field is restricted to ``out_grid`` once,
@@ -683,13 +685,13 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, t
             level = nxt
             accum[:, active] += contrib
             err[active] = peak(contrib) / np.maximum(peak(accum[:, active]), 1e-300)
-            done = (err[active] < tol) & (last[active] < tol)
+            done = (err[active] < SHIFT_TOL) & (last[active] < SHIFT_TOL)
             last[active] = err[active]
             active = active[~done]
             if active.size == 0:
                 break
         else:
-            if err.max() > 100 * tol:
+            if err.max() > 100 * SHIFT_TOL:
                 raise ContractionError(
                     f"shift-composition Taylor series stalled at relative size {err.max():.3e}")
     out = accum.transpose(0, 2, 1).reshape(nshape + gshape + field.vshape)

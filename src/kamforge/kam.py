@@ -26,8 +26,7 @@ from .normal_form import (Change, NormalFormParams, implicit_angle_shift, solve_
                           solve_homological)
 
 ZETA2 = np.pi**2 / 6.0
-# Tolerance and iteration cap of the implicit angle changes unwound in extract_torus.
-INVERT_TOL = 1e-13
+# Iteration cap of the implicit angle changes unwound point by point in extract_torus.
 INVERT_MAX_ITER = 80
 
 
@@ -36,10 +35,10 @@ class KamParams:
     """Solver settings: Diophantine data, truncations, and stop rule."""
 
     dc: object
-    tol: float = 1e-12
-    max_steps: int = 12
-    K_cap: int = 24
-    n_nodes: int = 5
+    tol: float
+    max_steps: int
+    K_cap: int
+    n_nodes: int
 
     nshape = NormalFormParams.nshape
 
@@ -282,16 +281,16 @@ class TorusEmbedding:
 def _invert_change(S, phi, t, rho):
     """Old (theta, I) of points given in the new coordinates of the change generated by S.
 
-    theta = phi + V solves V = -dS/drho(phi + V, t, rho) at the given points,
-    and I = rho + dS/dtheta(theta, t, rho).
+    theta = phi + V solves V = -dS/drho(phi + V, t, rho) at the given points, to
+    ``fourier.SHIFT_TOL``, and I = rho + dS/dtheta(theta, t, rho).
     """
     srho = S.grad_action()
     theta = phi + solve_fixed_point(lambda V: -srho.evaluate(phi + V, t, rho), phi.shape,
-                                    tol=INVERT_TOL, max_iter=INVERT_MAX_ITER)[0]
+                                    INVERT_MAX_ITER)[0]
     return theta, rho + S.grad_angle().evaluate(theta, t, rho)
 
 
-def extract_torus(kam_state, n_phi=32, n_t=32):
+def extract_torus(kam_state, n_phi, n_t):
     """Pull the persistent torus rho = 0 back to the base action-angle frame.
 
     Walks the state's chain of changes innermost-first: the KAM steps, the
@@ -327,7 +326,7 @@ def extract_torus(kam_state, n_phi=32, n_t=32):
     return TorusEmbedding(theta_dev=theta_dev, action=action, omega=omega_sc)
 
 
-def invariance_defect(torus, flow, chart, T_check, n_samples=8, seed=0):
+def invariance_defect(torus, flow, chart, T_check, n_samples, seed):
     """Largest phase-space distance between flowed and rotated torus points.
 
     ``chart(theta, I) -> states`` maps a batch of action-angle points to the

@@ -30,7 +30,8 @@ import numpy as np
 
 from .diophantine import DiophantineParams
 from .errors import ContractionError, DomainError, SmallDivisorError
-from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
+from .fourier import (SHIFT_TOL, ActionGrid, ActionJet, FourierField, compose_shifted_grid,
+                      jet_split)
 from .util import fast_len
 
 # Small divisors must stay above this fraction of their Diophantine bound.
@@ -40,6 +41,8 @@ LIPSCHITZ_MAX = 0.5
 # Residual and iteration cap of the frequency-matching Newton solve.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# Iteration cap of the implicit angle change solved on a grid.
+SHIFT_MAX_ITER = 60
 
 
 class Change(NamedTuple):
@@ -62,7 +65,8 @@ class HamiltonianSpec:
 
     R is stored unscaled; the eps^(-b) factor is applied when the averaging
     iteration starts.  H0 must expose value/grad/hess and min_hess_det;
-    its Hessian determinant is checked to stay positive on the action box.
+    its Hessian determinant on the action box is stored as ``c3`` and checked
+    to stay positive.
     """
 
     d: int
@@ -74,7 +78,6 @@ class HamiltonianSpec:
     I0: np.ndarray
     s0: float
     tau0: float
-    c3: float = 0.0
 
     def __post_init__(self):
         self.I0 = np.asarray(self.I0, dtype=float)
@@ -112,10 +115,10 @@ class NormalFormParams:
     """
 
     dc: DiophantineParams
-    m0: int = 3
-    K0: int = 12
-    K_cap: int = 24
-    n_nodes: int = 5
+    m0: int
+    K0: int
+    K_cap: int
+    n_nodes: int
 
     def K_j(self, j):
         return int(min(self.K0 * 2**j, self.K_cap))
@@ -178,7 +181,7 @@ def split_tail(spec, params):
     return state
 
 
-def solve_homological(R, omega_fn, dc, regime="split"):
+def solve_homological(R, omega_fn, dc, regime):
     """Mode-wise solution S of dS/dt + eps^(-a) <omega, dS/dtheta> = -P R.
 
     eps^(-a) is ``dc.eps_pow``.  The regime sets the solved modes P and the
@@ -234,14 +237,15 @@ def solve_homological(R, omega_fn, dc, regime="split"):
     return R.replace(coeffs=coeffs).prune()
 
 
-def solve_fixed_point(apply_map, shape, tol=1e-13, max_iter=60):
-    """Iterate V <- apply_map(V) from zero until the sup-change stalls below tol.
+def solve_fixed_point(apply_map, shape, max_iter):
+    """Iterate V <- apply_map(V) from zero until the sup-change stalls below ``SHIFT_TOL``.
 
     Returns (V, n_iterations, residual) where V is the last iterate passed to
     the map, so its residual |apply_map(V) - V| is the measured last change,
-    at most tol * max(1, |V|).  Raises ContractionError when the observed
-    contraction factor exceeds ``LIPSCHITZ_MAX`` while the iteration is still
-    far from its fixed point.
+    at most SHIFT_TOL * max(1, |V|).  Raises ContractionError when the
+    observed contraction factor exceeds ``LIPSCHITZ_MAX`` while the iteration
+    is still far from its fixed point, or when ``max_iter`` maps do not
+    converge.
     """
     V = np.zeros(shape)
     prev = None
@@ -249,11 +253,11 @@ def solve_fixed_point(apply_map, shape, tol=1e-13, max_iter=60):
         W = apply_map(V)
         delta = float(np.abs(W - V).max(initial=0.0))
         scale = max(1.0, float(np.abs(V).max(initial=0.0)))
-        if delta <= tol * scale:
+        if delta <= SHIFT_TOL * scale:
             return V, it, delta
         if prev is not None and prev > 0:
             L = delta / prev
-            if L > LIPSCHITZ_MAX and delta > 100 * tol * scale:
+            if L > LIPSCHITZ_MAX and delta > 100 * SHIFT_TOL * scale:
                 raise ContractionError(
                     f"implicit change is not a contraction (observed factor {L:.3f})")
         prev = delta
@@ -262,16 +266,17 @@ def solve_fixed_point(apply_map, shape, tol=1e-13, max_iter=60):
                            f"(last change {delta:.3e})")
 
 
-def implicit_angle_shift(srho, nshape, out_grid, tol=1e-13):
+def implicit_angle_shift(srho, nshape, out_grid):
     """Solve V = -srho(phi + V) on the (phi, t) grid crossed with the action nodes.
 
     ``srho`` is the vector field dS/drho of a generating function S, either
     sampled on ``out_grid`` or restricted to it.  V is the angle change
     theta = phi + V of the implicit transformation phi = theta + dS/drho.
     Returns (V, iterations); V has shape (*nshape, *out_grid.shape, d) and
-    the residual |V + srho(phi + V)| is at most tol * max(1, |V|).  Both the
-    fixed point and its Taylor compositions use ``tol``.  The derivative grids
-    of ``srho`` do not depend on V, so every iteration shares one dict of them.
+    the residual |V + srho(phi + V)| is at most SHIFT_TOL * max(1, |V|).  Both
+    the fixed point and its Taylor compositions stop at ``SHIFT_TOL``, and at
+    most ``SHIFT_MAX_ITER`` maps run.  The derivative grids of ``srho`` do not
+    depend on V, so every iteration shares one dict of them.
     """
     shape = tuple(nshape) + out_grid.shape + srho.vshape
     if srho.n_modes == 0:
@@ -279,14 +284,14 @@ def implicit_angle_shift(srho, nshape, out_grid, tol=1e-13):
     grids = {}
 
     def step(V):
-        return -compose_shifted_grid(srho, nshape, dtheta=V, out_grid=out_grid, tol=tol,
+        return -compose_shifted_grid(srho, nshape, dtheta=V, out_grid=out_grid,
                                      grids=grids)[0]
 
-    V, iters, _ = solve_fixed_point(step, shape, tol=tol)
+    V, iters, _ = solve_fixed_point(step, shape, SHIFT_MAX_ITER)
     return V, iters
 
 
-def canonical_change(S, nshape, out_grid=None):
+def canonical_change(S, nshape, out_grid):
     """Solve the implicit transformation generated by S(theta, t, rho) on a grid.
 
     New coordinates satisfy phi = theta + dS/drho and I = rho + dS/dtheta.
@@ -295,8 +300,6 @@ def canonical_change(S, nshape, out_grid=None):
     the action nodes, with theta = phi + V and I = rho + U, the fixed-point
     iteration count, and the largest Taylor error of the U compositions.
     """
-    if out_grid is None:
-        out_grid = S.grid
     V, iters = implicit_angle_shift(S.grad_action(), nshape, out_grid)
     if S.n_modes == 0:
         return np.zeros_like(V), V, 0, 0.0
@@ -469,7 +472,7 @@ def locate_expansion_point(avg, spec):
     return I, g
 
 
-def taylor_split(avg, spec, I_star, r0, kam_nodes=5):
+def taylor_split(avg, spec, I_star, r0, kam_nodes):
     """Expand the averaged Hamiltonian at I* and split off the cubic remainder.
 
     Returns the KAM stage's starting ``KamState`` (m = 0, with its first

@@ -21,12 +21,15 @@ _W0 = 1.0 - 2.0 * (_W1 + _W2 + _W3)
 YOSHIDA6 = np.array([_W3, _W2, _W1, _W0, _W1, _W2, _W3])
 
 ORIGIN_ENERGY_FLOOR = 1e-12
-# Yoshida-6 steps per sample of the reference orbit.
+# Samples of the reference orbit over one period, and Yoshida-6 steps per sample.
+REFERENCE_SAMPLES = 1024
 REFERENCE_SUBSTEPS = 16
 # Newton steps that refine the nearest-sample angle in from_cartesian.
 NEWTON_STEPS = 4
 # Reference-orbit Fourier coefficients below this fraction of the largest are dropped.
 SPECTRUM_REL_TOL = 1e-15
+# Points per axis of the grid on which PowerLawH0.min_hess_det looks for the minimum.
+HESS_GRID = 9
 
 
 def compute_period(n):
@@ -113,17 +116,14 @@ class ReferenceOrbit:
         return float(np.abs((self.n + 1) * v**2 + u ** (2 * self.n + 2) - 1.0).max())
 
 
-def reference_solution(n, N=1024):
-    """Integrate the reference orbit and return a ReferenceOrbit with N samples.
+def reference_solution(n):
+    """Integrate the reference orbit: a ReferenceOrbit of ``REFERENCE_SAMPLES`` samples.
 
-    N must be a power of two, at least 64.  The per-sample integration uses
-    ``REFERENCE_SUBSTEPS`` Yoshida-6 steps, keeping the energy drift below 1e-10.
+    The per-sample integration uses ``REFERENCE_SUBSTEPS`` Yoshida-6 steps,
+    keeping the energy drift below 1e-10.
     """
-    N = int(N)
-    if N < 64 or (N & (N - 1)) != 0:
-        raise ValueError("N must be a power of two, at least 64")
     T0 = compute_period(n)
-    t_grid = T0 * np.arange(N) / N
+    t_grid = T0 * np.arange(REFERENCE_SAMPLES) / REFERENCE_SAMPLES
     samples = _integrate_reference(n, t_grid, REFERENCE_SUBSTEPS)
     orbit = ReferenceOrbit(n, T0, samples)
     defect = orbit.energy_defect()
@@ -153,10 +153,10 @@ class PowerLawH0:
         d = self.kappa * self.p * (self.p - 1) * I ** (self.p - 2)
         return np.apply_along_axis(np.diag, -1, d) if I.ndim > 1 else np.diag(d)
 
-    def min_hess_det(self, box, grid=9):
-        """Minimum Hessian determinant over a grid on the action box."""
+    def min_hess_det(self, box):
+        """Minimum Hessian determinant over a ``HESS_GRID`` grid on the action box."""
         lo, hi = box
-        axes = [np.linspace(lo[j], hi[j], grid) for j in range(self.m)]
+        axes = [np.linspace(lo[j], hi[j], HESS_GRID) for j in range(self.m)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.m)
         dets = [np.linalg.det(self.hess(I)) for I in mesh]
         return float(np.min(dets))
@@ -171,8 +171,6 @@ class ActionAngleMap:
         Nonlinearity exponent (restoring force x^(2n+1)).
     m : int
         Number of oscillators.
-    orbit : ReferenceOrbit, optional
-        Reference orbit to use; computed on demand otherwise.
 
     Attributes
     ----------
@@ -181,10 +179,10 @@ class ActionAngleMap:
     kappa * I**(2*beta).
     """
 
-    def __init__(self, n, m, orbit=None, N=1024):
+    def __init__(self, n, m):
         self.n = int(n)
         self.m = int(m)
-        self.orbit = orbit if orbit is not None else reference_solution(n, N=N)
+        self.orbit = reference_solution(n)
         self.alpha = 1.0 / (self.n + 2)
         self.beta = (self.n + 1.0) / (self.n + 2)
         self.c = 2.0 * np.pi / (self.alpha * self.orbit.period)

@@ -28,11 +28,9 @@ def fftn(a, axes=None):
     return scipy.fft.fftn(a, axes=axes, workers=get_workers())
 
 
-def ifftn(a, axes=None, s=None):
-    """Inverse FFT over ``axes``; with the output shape ``s`` it is irfftn, a real result."""
-    if s is not None:
-        return scipy.fft.irfftn(a, s=s, axes=axes, workers=get_workers())
-    return scipy.fft.ifftn(a, axes=axes, workers=get_workers())
+def ifftn(a, axes, s):
+    """Inverse of a half spectrum over ``axes`` (irfftn): real values of shape ``s`` there."""
+    return scipy.fft.irfftn(a, s=s, axes=axes, workers=get_workers())
 
 
 def fast_len(n):

@@ -126,12 +126,12 @@ def kam_synthetic():
             high=FourierField.zero(2, 0.3, cutoff=6, grid=grid),
             const=0.0, s=0.3, r=1e-3, grid=grid, s0=0.3, r0=1e-3)
 
-    dc = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30)
+    dc = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30, K_check=300)
     assert check_dc(GOLDEN, dc).ok
     raw = build([1e-5, 1e-5, 1e-5])
     fac = 1e-4 / raw.low_norm()
     state = build([fac * 1e-5] * 3)
-    params = KamParams(dc=dc, K_cap=16, tol=1e-30, max_steps=3)
+    params = KamParams(dc=dc, K_cap=16, tol=1e-30, max_steps=3, n_nodes=5)
     states = [state]
     for _ in range(3):
         states.append(kam_step(states[-1], params))
@@ -141,7 +141,7 @@ def kam_synthetic():
 def test_criterion_1_reference_orbit():
     tic = time.time()
     err_t0 = abs(compute_period(0) - 2.0 * np.pi)
-    energy = max(reference_solution(n, N=256).energy_defect() for n in (1, 2, 3))
+    energy = max(reference_solution(n).energy_defect() for n in (1, 2, 3))
     with mpmath.workdps(50):
         beta = mpmath.beta(mpmath.mpf(1) / 4, mpmath.mpf(1) / 2)
         oracle = float(4 * mpmath.sqrt(2) / 4 * beta)
@@ -215,10 +215,10 @@ def test_criterion_3_homological_exactness():
     dc_split = DiophantineParams(d=2, gamma=1e-4, eps=0.5, a=2.0,
                                  K_split=10, K_check=20)
     R = random_real_field(rng, 2, 8, 0.3, 25)
-    S = solve_homological(R, GOLDEN, dc_split)
+    S = solve_homological(R, GOLDEN, dc_split, regime="split")
     rels.append(transport_residual(S, R, R.angle_average(), GOLDEN, 0.5, 2.0, rng))
 
-    dc_full = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30)
+    dc_full = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30, K_check=300)
     for vshape, sym in [((), False), ((2,), False), ((2, 2), True)]:
         R = random_real_field(rng, 2, 8, 0.3, 25, vshape=vshape, sym=sym)
         S = solve_homological(R, GOLDEN, dc_full, regime="full")

@@ -72,6 +72,24 @@ def test_load_config_rejects_kam_cap_below_normal_form_cap(tmp_path):
         cli.load_config(path)
 
 
+def test_load_config_rejects_unknown_keys(tmp_path):
+    with pytest.raises(ValueError, match=r"normal_form\.KCap"):
+        cli.load_config(None, {"normal_form": {"KCap": 5}})
+    path = dump_config(tmp_path / "c.json", {"verfy": {"T_long": 10.0}})
+    with pytest.raises(ValueError, match="verfy"):
+        cli.load_config(path)
+    # a list is one value: the entries of system.terms are not checked as keys
+    cfg = cli.load_config(None, {"system": {"terms": [{"alpha": [1, 1], "modes": []}]}})
+    assert cfg["system"]["terms"][0]["modes"] == []
+
+
+def test_written_config_reloads_to_the_same_hash(flat_run):
+    _, out = flat_run
+    cfg = cli.load_config(str(out / "config.json"))
+    comment = (out / "dc_margins.csv").read_text().splitlines()[0]
+    assert comment == f"# config {config_hash(cfg)}"
+
+
 def test_network_file_gives_the_inline_network(tmp_path):
     inline, _ = cli.network_from_config(cli.load_config())
     path = dump_config(tmp_path / "net.json", inline.to_json_dict())
@@ -91,6 +109,12 @@ def test_eps_flag_sets_amplitude():
     args = cli._build_parser().parse_args(["pipeline", "--eps", "0.05"])
     over = cli._overrides_from_args(args)
     assert over["system"]["amplitude"] == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize("eps", ["0", "1", "2.5", "nan"])
+def test_eps_flag_outside_unit_interval_exits_1(eps, capsys):
+    assert cli.main(["period", "--eps", eps]) == 1
+    assert "--eps must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_flag_overrides_route_to_sections():

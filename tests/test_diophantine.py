@@ -204,15 +204,15 @@ def test_excluded_measure_reproducible_and_monotone(monkeypatch):
 
 
 def test_excluded_measure_rejects_tiny_sample_counts():
-    p = DiophantineParams(d=2, gamma=1e-3)
+    p = DiophantineParams(d=2, gamma=1e-3, K_split=40, K_check=400)
     with pytest.raises(ValueError):
         excluded_measure(p, ([1, 1], [2, 2]), n_samples=10)
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        DiophantineParams(d=2, gamma=-1.0)
+        DiophantineParams(d=2, gamma=-1.0, K_split=40, K_check=400)
     with pytest.raises(ValueError):
-        DiophantineParams(d=2, eps=2.0)
+        DiophantineParams(d=2, gamma=1e-3, K_split=40, K_check=400, eps=2.0)
     with pytest.raises(ValueError):
-        DiophantineParams(d=2, K_split=10, K_check=5)
+        DiophantineParams(d=2, gamma=1e-3, K_split=10, K_check=5)

@@ -113,7 +113,8 @@ def test_uncoupled_energy_conservation_and_order():
     x0, v0 = np.array([1.3]), np.array([0.4])
 
     def energy_err(h):
-        traj = integrate(net, x0, v0, 0.0, 10.0, h, sample_every=int(round(10.0 / h)))
+        traj = integrate(net, x0, v0, 0.0, 10.0, h, sample_every=int(round(10.0 / h)),
+                           escape=1e8)
         e = traj.v**2 / 2 + traj.x**4 / 4
         return abs(e[-1, 0] - e[0, 0])
 
@@ -129,10 +130,10 @@ def test_batched_integration_matches_single_orbits():
     x0 = rng.uniform(-1, 1, (4, 2))
     v0 = rng.uniform(-1, 1, (4, 2))
     t0 = rng.uniform(0, 2 * np.pi, 4)
-    batch = integrate(net, x0, v0, t0, 5.0, 0.01, sample_every=500)
+    batch = integrate(net, x0, v0, t0, 5.0, 0.01, sample_every=500, escape=1e8)
     for i in range(4):
         single = integrate(net, x0[i], v0[i], float(t0[i]), 5.0, 0.01,
-                           sample_every=500)
+                           sample_every=500, escape=1e8)
         np.testing.assert_allclose(batch.x[-1, i], single.x[-1], rtol=1e-12)
         np.testing.assert_allclose(batch.v[-1, i], single.v[-1], rtol=1e-12)
 
@@ -181,7 +182,7 @@ def test_integrate_matches_stage_loop_bitwise(network, batch):
     x0, v0 = rng.uniform(-1, 1, (2,) + shape)
     t0 = rng.uniform(0, 2 * np.pi, 4) if batch else 0.7
     nsteps, h = 2 * BLOCK_STEPS + 3, 0.01
-    traj = integrate(net, x0, v0, t0, nsteps * h, h)
+    traj = integrate(net, x0, v0, t0, nsteps * h, h, sample_every=1, escape=1e8)
     ts, xs, vs = stage_loop(net, x0, v0, t0, nsteps, h)
     assert traj.t.shape == ts.shape
     assert np.array_equal(traj.t, ts)
@@ -192,7 +193,8 @@ def test_integrate_matches_stage_loop_bitwise(network, batch):
 def test_escape_raises():
     net = DuffingNetwork(1, 1, {})
     with pytest.raises(EscapeError):
-        integrate(net, np.array([0.0]), np.array([1.0]), 0.0, 5.0, 0.01, escape=0.5)
+        integrate(net, np.array([0.0]), np.array([1.0]), 0.0, 5.0, 0.01, sample_every=1,
+                  escape=0.5)
     # an orbit that crosses the bound inside the second block of steps
     h, escape, nsteps = 1e-3, 0.7, 2 * BLOCK_STEPS
     ts, xs, _ = stage_loop(net, [0.0], [1.0], 0.0, nsteps, h)
@@ -200,7 +202,7 @@ def test_escape_raises():
     assert BLOCK_STEPS < first <= nsteps
     with pytest.raises(EscapeError, match=f"at t = {ts[first]:.6g}$"):
         integrate(net, np.array([0.0]), np.array([1.0]), 0.0, nsteps * h, h,
-                  escape=escape)
+                  sample_every=1, escape=escape)
 
 
 def test_trajectory_csv_layout(tmp_path):
@@ -223,7 +225,7 @@ def test_uncoupled_orbit_conserves_action():
     I0 = np.array([1.0, 1.3])
     x0, y0 = aa.to_cartesian(theta0, I0)
     X0, V0 = sys_.to_original(x0, y0)
-    traj = integrate(net, X0, V0, 0.0, 50.0, 0.005, sample_every=40)
+    traj = integrate(net, X0, V0, 0.0, 50.0, 0.005, sample_every=40, escape=1e8)
     _, actions = chart_orbit(traj, sys_, aa)
     metrics = stability_metrics(traj, actions)
     assert metrics["action_variation"] < 1e-8
@@ -237,7 +239,7 @@ def test_uncoupled_rotation_matches_frequency_map():
     I0 = np.array([1.0, 1.3])
     x0, y0 = aa.to_cartesian(np.zeros(2), I0)
     X0, V0 = sys_.to_original(x0, y0)
-    traj = integrate(net, X0, V0, 0.0, 50.0, 0.005, sample_every=40)
+    traj = integrate(net, X0, V0, 0.0, 50.0, 0.005, sample_every=40, escape=1e8)
     theta, _ = chart_orbit(traj, sys_, aa)
     rot = rotation_vector(traj, theta)
     target = sys_.eps ** (-sys_.a) * aa.omega(I0[None, :])[0]

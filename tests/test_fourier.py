@@ -207,7 +207,7 @@ def test_compose_shifted_grid_matches_direct_evaluation(case):
     V = 0.03 * rng.standard_normal(pshape) if angle else np.zeros(pshape)
     U = 4e-4 * rng.standard_normal(pshape) if action else np.zeros(pshape)
     vals, err = compose_shifted_grid(f, nshape, dtheta=V if angle else None,
-                                     drho=U if action else None, out_grid=out, tol=1e-13)
+                                     drho=U if action else None, out_grid=out)
     assert vals.shape == nshape + out.shape + f.vshape
     axes = [np.linspace(0, 2 * np.pi, n, endpoint=False) for n in nshape]
     mesh = np.meshgrid(*axes, indexing="ij")
