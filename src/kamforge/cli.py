@@ -79,14 +79,17 @@ def merge_config(base, override):
 def _check_keys(cfg, ref, prefix):
     """Raise ValueError naming the first dotted key of ``cfg`` that ``ref`` does not declare.
 
-    Only dicts are walked; a list such as ``system.terms`` is one value.  The
-    one optional key, ``system.network_file``, replaces the inline network.
+    A key that ``ref`` declares as an object must be an object too.  Only
+    dicts are walked; a list such as ``system.terms`` is one value.  The one
+    optional key, ``system.network_file``, replaces the inline network.
     """
     for key, val in cfg.items():
         name = prefix + key
         if key not in ref and name != "system.network_file":
             raise ValueError(f"unknown config key {name}")
-        if isinstance(val, dict) and isinstance(ref.get(key), dict):
+        if isinstance(ref.get(key), dict):
+            if not isinstance(val, dict):
+                raise ValueError(f"config key {name} must be an object, got {val!r}")
             _check_keys(val, ref[key], name + ".")
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import EscapeError
 from .fourier import ActionGrid, FourierField
+from .normal_form import HamiltonianSpec
 from .oscillator import YOSHIDA6
 from .util import write_csv
 
@@ -279,8 +280,6 @@ def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes, s0, K0, base_grid):
     a Chebyshev action grid centered at ``center`` with radius ``tau0``.  The
     grid is doubled until the estimated aliasing mass falls below ``ALIAS_TOL``.
     """
-    from .normal_form import HamiltonianSpec
-
     net, A = sys.net, sys.A
     m, n = net.m, net.n
     grid = ActionGrid(center, tau0, n_nodes)
@@ -290,13 +289,12 @@ def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes, s0, K0, base_grid):
     N = int(base_grid)
     while True:
         nshape = (N,) * m + (N,)
-        th1 = 2.0 * np.pi * np.arange(N) / N
-        tgrid = 2.0 * np.pi * np.arange(N) / N
-        u_th, _ = aa_map.orbit.eval_angle(th1)  # (N,)
+        axis = 2.0 * np.pi * np.arange(N) / N  # the angle and the time grid
+        u_th, _ = aa_map.orbit.eval_angle(axis)  # (N,)
         vals = np.empty(nshape + (nodes.shape[0],))
         xfac = (aa_map.c * nodes) ** aa_map.alpha  # (n_nodes^m, m)
         # P_alpha on the time grid, once per grid size
-        coeffs = [(np.array(alpha), net.coefficient(alpha, tgrid))
+        coeffs = [(np.array(alpha), net.coefficient(alpha, axis))
                   for alpha in sorted(net.terms)]
         for c_idx in range(nodes.shape[0]):
             # x_j(theta_j) on the angle grid, for this action node
@@ -310,9 +308,8 @@ def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes, s0, K0, base_grid):
                     mono = mono * (xs[j] ** alpha[j]).reshape(shape)
                 acc += mono[..., None] * P
             vals[..., c_idx] = acc * scale
-        R = FourierField.from_grid(
-            vals.reshape(nshape + grid.shape), m, s0, min(K0, (N - 1) // 2),
-            grid=grid)
+        R = FourierField.from_grid(vals.reshape(nshape + grid.shape), m,
+                                   min(K0, (N - 1) // 2), grid=grid)
         # aliasing proxy: relative coefficient mass in the top octave of the grid
         if R.n_modes:
             top = np.abs(R.modes).max(axis=1) > N // 4

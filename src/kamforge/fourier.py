@@ -174,12 +174,11 @@ class FourierField:
         One coefficient per mode; ``vshape`` is () for scalar fields, (d,) for
         vector fields, (d, d) for matrix fields.  When ``grid`` is given each
         coefficient is a Chebyshev node array over the action box.
-    s : float
-        Angle-strip width used as the default weight in :meth:`norm`.
-    cutoff : int
-        Truncation order: all stored modes satisfy |k|_1 + |l| <= cutoff.
     grid : ActionGrid, optional
     vshape : tuple, optional
+
+    A field carries no domain of its own: the strip width of a weighted norm
+    belongs to the stage that takes it and is passed to :meth:`norm`.
 
     Fields are immutable; every operation returns a new instance.  Every
     construction puts the modes in canonical order, summing duplicate rows,
@@ -189,18 +188,14 @@ class FourierField:
     float arrays.  Only real scalars scale a field.
     """
 
-    def __init__(self, d, modes, coeffs, s, cutoff, grid=None, vshape=()):
+    def __init__(self, d, modes, coeffs, grid=None, vshape=()):
         self.d = int(d)
-        self.s = float(s)
-        self.cutoff = int(cutoff)
         self.grid = grid
         self.vshape = tuple(vshape)
         modes = np.asarray(modes, dtype=np.int64).reshape(-1, self.d + 1)
         gshape = grid.shape if grid is not None else ()
         coeffs = np.asarray(coeffs, dtype=complex).reshape(
             modes.shape[0], *self.vshape, *gshape)
-        if modes.shape[0] and np.abs(modes).sum(axis=1).max(initial=0) > self.cutoff:
-            raise ValueError("a stored mode exceeds the declared cutoff")
         self._modes, self._coeffs = self._merge_sorted(modes, coeffs)
         self.reality_drift = 0.0
         self._symmetrize()
@@ -262,42 +257,31 @@ class FourierField:
         self._coeffs = sym
 
     @classmethod
-    def from_modes(cls, d, mapping, s, cutoff=None, grid=None, vshape=()):
+    def from_modes(cls, d, mapping, grid=None, vshape=()):
         """Build from a {(k_1, ..., k_d, l): coefficient} mapping."""
         items = sorted(mapping.items())
-        if cutoff is None:
-            cutoff = max((sum(abs(x) for x in m) for m, _ in items), default=0)
         modes = np.array([m for m, _ in items], dtype=np.int64).reshape(-1, d + 1)
         gshape = grid.shape if grid is not None else ()
         coeffs = np.array([np.broadcast_to(np.asarray(v, dtype=complex), vshape + gshape)
                            for _, v in items], dtype=complex)
-        return cls(d, modes, coeffs, s, cutoff, grid=grid, vshape=vshape)
+        return cls(d, modes, coeffs, grid=grid, vshape=vshape)
 
     @classmethod
-    def zero(cls, d, s, cutoff=0, grid=None, vshape=()):
+    def zero(cls, d, grid=None, vshape=()):
         gshape = grid.shape if grid is not None else ()
         return cls(d, np.zeros((0, d + 1), dtype=np.int64),
-                   np.zeros((0, *vshape, *gshape), dtype=complex),
-                   s, cutoff, grid=grid, vshape=vshape)
+                   np.zeros((0, *vshape, *gshape), dtype=complex), grid=grid, vshape=vshape)
 
-    def replace(self, modes=None, coeffs=None, s=None, cutoff=None,
-                grid="keep", vshape=None):
+    def replace(self, modes=None, coeffs=None, grid="keep", vshape=None):
         return FourierField(
             self.d,
             self._modes if modes is None else modes,
             self._coeffs if coeffs is None else coeffs,
-            self.s if s is None else s,
-            self.cutoff if cutoff is None else cutoff,
             grid=self.grid if grid == "keep" else grid,
             vshape=self.vshape if vshape is None else vshape,
         )
 
     # -- basic access ----------------------------------------------------------
-
-    @property
-    def tau(self):
-        """Action-ball radius of validity: the grid's, or 0 for an action-free field."""
-        return self.grid.tau if self.grid is not None else 0.0
 
     @property
     def modes(self):
@@ -328,9 +312,7 @@ class FourierField:
         self._compatible(other)
         modes = np.concatenate([self._modes, other._modes], axis=0)
         coeffs = np.concatenate([self._coeffs, other._coeffs], axis=0)
-        return FourierField(self.d, modes, coeffs, min(self.s, other.s),
-                            max(self.cutoff, other.cutoff), grid=self.grid,
-                            vshape=self.vshape)
+        return FourierField(self.d, modes, coeffs, grid=self.grid, vshape=self.vshape)
 
     def __sub__(self, other):
         return self.__add__(other * (-1.0))
@@ -347,8 +329,7 @@ class FourierField:
     def truncate(self, K):
         """Keep modes with |k|_1 + |l| <= K (the projection Gamma_K)."""
         keep = self.orders() <= K
-        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep],
-                            cutoff=int(K))
+        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep])
 
     def tail(self, K):
         """Complementary projection: modes with |k|_1 + |l| > K."""
@@ -366,15 +347,16 @@ class FourierField:
         keep = mags >= rel_tol * top
         return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep])
 
-    def norm(self):
-        """Weighted-l1 analytic norm: sum over modes of sup-node |coef| * e^{s(|k|+|l|)}.
+    def norm(self, s):
+        """Weighted-l1 analytic norm on the angle strip of width s.
 
-        Vector and matrix values contribute their largest component magnitude.
+        The sum over modes of sup-node |coef| * e^{s(|k|+|l|)}; vector and
+        matrix values contribute their largest component magnitude.
         """
         if self.n_modes == 0:
             return 0.0
         mags = np.abs(self._coeffs).reshape(self.n_modes, -1).max(axis=1)
-        return float(np.sum(mags * np.exp(self.s * self.orders())))
+        return float(np.sum(mags * np.exp(s * self.orders())))
 
     def time_derivative(self):
         """Derivative in t: the coefficient of mode (k, l) times i l."""
@@ -518,7 +500,7 @@ class FourierField:
         return ifftn(C, axes=tuple(range(self.d + 1)), s=nshape) * np.prod(nshape)
 
     @classmethod
-    def from_grid(cls, values, d, s, cutoff, grid=None, vshape=()):
+    def from_grid(cls, values, d, cutoff, grid=None, vshape=()):
         """Project real uniform (theta, t)-grid values onto modes with |k|+|l| <= cutoff.
 
         The l >= 0 coefficients come from rfftn and the l < 0 ones are the
@@ -552,7 +534,7 @@ class FourierField:
         total = float(weight @ mass)
         kept = float(np.abs(coeffs).sum())
         residual = 0.0 if total == 0 else max(0.0, (total - kept) / total)
-        f = cls(d, modes, coeffs, s, int(cutoff), grid=grid, vshape=vshape)
+        f = cls(d, modes, coeffs, grid=grid, vshape=vshape)
         f = f.prune()
         f.projection_residual = residual
         return f
@@ -562,9 +544,6 @@ class FourierField:
     def to_json_dict(self):
         out = {
             "d": self.d,
-            "s": fmt_float(self.s),
-            "tau": fmt_float(self.tau),
-            "cutoff": self.cutoff,
             "vshape": list(self.vshape),
             "modes": [
                 {
@@ -591,8 +570,7 @@ class FourierField:
         coeffs = np.array(
             [_decode_reim(m["re"]) + 1j * _decode_reim(m["im"]) for m in obj["modes"]],
             dtype=complex).reshape(-1, *vshape, *gshape)
-        return cls(d, modes, coeffs, float(obj["s"]), int(obj["cutoff"]), grid=grid,
-                   vshape=vshape)
+        return cls(d, modes, coeffs, grid=grid, vshape=vshape)
 
 
 def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, grids=None):

@@ -77,23 +77,26 @@ class KamState:
         mode of R0, which only shifts the energy.
         """
         r0_osc = self.low.r0 - self.low.r0.time_average().angle_average()
-        n0, n1, n2 = r0_osc.norm(), self.low.r1.norm(), self.low.r2.norm()
+        n0, n1, n2 = (f.norm(self.s) for f in (r0_osc, self.low.r1, self.low.r2))
         return n0, n1, n2, n0 + self.r * n1 + self.r**2 * n2
 
     def low_norm(self):
         """Size of the low jet over the current ball (see ``low_norms``)."""
         return self.low_norms()[3]
 
-    def diag_row(self, taylor_err, proj_res, nu):
-        """Diagnostics row of this state, reached by a step with action shift nu."""
+    def diag_row(self, taylor_err, proj_res, nu, dOmega, fp_iters):
+        """Diagnostics row of this state, reached by a step with these health numbers.
+
+        The step shifted the action by nu and the twist matrix by dOmega.
+        """
         n0, n1, n2, low = self.low_norms()
         return {
             "m": self.m, "R0_norm": n0, "R1_norm": n1, "R2_norm": n2, "low_norm": low,
-            "high_norm": self.high.norm() if self.high is not None else 0.0,
+            "high_norm": self.high.norm(self.s),
             "nu_inf": float(np.abs(nu).max(initial=0.0)),
-            "dOmega": 0.0, "s": self.s, "r": self.r,
+            "dOmega": float(np.abs(dOmega).max(initial=0.0)), "s": self.s, "r": self.r,
             "taylor_err": taylor_err, "projection_residual": proj_res,
-            "fp_iters": 0,
+            "fp_iters": fp_iters,
         }
 
 
@@ -154,11 +157,10 @@ def kam_step(state, params):
     symOmG = G.replace(coeffs=epa * (OmG + np.swapaxes(OmG, 1, 2)))
 
     g0 = A0.to_grid(nshape)                         # (*nshape, d)
-    have_high = state.high is not None and state.high.n_modes > 0
+    have_high = state.high.n_modes > 0
     if have_high:
         T3w = cubic_contraction(state.high, g0, nshape)
-        T3_field = FourierField.from_grid(
-            0.5 * T3w, d, state.s, params.K_cap, vshape=(d, d))
+        T3_field = FourierField.from_grid(0.5 * T3w, d, params.K_cap, vshape=(d, d))
         Rss = (R2 + symOmG + T3_field).prune()
     else:
         T3w = None
@@ -217,12 +219,12 @@ def kam_step(state, params):
     V, fp_iters = implicit_angle_shift(srho, nshape, grid_new)
 
     rem_field = FourierField.from_grid(rem.reshape(tuple(nshape) + grid_new.shape),
-                                       d, s_next, params.K_cap, grid=grid_new)
+                                       d, params.K_cap, grid=grid_new)
     proj_res = rem_field.projection_residual
     if srho.n_modes and rem_field.n_modes:
         vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V, out_grid=grid_new)
         taylor_errs.append(e)
-        final = FourierField.from_grid(vals, d, s_next, params.K_cap, grid=grid_new)
+        final = FourierField.from_grid(vals, d, params.K_cap, grid=grid_new)
         proj_res = max(proj_res, final.projection_residual)
     else:
         final = rem_field
@@ -240,10 +242,8 @@ def kam_step(state, params):
         changes=state.changes + [Change(S, nu)],
         diagnostics=list(state.diagnostics),
     )
-    row = new_state.diag_row(max(taylor_errs), proj_res, nu)
-    row["dOmega"] = float(np.abs(dOm).max(initial=0.0))
-    row["fp_iters"] = fp_iters
-    new_state.diagnostics.append(row)
+    new_state.diagnostics.append(new_state.diag_row(max(taylor_errs), proj_res, nu, dOm,
+                                                    fp_iters))
     return new_state
 
 
@@ -317,11 +317,10 @@ def extract_torus(kam_state, n_phi, n_t):
     dev = (theta - phi0).reshape(gshape + (d,))
     act = rho.reshape(gshape + (d,))
     cutoff = sum((g - 1) // 2 for g in gshape)
-    s_emb = max(kam_state.s, 1e-6)
-    theta_dev = FourierField.from_grid(np.moveaxis(dev, -1, d + 1), d, s_emb,
-                                       cutoff, vshape=(d,)).prune(1e-14)
-    action = FourierField.from_grid(np.moveaxis(act, -1, d + 1), d, s_emb,
-                                    cutoff, vshape=(d,)).prune(1e-14)
+    theta_dev = FourierField.from_grid(np.moveaxis(dev, -1, d + 1), d, cutoff,
+                                       vshape=(d,)).prune(1e-14)
+    action = FourierField.from_grid(np.moveaxis(act, -1, d + 1), d, cutoff,
+                                    vshape=(d,)).prune(1e-14)
     omega_sc = kam_state.eps ** (-kam_state.a) * kam_state.omega
     return TorusEmbedding(theta_dev=theta_dev, action=action, omega=omega_sc)
 

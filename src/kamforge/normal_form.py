@@ -146,13 +146,13 @@ class NormalFormState:
     def angle_norm(self):
         """Weighted norm of the angle-dependent part of the remainder."""
         osc = self.R - self.R.angle_average()
-        return osc.norm()
+        return osc.norm(self.s)
 
     def diag_row(self, taylor_err, proj_res, fp_iters):
         """Diagnostics row of this state, reached by a step with these health numbers."""
         return {
-            "j": self.j, "h_norm": self.h.norm(), "R_norm": self.R.norm(),
-            "R_plus_norm": self.R_plus.norm(), "R_angle_norm": self.angle_norm(),
+            "j": self.j, "h_norm": self.h.norm(self.s), "R_norm": self.R.norm(self.s),
+            "R_plus_norm": self.R_plus.norm(self.s), "R_angle_norm": self.angle_norm(),
             "K": self.K, "s": self.s, "tau": self.grid.tau,
             "taylor_err": taylor_err, "projection_residual": proj_res, "fp_iters": fp_iters,
         }
@@ -166,11 +166,11 @@ def split_tail(spec, params):
         R = R.broadcast_action(grid0)
     elif not R.grid.same_as(grid0):
         R = R.restrict_action(grid0)
-    W = (R * spec.eps ** (-spec.b)).replace(s=spec.s0)
+    W = R * spec.eps ** (-spec.b)
     K0 = params.K_j(0)
     state = NormalFormState(
         j=0,
-        h=FourierField.zero(spec.d, spec.s0, cutoff=params.K_cap, grid=grid0),
+        h=FourierField.zero(spec.d, grid=grid0),
         R=W.truncate(K0).prune(),
         R_plus=W.tail(K0).prune(),
         grid=grid0,
@@ -181,7 +181,7 @@ def split_tail(spec, params):
     return state
 
 
-def solve_homological(R, omega_fn, dc, regime):
+def solve_homological(R, omega, dc, regime):
     """Mode-wise solution S of dS/dt + eps^(-a) <omega, dS/dtheta> = -P R.
 
     eps^(-a) is ``dc.eps_pow``.  The regime sets the solved modes P and the
@@ -189,8 +189,8 @@ def solve_homological(R, omega_fn, dc, regime):
     ``dc.bound_regime1``; 'full' (the KAM step) solves all (k, l) != 0
     against the classical ``dc.bound_regime2``.  Each divisor
     eps^(-a) <k, omega> + l is checked against ``FLOOR_SCALE`` times that
-    bound; a violation raises SmallDivisorError.  omega_fn is a callable on
-    actions or a fixed vector.
+    bound; a violation raises SmallDivisorError.  ``omega`` is one frequency
+    vector (d,), or the frequencies at R's action nodes (*R.grid.shape, d).
     """
     if regime not in ("split", "full"):
         raise ValueError("regime must be 'split' or 'full'")
@@ -202,14 +202,8 @@ def solve_homological(R, omega_fn, dc, regime):
     if regime == "full":
         sel |= l != 0
     if not np.any(sel):
-        return FourierField.zero(R.d, R.s, cutoff=R.cutoff, grid=R.grid, vshape=R.vshape)
-    if callable(omega_fn):
-        if R.grid is not None:
-            om = np.asarray(omega_fn(R.grid.node_points()), dtype=float)
-        else:
-            raise ValueError("action-free field needs a fixed frequency vector")
-    else:
-        om = np.asarray(omega_fn, dtype=float)
+        return FourierField.zero(R.d, grid=R.grid, vshape=R.vshape)
+    om = np.asarray(omega, dtype=float)
     if om.ndim == 1:
         dots = k[sel].astype(float) @ om  # (Ms,)
         extra = ()
@@ -347,12 +341,12 @@ def push_forward(state, S, spec, params):
         taylor_errs.append(e)
 
     h_next = (state.h + state.R.angle_average().truncate(params.K_cap)) \
-        .restrict_action(grid_new).replace(s=s_next).prune()
+        .restrict_action(grid_new).prune()
     tot -= epa * spec.H0.value(nodes)[(None,) * (d + 1)]
     if h_next.n_modes:
         tot -= h_next.to_grid(nshape)
 
-    Rt = FourierField.from_grid(tot, d, s_next, params.K_cap, grid=grid_new)
+    Rt = FourierField.from_grid(tot, d, params.K_cap, grid=grid_new)
     K_next = params.K_j(j_next)
     new_state = NormalFormState(
         j=j_next,
@@ -374,7 +368,8 @@ def run_normal_form(spec, params):
     """Run m0 averaging steps; returns the final NormalFormState."""
     state = split_tail(spec, params)
     for _ in range(params.m0):
-        S = solve_homological(state.R, spec.omega, params.dc, regime="split")
+        S = solve_homological(state.R, spec.omega(state.R.grid.node_points()), params.dc,
+                              regime="split")
         state = push_forward(state, S, spec, params)
     return state
 
@@ -391,7 +386,7 @@ def twist_compose(field, S, nshape, cutoff):
     d = field.d
     dtheta = -np.moveaxis(S.grad_action().to_grid(nshape), d + 1, -1)
     vals, err = compose_shifted_grid(field, nshape, dtheta=dtheta)
-    return FourierField.from_grid(vals, d, field.s, cutoff, grid=field.grid), err
+    return FourierField.from_grid(vals, d, cutoff, grid=field.grid), err
 
 
 @dataclass
@@ -504,9 +499,8 @@ def taylor_split(avg, spec, I_star, r0, kam_nodes):
     R = avg.R_breve
     if R.grid is None:
         R = R.broadcast_action(avg.grid)
-    R = R.replace(s=s)
     R0, R1, R2, high = jet_split(R, I_star, kgrid)
-    extra = FourierField.from_modes(d, {(0,) * (d + 1): epa * delta}, s, vshape=(d,))
+    extra = FourierField.from_modes(d, {(0,) * (d + 1): epa * delta}, vshape=(d,))
     R1 = (R1 + extra).prune()
 
     # cubic tail of the integrable part (theta-free)
@@ -516,16 +510,15 @@ def taylor_split(avg, spec, I_star, r0, kam_nodes):
     taylor0 = (const + epa * (rho @ grad_full)
                + epa * np.einsum("nj,jk,nk->n", rho, Omega, rho))
     tail0 = (g0 - taylor0).reshape((1,) + kgrid.shape)
-    zero_mode = FourierField(d, np.zeros((1, d + 1), dtype=np.int64), tail0, s, 0,
-                             grid=kgrid)
+    zero_mode = FourierField(d, np.zeros((1, d + 1), dtype=np.int64), tail0, grid=kgrid)
     high = (high + zero_mode).prune()
 
-    recentre = Change(FourierField.zero(d, s, grid=kgrid), np.asarray(I_star, dtype=float))
+    recentre = Change(FourierField.zero(d, grid=kgrid), np.asarray(I_star, dtype=float))
     state = KamState(
         m=0, eps=spec.eps, a=spec.a, omega=omega_target, Omega=Omega,
         low=ActionJet(r0=R0, r1=R1, r2=R2), high=high, const=float(const), s=s,
         r=float(r0), grid=kgrid, s0=s, r0=float(r0), changes=avg.changes + [recentre],
     )
     state.diagnostics.append(state.diag_row(avg.taylor_err, avg.R_breve.projection_residual,
-                                            np.zeros(d)))
+                                            np.zeros(d), 0.0, 0))
     return state

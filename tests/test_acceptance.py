@@ -33,7 +33,7 @@ def report(num, name, ok, detail):
     assert ok, line
 
 
-def random_real_field(rng, d, K, s, n_pairs, scale=1.0, vshape=(), sym=False):
+def random_real_field(rng, d, K, n_pairs, scale=1.0, vshape=(), sym=False):
     mapping = {}
     while len(mapping) < 2 * n_pairs:
         mode = tuple(int(x) for x in rng.integers(-K, K + 1, d + 1))
@@ -46,7 +46,7 @@ def random_real_field(rng, d, K, s, n_pairs, scale=1.0, vshape=(), sym=False):
             c = 0.5 * (c + np.swapaxes(c, -1, -2))
         mapping[mode] = c
         mapping[tuple(-x for x in mode)] = np.conj(c)
-    return FourierField.from_modes(d, mapping, s=s, vshape=vshape)
+    return FourierField.from_modes(d, mapping, vshape=vshape)
 
 
 def transport_residual(S, R, unsolved, omega, eps, a, rng, n_pts=60):
@@ -116,14 +116,13 @@ def kam_synthetic():
                         mapping[conj] = np.conj(val)
                         done.add(mode)
                         done.add(conj)
-            fields.append(FourierField.from_modes(2, mapping, s=0.3,
-                                                  vshape=vshape).prune())
+            fields.append(FourierField.from_modes(2, mapping, vshape=vshape).prune())
         grid = ActionGrid(np.zeros(2), 1e-3, 5)
         return KamState(
             m=0, eps=1.0, a=1.0, omega=GOLDEN.copy(),
             Omega=np.array([[0.45, 0.08], [0.08, 0.55]]),
             low=ActionJet(r0=fields[0], r1=fields[1], r2=fields[2]),
-            high=FourierField.zero(2, 0.3, cutoff=6, grid=grid),
+            high=FourierField.zero(2, grid=grid),
             const=0.0, s=0.3, r=1e-3, grid=grid, s0=0.3, r0=1e-3)
 
     dc = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30, K_check=300)
@@ -214,13 +213,13 @@ def test_criterion_3_homological_exactness():
 
     dc_split = DiophantineParams(d=2, gamma=1e-4, eps=0.5, a=2.0,
                                  K_split=10, K_check=20)
-    R = random_real_field(rng, 2, 8, 0.3, 25)
+    R = random_real_field(rng, 2, 8, 25)
     S = solve_homological(R, GOLDEN, dc_split, regime="split")
     rels.append(transport_residual(S, R, R.angle_average(), GOLDEN, 0.5, 2.0, rng))
 
     dc_full = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30, K_check=300)
     for vshape, sym in [((), False), ((2,), False), ((2, 2), True)]:
-        R = random_real_field(rng, 2, 8, 0.3, 25, vshape=vshape, sym=sym)
+        R = random_real_field(rng, 2, 8, 25, vshape=vshape, sym=sym)
         S = solve_homological(R, GOLDEN, dc_full, regime="full")
         rels.append(transport_residual(
             S, R, R.angle_average().time_average(), GOLDEN, 1.0, 1.0, rng))
@@ -405,6 +404,6 @@ def test_default_m0_state_takes_a_kam_step(pipeline_run):
     kc = cfg["kam"]
     params = KamParams(dc=res["dc"], tol=1e-20, max_steps=int(kc["max_steps"]),
                        K_cap=int(kc["K_cap"]), n_nodes=int(kc["n_nodes"]))
-    assert res["avg"].R_breve.cutoff <= cfg["normal_form"]["K_cap"]
+    assert res["avg"].R_breve.orders().max() <= cfg["normal_form"]["K_cap"]
     state = kam_step(res["kam0"], params)
     assert state.m == 1

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ REDUCED = {
 }
 PIPELINE_FILES = ["config.json", "dc_margins.csv", "dc_point.json", "nf_diagnostics.csv",
                   "kam_diagnostics.csv", "torus.json", "summary.json"]
+# A stored torus of the benchmark's `kam_active` workload.
+CERTIFY_TORUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "fixtures", "kam_active_torus.json")
 
 
 def dump_config(path, overrides):
@@ -81,6 +85,15 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     # a list is one value: the entries of system.terms are not checked as keys
     cfg = cli.load_config(None, {"system": {"terms": [{"alpha": [1, 1], "modes": []}]}})
     assert cfg["system"]["terms"][0]["modes"] == []
+
+
+def test_config_sections_must_be_objects(tmp_path, capsys):
+    for section in ("torus", "dc"):
+        path = dump_config(tmp_path / f"{section}.json", {section: 5})
+        with pytest.raises(ValueError, match=f"config key {section} must be an object"):
+            cli.load_config(path)
+        assert cli.main(["period", "--config", path]) == 1
+        assert f"config key {section} must be an object" in capsys.readouterr().err
 
 
 def test_written_config_reloads_to_the_same_hash(flat_run):
@@ -181,6 +194,19 @@ def test_pipeline_writes_artifacts(flat_run):
     assert summary["config_hash"] == config_hash(cfg)
     assert summary["kam_steps"] == 0
     assert float(summary["kam_low_norm"]) <= 1e-12
+
+
+def test_saved_torus_is_the_loaded_file_without_domain_keys(tmp_path):
+    # a torus file that still carries per-field s, cutoff and tau loads, and
+    # saves back as the same JSON without them
+    cli.save_torus(cli.load_torus(CERTIFY_TORUS), tmp_path / "torus.json")
+    with open(CERTIFY_TORUS) as fh:
+        expect = json.load(fh)
+    for name in ("theta_dev", "action"):
+        for key in ("s", "cutoff", "tau"):
+            del expect[name][key]
+    with open(tmp_path / "torus.json") as fh:
+        assert json.load(fh) == expect
 
 
 def test_flat_system_gives_flat_torus(flat_run):

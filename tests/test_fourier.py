@@ -9,12 +9,12 @@ from kamforge.fourier import (REALITY_TOL, ActionGrid, FourierField, ball_modes,
                               compose_shifted_grid, jet_split)
 
 
-def sample_field(s=0.3):
+def sample_field():
     return FourierField.from_modes(2, {
         (1, 0, 1): 0.5, (-1, 0, -1): 0.5,
         (0, 2, -1): 0.25j, (0, -2, 1): -0.25j,
         (1, -1, 0): 0.1, (-1, 1, 0): 0.1,
-    }, s=s)
+    })
 
 
 def direct_eval(th, t):
@@ -57,7 +57,8 @@ def test_derive_matches_finite_difference():
 
 def test_norm_splits_over_truncation():
     f = sample_field()
-    assert f.truncate(2).norm() + f.tail(2).norm() == pytest.approx(f.norm(), rel=1e-15)
+    assert f.truncate(2).norm(0.3) + f.tail(2).norm(0.3) == pytest.approx(f.norm(0.3),
+                                                                         rel=1e-15)
     # truncate keeps exactly the low-order modes
     assert f.truncate(2).orders().max(initial=0) <= 2
     assert f.tail(2).orders().min(initial=10) > 2
@@ -67,7 +68,7 @@ def test_grid_roundtrip_preserves_coefficients():
     f = sample_field()
     nshape = (16, 16, 16)
     vals = f.to_grid(nshape)
-    g = FourierField.from_grid(vals, 2, f.s, cutoff=6)
+    g = FourierField.from_grid(vals, 2, cutoff=6)
     assert g.projection_residual < 1e-14
     th, t = random_points(10, seed=7)
     np.testing.assert_allclose(g.evaluate(th, t), f.evaluate(th, t), atol=1e-12)
@@ -76,30 +77,32 @@ def test_grid_roundtrip_preserves_coefficients():
 def test_from_grid_reports_dropped_mass():
     f = sample_field()
     vals = f.to_grid((16, 16, 16))
-    g = FourierField.from_grid(vals, 2, f.s, cutoff=1)  # drops the order-2/3 modes
+    g = FourierField.from_grid(vals, 2, cutoff=1)  # drops the order-2/3 modes
     assert g.projection_residual > 0.1
     assert g.orders().max(initial=0) <= 1
 
 
 def test_reality_guard_rejects_asymmetric_modes():
     with pytest.raises(RealityError):
-        FourierField.from_modes(2, {(1, 0, 0): 1.0, (-1, 0, 0): 0.2}, s=0.3)
+        FourierField.from_modes(2, {(1, 0, 0): 1.0, (-1, 0, 0): 0.2})
 
 
 def test_prune_drops_negligible_modes():
     f = FourierField.from_modes(2, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5,
-                                    (0, 1, 0): 1e-20, (0, -1, 0): 1e-20}, s=0.3)
+                                    (0, 1, 0): 1e-20, (0, -1, 0): 1e-20})
     assert f.prune().n_modes == 2
 
 
 def test_json_roundtrip_is_exact():
-    f = sample_field()
-    g = FourierField.from_json_dict(f.to_json_dict())
-    assert np.array_equal(f.modes, g.modes)
-    np.testing.assert_array_equal(f.coeffs, g.coeffs)
-    assert (g.s, g.tau, g.cutoff, g.vshape) == (f.s, f.tau, f.cutoff, f.vshape)
-    # dict is json-serializable as is
-    json.dumps(f.to_json_dict())
+    grid = ActionGrid((1.0, 1.5), 0.01, 3)
+    for f in (sample_field(), random_real_field(2, (2,), grid, seed=3)):
+        g = FourierField.from_json_dict(f.to_json_dict())
+        assert np.array_equal(f.modes, g.modes)
+        np.testing.assert_array_equal(f.coeffs, g.coeffs)
+        assert g.vshape == f.vshape
+        assert g.grid is None if f.grid is None else g.grid.same_as(f.grid)
+        # dict is json-serializable as is
+        json.dumps(f.to_json_dict())
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -133,7 +136,7 @@ def test_grid_field_action_dependence():
     nodes = grid.node_points()
     # coefficient varying linearly in the first action
     coeffs = np.stack([0.5 * nodes[..., 0], 0.5 * nodes[..., 0]], axis=0).astype(complex)
-    f = FourierField(2, np.array([[1, 0, 0], [-1, 0, 0]]), coeffs, 0.3, 1, grid=grid)
+    f = FourierField(2, np.array([[1, 0, 0], [-1, 0, 0]]), coeffs, grid=grid)
     th, t = random_points(15, seed=9)
     rng = np.random.default_rng(10)
     II = np.stack([rng.uniform(0.992, 1.008, 15), rng.uniform(1.292, 1.308, 15)],
@@ -150,7 +153,7 @@ def test_restrict_action_resamples_nodes():
     nodes = grid.node_points()
     coeffs = np.stack([0.5 * nodes[..., 1] ** 2, 0.5 * nodes[..., 1] ** 2],
                       axis=0).astype(complex)
-    f = FourierField(2, np.array([[0, 1, 0], [0, -1, 0]]), coeffs, 0.3, 1, grid=grid)
+    f = FourierField(2, np.array([[0, 1, 0], [0, -1, 0]]), coeffs, grid=grid)
     g = f.restrict_action(inner)
     expect = 0.5 * inner.node_points()[..., 1] ** 2
     np.testing.assert_allclose(g.coeffs[0], expect, atol=1e-13)
@@ -165,7 +168,7 @@ def node_field(rng, grid, scale, vshape=()):
     for mode in [(1, 0, 1), (0, 1, -1), (1, -1, 0), (2, 0, 1)]:
         mapping[mode] = draw() + 1j * draw()
         mapping[tuple(-x for x in mode)] = np.conj(mapping[mode])
-    return FourierField.from_modes(2, mapping, s=0.3, grid=grid, vshape=vshape)
+    return FourierField.from_modes(2, mapping, grid=grid, vshape=vshape)
 
 
 def staggered_field(rng, grid):
@@ -233,7 +236,7 @@ def test_grad_angle_stacks_angle_derivatives(vshape):
         c = rng.standard_normal(vshape) + 1j * rng.standard_normal(vshape)
         mapping[mode] = c
         mapping[tuple(-x for x in mode)] = np.conj(c)
-    f = FourierField.from_modes(2, mapping, s=0.3, vshape=vshape)
+    f = FourierField.from_modes(2, mapping, vshape=vshape)
     g = f.grad_angle()
     assert g.vshape == (2,) + vshape
     # reference: d/dtheta_i multiplies the coefficient of mode k by 1j * k_i
@@ -273,7 +276,7 @@ def test_jet_split_of_exact_cubic():
                 + cubic(x))
 
     x = grid.node_points().reshape(-1, 2) - point
-    f = FourierField(2, modes, poly(x).reshape(5, *grid.shape), 0.3, 3, grid=grid)
+    f = FourierField(2, modes, poly(x).reshape(5, *grid.shape), grid=grid)
     r0, r1, r2, high = jet_split(f, point, kgrid)
     assert (r1.vshape, r2.vshape, high.grid) == ((2,), (2, 2), kgrid)
     order = [r0.modes.tolist().index(m) for m in modes.tolist()]
@@ -341,7 +344,7 @@ def test_symmetrize_matches_dict_reference(d, vshape, node_grid, closed):
     present = {tuple(m) for m in modes}
     assert closed == all(tuple(-m) in present for m in modes)
     ref_modes, ref_coeffs, ref_drift = dict_symmetrize(modes, c)
-    f = FourierField(d, modes, c, 0.3, 3, grid=grid, vshape=vshape)
+    f = FourierField(d, modes, c, grid=grid, vshape=vshape)
     assert np.array_equal(f.modes, ref_modes)
     assert np.array_equal(f.coeffs, ref_coeffs)
     assert f.reality_drift == ref_drift
@@ -350,7 +353,7 @@ def test_symmetrize_matches_dict_reference(d, vshape, node_grid, closed):
     c_bad[0] += 1.0
     assert dict_symmetrize(modes, c_bad)[2] > REALITY_TOL
     with pytest.raises(RealityError):
-        FourierField(d, modes, c_bad, 0.3, 3, grid=grid, vshape=vshape)
+        FourierField(d, modes, c_bad, grid=grid, vshape=vshape)
 
 
 # -- real grids ---------------------------------------------------------------
@@ -369,7 +372,7 @@ def random_real_field(d, vshape, grid, K=3, seed=0):
         if neg == m:
             c = c.real.astype(complex)
         mapping[m], mapping[neg] = c, np.conj(c)
-    return FourierField.from_modes(d, mapping, s=0.3, grid=grid, vshape=vshape)
+    return FourierField.from_modes(d, mapping, grid=grid, vshape=vshape)
 
 
 REAL_GRID_CASES = {
@@ -447,7 +450,7 @@ def test_evaluate_matches_table_reference(monkeypatch, points, vshape, node_grid
 def test_from_grid_inverts_to_grid(nshape, vshape):
     grid = ActionGrid((1.0, 1.5), 0.01, 3)
     f = random_real_field(2, vshape, grid, seed=4)
-    g = FourierField.from_grid(f.to_grid(nshape), 2, f.s, cutoff=3, grid=grid, vshape=vshape)
+    g = FourierField.from_grid(f.to_grid(nshape), 2, cutoff=3, grid=grid, vshape=vshape)
     assert np.array_equal(g.modes, f.modes)
     assert np.abs(g.coeffs - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
     assert g.reality_drift == 0.0
@@ -473,7 +476,7 @@ def test_projection_residual_is_full_spectrum_mass(nshape, cutoff):
     rng = np.random.default_rng(sum(nshape) + cutoff)
     grid = ActionGrid((1.0, 1.5), 0.01, 3)
     values = rng.standard_normal(nshape + (2,) + grid.shape)
-    g = FourierField.from_grid(values, 2, 0.3, cutoff, grid=grid, vshape=(2,))
+    g = FourierField.from_grid(values, 2, cutoff, grid=grid, vshape=(2,))
     expect = full_spectrum_residual(values, 2, cutoff)
     assert abs(g.projection_residual - expect) <= 1e-13 * expect
 
@@ -481,7 +484,7 @@ def test_projection_residual_is_full_spectrum_mass(nshape, cutoff):
 def test_from_grid_rejects_complex_values():
     vals = sample_field().to_grid((8, 8, 8)).astype(complex)
     with pytest.raises(TypeError):
-        FourierField.from_grid(vals, 2, 0.3, cutoff=3)
+        FourierField.from_grid(vals, 2, cutoff=3)
 
 
 @pytest.mark.parametrize("with_drho", [False, True])
@@ -560,20 +563,20 @@ def test_constructor_sorts_and_merges_shuffled_duplicates(node_grid):
             coeffs.append(w * c)
     perm = rng.permutation(len(modes))
     assert len(modes) > f.n_modes
-    g = FourierField(2, np.array(modes)[perm], np.array(coeffs)[perm], f.s, f.cutoff,
-                     grid=grid, vshape=(2,))
+    g = FourierField(2, np.array(modes)[perm], np.array(coeffs)[perm], grid=grid,
+                     vshape=(2,))
     assert np.array_equal(g.modes, f.modes)
     assert np.array_equal(g.coeffs, f.coeffs)
     assert g.reality_drift == 0.0
     # canonical input is kept as given
-    h = FourierField(2, f.modes, f.coeffs, f.s, f.cutoff, grid=grid, vshape=(2,))
+    h = FourierField(2, f.modes, f.coeffs, grid=grid, vshape=(2,))
     assert np.array_equal(h.modes, f.modes) and np.array_equal(h.coeffs, f.coeffs)
 
 
 def test_construction_stores_the_symmetrised_sum():
     # exact partners whose zero real parts differ in sign: the drift is 0, and
     # the stored average has +0 in both rather than keeping the given -0
-    f = FourierField(1, [[-1, 0], [1, 0]], [complex(-0.0, 0.5), complex(0.0, -0.5)], 0.3, 1)
+    f = FourierField(1, [[-1, 0], [1, 0]], [complex(-0.0, 0.5), complex(0.0, -0.5)])
     assert f.reality_drift == 0.0
     assert not np.signbit(f.coeffs.real).any()
 

@@ -40,8 +40,7 @@ def ball_noise_field(rng, vshape, scale, K=3, sym=False):
         c[idx[mm]] = np.conj(val)
     if sym:
         c[:] = 0.5 * (c + np.swapaxes(c, -1, -2))
-    return FourierField(2, np.array(modes, dtype=np.int64), c, S0_STRIP, K,
-                        vshape=vshape).prune()
+    return FourierField(2, np.array(modes, dtype=np.int64), c, vshape=vshape).prune()
 
 
 def make_state(rng, with_high=True):
@@ -54,9 +53,9 @@ def make_state(rng, with_high=True):
         u = grid.node_points() / R_BALL
         cubic = (u[..., 0] ** 3 + 0.5 * u[..., 1] ** 2 * u[..., 0]) * R_BALL**3
         high = FourierField(2, base.modes, base.coeffs[:, None, None] * cubic[None],
-                            S0_STRIP, base.cutoff, grid=grid)
+                            grid=grid)
     else:
-        high = None
+        high = FourierField.zero(2, grid=grid)
     return KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
                     low=ActionJet(r0=R0, r1=R1, r2=R2), high=high,
                     const=0.0, s=S0_STRIP, r=R_BALL, grid=grid,
@@ -83,15 +82,15 @@ def steps():
 def test_low_norm_weighs_jet_by_ball_radius():
     state = make_state(np.random.default_rng(11))
     r0_osc = state.low.r0 - state.low.r0.time_average().angle_average()
-    expect = (r0_osc.norm() + state.r * state.low.r1.norm()
-              + state.r**2 * state.low.r2.norm())
+    expect = (r0_osc.norm(S0_STRIP) + state.r * state.low.r1.norm(S0_STRIP)
+              + state.r**2 * state.low.r2.norm(S0_STRIP))
     assert state.low_norm() == pytest.approx(expect, rel=1e-14)
     # a constant added to R0 only shifts the energy, never the norm
-    shifted = state.low.r0 + FourierField.from_modes(2, {(0, 0, 0): 0.7},
-                                                     s=S0_STRIP, cutoff=3)
+    shifted = state.low.r0 + FourierField.from_modes(2, {(0, 0, 0): 0.7})
     bumped = KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
                       low=ActionJet(r0=shifted, r1=state.low.r1, r2=state.low.r2),
-                      high=None, const=0.0, s=S0_STRIP, r=R_BALL,
+                      high=FourierField.zero(2, grid=state.grid), const=0.0, s=S0_STRIP,
+                      r=R_BALL,
                       grid=state.grid, s0=S0_STRIP, r0=R_BALL)
     assert bumped.low_norm() == pytest.approx(state.low_norm(), rel=1e-12)
 
@@ -143,7 +142,7 @@ def test_invert_nf_change_satisfies_implicit_equations():
     S = FourierField.from_modes(
         2, {(1, 0, 1): 1e-3, (-1, 0, -1): 1e-3,
             (0, 1, -2): 2e-3j, (0, -1, 2): -2e-3j},
-        s=0.3, grid=grid, cutoff=8)
+        grid=grid)
     assert_inversion_solves_the_generating_equations(S, np.random.default_rng(2))
 
 
@@ -163,14 +162,13 @@ def test_kam_generating_function_is_quadratic_in_the_action(steps):
 def test_action_shift_oracle():
     # constant R1 forces nu = -Omega^\'{-1} mean / 2 and empties the low jet
     cbar = np.array([2e-5, -1e-5])
-    R1 = FourierField.from_modes(2, {(0, 0, 0): cbar}, s=S0_STRIP, vshape=(2,))
-    z = FourierField.zero(2, S0_STRIP, cutoff=3)
-    zm = FourierField.zero(2, S0_STRIP, cutoff=3, vshape=(2, 2))
+    R1 = FourierField.from_modes(2, {(0, 0, 0): cbar}, vshape=(2,))
+    z = FourierField.zero(2)
+    zm = FourierField.zero(2, vshape=(2, 2))
+    grid = ActionGrid(np.zeros(2), R_BALL, 5)
     state = KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
-                     low=ActionJet(r0=z, r1=R1, r2=zm), high=None,
-                     const=1.5, s=S0_STRIP, r=R_BALL,
-                     grid=ActionGrid(np.zeros(2), R_BALL, 5),
-                     s0=S0_STRIP, r0=R_BALL)
+                     low=ActionJet(r0=z, r1=R1, r2=zm), high=FourierField.zero(2, grid=grid),
+                     const=1.5, s=S0_STRIP, r=R_BALL, grid=grid, s0=S0_STRIP, r0=R_BALL)
     out = kam_step(state, make_params())
     nu = out.changes[0].nu
     np.testing.assert_allclose(nu, -0.5 * np.linalg.solve(OMEGA_MAT, cbar),
@@ -189,28 +187,26 @@ def test_action_shift_oracle():
 
 def test_action_shift_outside_ball_raises():
     cbar = np.array([1e-3, -1e-3])
-    R1 = FourierField.from_modes(2, {(0, 0, 0): cbar}, s=S0_STRIP, vshape=(2,))
-    z = FourierField.zero(2, S0_STRIP, cutoff=3)
-    zm = FourierField.zero(2, S0_STRIP, cutoff=3, vshape=(2, 2))
+    R1 = FourierField.from_modes(2, {(0, 0, 0): cbar}, vshape=(2,))
+    z = FourierField.zero(2)
+    zm = FourierField.zero(2, vshape=(2, 2))
+    grid = ActionGrid(np.zeros(2), R_BALL, 5)
     state = KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
-                     low=ActionJet(r0=z, r1=R1, r2=zm), high=None,
-                     const=0.0, s=S0_STRIP, r=R_BALL,
-                     grid=ActionGrid(np.zeros(2), R_BALL, 5),
-                     s0=S0_STRIP, r0=R_BALL)
+                     low=ActionJet(r0=z, r1=R1, r2=zm), high=FourierField.zero(2, grid=grid),
+                     const=0.0, s=S0_STRIP, r=R_BALL, grid=grid, s0=S0_STRIP, r0=R_BALL)
     with pytest.raises(DomainError):
         kam_step(state, make_params())
 
 
 def test_twist_matrix_update():
     c2 = np.array([[3e-5, 1e-5], [1e-5, -2e-5]])
-    R2 = FourierField.from_modes(2, {(0, 0, 0): c2}, s=S0_STRIP, vshape=(2, 2))
-    z = FourierField.zero(2, S0_STRIP, cutoff=3)
-    zv = FourierField.zero(2, S0_STRIP, cutoff=3, vshape=(2,))
+    R2 = FourierField.from_modes(2, {(0, 0, 0): c2}, vshape=(2, 2))
+    z = FourierField.zero(2)
+    zv = FourierField.zero(2, vshape=(2,))
+    grid = ActionGrid(np.zeros(2), R_BALL, 5)
     state = KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
-                     low=ActionJet(r0=z, r1=zv, r2=R2), high=None,
-                     const=0.0, s=S0_STRIP, r=R_BALL,
-                     grid=ActionGrid(np.zeros(2), R_BALL, 5),
-                     s0=S0_STRIP, r0=R_BALL)
+                     low=ActionJet(r0=z, r1=zv, r2=R2), high=FourierField.zero(2, grid=grid),
+                     const=0.0, s=S0_STRIP, r=R_BALL, grid=grid, s0=S0_STRIP, r0=R_BALL)
     out = kam_step(state, make_params())
     np.testing.assert_allclose(out.Omega, OMEGA_MAT + c2, atol=1e-18)
     assert out.diagnostics[-1]["dOmega"] == pytest.approx(np.abs(c2).max())
@@ -245,7 +241,7 @@ def test_cubic_contraction_is_exact_on_node_polynomials():
     vals = [sum(a * u[..., 0] ** i * u[..., 1] ** j for (i, j), a in poly.items())
             * R_BALL**3 for poly in CUBIC_POLYS]
     coeffs = sum(base.coeffs[:, p, None, None] * vals[p][None] for p in range(2))
-    high = FourierField(2, base.modes, coeffs, S0_STRIP, base.cutoff, grid=grid)
+    high = FourierField(2, base.modes, coeffs, grid=grid)
     nshape = (8, 8, 8)
     w = rng.standard_normal(nshape + (2,))
     got = cubic_contraction(high, w, nshape)
@@ -277,19 +273,19 @@ def test_diagnostics_rows_have_stable_keys(steps):
 
 
 def flat_torus(I_star, omega, eps=0.1):
-    z = FourierField.zero(2, 0.3, cutoff=4)
-    zv = FourierField.zero(2, 0.3, cutoff=4, vshape=(2,))
-    zm = FourierField.zero(2, 0.3, cutoff=4, vshape=(2, 2))
+    z = FourierField.zero(2)
+    zv = FourierField.zero(2, vshape=(2,))
+    zm = FourierField.zero(2, vshape=(2, 2))
     grid = ActionGrid(np.zeros(2), 1e-4, 5)
     kam_state = KamState(m=0, eps=eps, a=1.0, omega=omega, Omega=np.eye(2),
-                         low=ActionJet(r0=z, r1=zv, r2=zm), high=None,
+                         low=ActionJet(r0=z, r1=zv, r2=zm), high=FourierField.zero(2, grid=grid),
                          const=0.0, s=0.3, r=1e-4, grid=grid, s0=0.3, r0=1e-4)
     return extract_at(kam_state, I_star)
 
 
 def extract_at(kam_state, I_star):
     """Torus of a KAM state whose chain starts with the recentring at I_star."""
-    recentre = Change(FourierField.zero(2, 0.3, grid=kam_state.grid), I_star)
+    recentre = Change(FourierField.zero(2, grid=kam_state.grid), I_star)
     chain = dataclasses.replace(kam_state, changes=[recentre] + kam_state.changes)
     return extract_torus(chain, n_phi=8, n_t=8)
 

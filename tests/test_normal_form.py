@@ -20,7 +20,7 @@ from jets import evaluate_jet
 GOLDEN = np.array([(1 + np.sqrt(5)) / 2, 1.3247179572447460])
 
 
-def random_real_field(rng, d, K, s, n_pairs, scale=1.0, vshape=()):
+def random_real_field(rng, d, K, n_pairs, scale=1.0, vshape=()):
     mapping = {}
     while len(mapping) < 2 * n_pairs:
         mode = tuple(int(x) for x in rng.integers(-K, K + 1, d + 1))
@@ -31,7 +31,7 @@ def random_real_field(rng, d, K, s, n_pairs, scale=1.0, vshape=()):
         c = scale * (rng.standard_normal(vshape) + 1j * rng.standard_normal(vshape))
         mapping[mode] = c
         mapping[tuple(-x for x in mode)] = np.conj(c)
-    return FourierField.from_modes(d, mapping, s=s, vshape=vshape)
+    return FourierField.from_modes(d, mapping, vshape=vshape)
 
 
 def transport_residual(S, R, unsolved, omega, eps, a, rng, n_pts=60):
@@ -52,7 +52,7 @@ def transport_residual(S, R, unsolved, omega, eps, a, rng, n_pts=60):
 def test_homological_single_mode_closed_form():
     omega = np.array([2.0, np.sqrt(2.0)])
     dc = DiophantineParams(d=2, gamma=1e-3, eps=1.0, a=1.0, K_split=6, K_check=12)
-    R = FourierField.from_modes(2, {(1, 0, 1): 0.5, (-1, 0, -1): 0.5}, s=0.3)
+    R = FourierField.from_modes(2, {(1, 0, 1): 0.5, (-1, 0, -1): 0.5})
     S = solve_homological(R, omega, dc, regime="split")
     rng = np.random.default_rng(0)
     th = rng.uniform(0, 2 * np.pi, (40, 2))
@@ -65,32 +65,31 @@ def test_homological_single_mode_closed_form():
 @pytest.mark.parametrize("eps,a", [(1.0, 1.0), (0.5, 2.0)])
 def test_homological_residual_split_regime(eps, a):
     rng = np.random.default_rng(42)
-    R = random_real_field(rng, 2, 6, 0.3, 20, scale=1e-2)
+    R = random_real_field(rng, 2, 6, 20, scale=1e-2)
     dc = DiophantineParams(d=2, gamma=1e-4, eps=eps, a=a, K_split=6, K_check=12)
     S = solve_homological(R, GOLDEN, dc, regime="split")
     res = transport_residual(S, R, R.angle_average(), GOLDEN, eps, a, rng)
-    assert res <= 1e-12 * max(1.0, R.norm())
+    assert res <= 1e-12 * max(1.0, R.norm(0.3))
     # the k = 0 modes stay untouched in the split regime
     assert not np.any(np.abs(S.modes[:, :2]).sum(axis=1) == 0)
 
 
 def test_homological_residual_full_regime_solves_time_modes():
     rng = np.random.default_rng(7)
-    R = random_real_field(rng, 2, 6, 0.3, 20, scale=1e-2)
-    R = R + FourierField.from_modes(2, {(0, 0, 1): 5e-3j, (0, 0, -1): -5e-3j},
-                                    s=0.3, cutoff=R.cutoff)
+    R = random_real_field(rng, 2, 6, 20, scale=1e-2)
+    R = R + FourierField.from_modes(2, {(0, 0, 1): 5e-3j, (0, 0, -1): -5e-3j})
     dc = DiophantineParams(d=2, gamma=1e-4, eps=0.5, a=1.0, K_split=6, K_check=12)
     S = solve_homological(R, GOLDEN, dc, regime="full")
     unsolved = R.angle_average().time_average()
     res = transport_residual(S, R, unsolved, GOLDEN, 0.5, 1.0, rng)
-    assert res <= 1e-12 * max(1.0, R.norm())
+    assert res <= 1e-12 * max(1.0, R.norm(0.3))
     knorm = np.abs(S.modes[:, :2]).sum(axis=1)
     assert np.any((knorm == 0) & (S.modes[:, -1] != 0))
 
 
 def test_homological_vector_valued_components():
     rng = np.random.default_rng(3)
-    R = random_real_field(rng, 2, 5, 0.3, 12, scale=1e-2, vshape=(2,))
+    R = random_real_field(rng, 2, 5, 12, scale=1e-2, vshape=(2,))
     dc = DiophantineParams(d=2, gamma=1e-4, eps=1.0, a=1.0, K_split=5, K_check=10)
     S = solve_homological(R, GOLDEN, dc, regime="full")
     th = rng.uniform(0, 2 * np.pi, (50, 2))
@@ -100,11 +99,11 @@ def test_homological_vector_valued_components():
     for i in range(2):
         lhs = lhs + GOLDEN[i] * grad[:, i]
     rhs = R.evaluate(th, tt) - R.angle_average().time_average().evaluate(th, tt)
-    np.testing.assert_allclose(lhs, -rhs, atol=1e-12 * R.norm())
+    np.testing.assert_allclose(lhs, -rhs, atol=1e-12 * R.norm(0.3))
 
 
 def test_homological_raises_on_resonance():
-    R = FourierField.from_modes(2, {(1, -1, 0): 1e-3, (-1, 1, 0): 1e-3}, s=0.3)
+    R = FourierField.from_modes(2, {(1, -1, 0): 1e-3, (-1, 1, 0): 1e-3})
     dc = DiophantineParams(d=2, gamma=1e-3, eps=1.0, a=1.0, K_split=6, K_check=12)
     with pytest.raises(SmallDivisorError) as err:
         solve_homological(R, np.array([1.0, 1.0]), dc, regime="split")
@@ -134,7 +133,7 @@ def test_implicit_angle_shift_residual_is_certified():
     S = FourierField.from_modes(
         2, {(1, 0, 1): 0.02 * nodes[..., 0], (-1, 0, -1): 0.02 * nodes[..., 0],
             (0, 1, -1): 0.01j * nodes[..., 1], (0, -1, 1): -0.01j * nodes[..., 1]},
-        s=0.3, grid=grid)
+        grid=grid)
     srho = S.grad_action()
     nshape = (8, 8, 8)
     V, iters = implicit_angle_shift(srho, nshape, grid)
@@ -156,14 +155,15 @@ def chain():
         (0, 0, 0): 3e-3,
         (0, 0, 2): 1e-3, (0, 0, -2): 1e-3,
     }
-    R = FourierField.from_modes(2, modes, s=0.4)
+    R = FourierField.from_modes(2, modes)
     spec = HamiltonianSpec(d=2, eps=0.5, a=2.0, b=1.0, H0=H0, R=R, I0=I0,
                            s0=0.4, tau0=2e-3)
     dc = DiophantineParams(d=2, gamma=5e-4, eps=0.5, a=2.0, K_split=8, K_check=16)
     params = NormalFormParams(dc=dc, m0=2, K0=4, K_cap=8, n_nodes=5)
     states = [split_tail(spec, params)]
     for _ in range(params.m0):
-        S = solve_homological(states[-1].R, spec.omega, params.dc, regime="split")
+        S = solve_homological(states[-1].R, spec.omega(states[-1].R.grid.node_points()),
+                              params.dc, regime="split")
         states.append(push_forward(states[-1], S, spec, params))
     avg = time_average_transform(states[-1], spec, params)
     I_star, resid = locate_expansion_point(avg, spec)
@@ -201,8 +201,8 @@ def test_push_forward_conjugates_the_hamiltonian(chain):
     assert iters > 0 and err < 1e-12
     # project the grids (*nshape, *gshape, d) onto vector fields in (phi, t, rho)
     ax = len(nshape)
-    cutoff = min(2 * S.cutoff, (min(nshape) - 1) // 2)
-    u, v = (FourierField.from_grid(np.moveaxis(G, -1, ax), spec.d, S.s, cutoff,
+    cutoff = min(2 * params.K_j(0), (min(nshape) - 1) // 2)
+    u, v = (FourierField.from_grid(np.moveaxis(G, -1, ax), spec.d, cutoff,
                                    grid=S.grid, vshape=(spec.d,)).prune()
             for G in (U, V))
     rng = np.random.default_rng(5)
@@ -264,8 +264,7 @@ def test_time_average_change_inverts_to_the_angle_twist(chain):
     # an oscillation of h whose action gradient is far above the inversion tolerance
     rel = grid.node_points() - grid.center
     z = 1e-3 * (rel[..., 0] + 0.5j * rel[..., 1])
-    osc = FourierField.from_modes(2, {(0, 0, 1): z, (0, 0, -1): np.conj(z)},
-                                  s=state.s, grid=grid, cutoff=state.h.cutoff)
+    osc = FourierField.from_modes(2, {(0, 0, 1): z, (0, 0, -1): np.conj(z)}, grid=grid)
     avg = time_average_transform(dataclasses.replace(state, h=state.h + osc), spec,
                                  chain["params"])
     assert avg.changes[:-1] == state.changes
@@ -288,10 +287,9 @@ def test_twist_compose_matches_direct_shift():
     nodes = grid.node_points()
     g = FourierField.from_modes(
         2, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5, (0, 1, 2): 0.1j, (0, -1, -2): -0.1j},
-        s=0.3, grid=grid, cutoff=14)
+        grid=grid)
     z = 0.02 * nodes[..., 0] + 0.01j * nodes[..., 1]
-    St = FourierField.from_modes(2, {(0, 0, 1): z, (0, 0, -1): np.conj(z)},
-                                 s=0.3, grid=grid)
+    St = FourierField.from_modes(2, {(0, 0, 1): z, (0, 0, -1): np.conj(z)}, grid=grid)
     delta = St.grad_action()
     # the change's S is -St, so the result is g(theta + dSt/dI)
     shifted, err = twist_compose(g, St * -1.0, (32, 32, 32), 14)
@@ -326,7 +324,7 @@ def test_locate_expansion_point_solves_frequency_equation(chain):
 def test_locate_expansion_point_pure_power_law(chain):
     spec = chain["spec"]
     avg = chain["avg"]
-    z = FourierField.zero(2, avg.s, cutoff=4, grid=avg.grid)
+    z = FourierField.zero(2, grid=avg.grid)
     flat = AveragedResult(h_bar=z, taylor_err=0.0, R_breve=z, grid=avg.grid,
                           s=avg.s, changes=avg.changes)
     I_star, resid = locate_expansion_point(flat, spec)
@@ -386,7 +384,7 @@ def test_taylor_split_starts_the_kam_chain(chain):
 
 def test_spec_validation():
     H0 = PowerLawH0(0.5, 2, 2)
-    R = FourierField.from_modes(2, {(0, 0, 0): 1e-3}, s=0.3)
+    R = FourierField.from_modes(2, {(0, 0, 0): 1e-3})
     with pytest.raises(ValueError):
         HamiltonianSpec(d=2, eps=0.5, a=1.0, b=1.0, H0=H0, R=R,
                         I0=np.ones(2), s0=0.3, tau0=0.01)
