@@ -226,7 +226,7 @@ def run_pipeline(cfg, out_dir=None, log=None):
                                K0=int(nfc["K_cap"]), base_grid=int(nfc["base_grid"]))
     dcp = _dc_params(cfg, net.m, sys_.eps, float(sys_.a))
     nfp = NormalFormParams(dc=dcp, m0=int(nfc["m0"]), K0=int(nfc["K0"]),
-                           K_cap=int(nfc["K_cap"]), n_nodes=int(nfc["n_nodes"]))
+                           K_cap=int(nfc["K_cap"]))
     nf = run_normal_form(spec, nfp)
     log(f"pipeline: normal form done, angle norm {nf.angle_norm():.4g}")
 

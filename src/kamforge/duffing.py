@@ -224,7 +224,6 @@ def integrate(net, x0, v0, t0, T, h, sample_every, escape):
         raise ValueError("t0 must be scalar or match the batch shape")
     nsteps = int(round(T / h))
     p = float(2 * net.n + 1)  # the same pow bits as the int exponent, without its cast
-    has_coupling = len(net.terms) > 0
     # merged kick weights: leading half-stage, interior sums, trailing half-stage
     kick_w = np.empty(len(YOSHIDA6) + 1)
     kick_w[0] = 0.5 * YOSHIDA6[0]
@@ -249,16 +248,14 @@ def integrate(net, x0, v0, t0, T, h, sample_every, escape):
         times[0] = t
         times[1:] = np.tile(drift, nb).reshape((-1,) + (1,) * t.ndim)
         np.add.accumulate(times, axis=0, out=times)
-        if has_coupling:
-            P = net.force_coefficients(times)
+        P = net.force_coefficients(times)
         for s in range(nb):
             k = stages * s
             for i, kh in enumerate(kick_h):
                 # a leading kick acts at the previous step's trailing (x, t): reuse its force
                 if i or f is None:
                     f = x**p
-                    if has_coupling:
-                        f += net.potential_gradient(x, P[k + i])
+                    f += net.potential_gradient(x, P[k + i])
                 v -= kh * f
                 if i < stages:
                     x += drift[i] * v

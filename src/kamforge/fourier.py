@@ -583,8 +583,9 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, g
     below ``SHIFT_TOL`` relative to that component's sum.  The action shift is exact:
     node coefficients are polynomials in the action, so each derivative grid
     is contracted with the barycentric weights of ``field.grid`` at the points
-    rho + drho.  Without ``drho`` the field is restricted to ``out_grid`` once,
-    at the coefficient level.
+    rho + drho.  Without ``drho`` a field on another grid is restricted to
+    ``out_grid`` at the coefficient level, once per call; a caller composing
+    one field repeatedly (``implicit_angle_shift``) passes it restricted.
 
     Parameters
     ----------
@@ -644,7 +645,7 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, g
     accum = np.zeros((P, C, Q))
     accum += values(zero, np.ones(f.n_modes), active)
     err = np.zeros(C)
-    if dtheta is not None and f.n_modes:
+    if dtheta is not None:
         shift = np.broadcast_to(dtheta, nshape + gshape + (f.d,)).reshape(P, Q, f.d)
         ik = 1j * f.modes[:, : f.d]
         # order-n terms keyed by alpha: coefficient factor (ik)^alpha / alpha! and

@@ -157,14 +157,9 @@ def kam_step(state, params):
     symOmG = G.replace(coeffs=epa * (OmG + np.swapaxes(OmG, 1, 2)))
 
     g0 = A0.to_grid(nshape)                         # (*nshape, d)
-    have_high = state.high.n_modes > 0
-    if have_high:
-        T3w = cubic_contraction(state.high, g0, nshape)
-        T3_field = FourierField.from_grid(0.5 * T3w, d, params.K_cap, vshape=(d, d))
-        Rss = (R2 + symOmG + T3_field).prune()
-    else:
-        T3w = None
-        Rss = (R2 + symOmG).prune()
+    T3w = cubic_contraction(state.high, g0, nshape)
+    T3_field = FourierField.from_grid(0.5 * T3w, d, params.K_cap, vshape=(d, d))
+    Rss = (R2 + symOmG + T3_field).prune()
     S2 = solve_homological(Rss, omega, params.dc, regime="full")
     S2 = S2.replace(coeffs=0.5 * (S2.coeffs + np.swapaxes(S2.coeffs, 1, 2)))
     dOm = ea * _mode_zero(Rss)
@@ -206,28 +201,22 @@ def kam_step(state, params):
     # 2 eps^(-a) <Omega rho, <dS2 rho, rho>>  (cubic tail of the twist cross term)
     rem += 2.0 * epa * np.einsum("pi,ij,...pj->...p", rho, Om, quad)
     # R_high at the shifted action, minus the part absorbed into S2's equation
-    if have_high:
-        vals, e = compose_shifted_grid(state.high, nshape, drho=Wfull.reshape(
-            tuple(nshape) + grid_new.shape + (d,)), out_grid=grid_new)
-        rem += vals.reshape(base)
-        taylor_errs.append(e)
-        rem -= 0.5 * np.einsum("pj,...jk,pk->...p", rho, T3w, rho)
+    vals, e = compose_shifted_grid(state.high, nshape, drho=Wfull.reshape(
+        tuple(nshape) + grid_new.shape + (d,)), out_grid=grid_new)
+    rem += vals.reshape(base)
+    taylor_errs.append(e)
+    rem -= 0.5 * np.einsum("pj,...jk,pk->...p", rho, T3w, rho)
 
     # compose with the implicit angle change theta = phi + V, where
     # phi = theta + dS/drho -------------------------------------------------
-    srho = S.grad_action()
-    V, fp_iters = implicit_angle_shift(srho, nshape, grid_new)
+    V, fp_iters = implicit_angle_shift(S.grad_action(), nshape, grid_new)
 
     rem_field = FourierField.from_grid(rem.reshape(tuple(nshape) + grid_new.shape),
                                        d, params.K_cap, grid=grid_new)
-    proj_res = rem_field.projection_residual
-    if srho.n_modes and rem_field.n_modes:
-        vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V, out_grid=grid_new)
-        taylor_errs.append(e)
-        final = FourierField.from_grid(vals, d, params.K_cap, grid=grid_new)
-        proj_res = max(proj_res, final.projection_residual)
-    else:
-        final = rem_field
+    vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V, out_grid=grid_new)
+    taylor_errs.append(e)
+    final = FourierField.from_grid(vals, d, params.K_cap, grid=grid_new)
+    proj_res = max(rem_field.projection_residual, final.projection_residual)
 
     # split by Taylor order at rho = 0 ---------------------------------------
     R0n, R1n, R2n, highn = jet_split(final, np.zeros(d), grid_new)

@@ -63,10 +63,11 @@ class Change(NamedTuple):
 class HamiltonianSpec:
     """Forced near-integrable system eps^(-a) H0(I) + eps^(-b) R(theta, t, I).
 
-    R is stored unscaled; the eps^(-b) factor is applied when the averaging
-    iteration starts.  H0 must expose value/grad/hess and min_hess_det;
-    its Hessian determinant on the action box is stored as ``c3`` and checked
-    to stay positive.
+    R is stored unscaled and sampled on the action ball ActionGrid(I0, tau0, n)
+    for some node count n, which the averaging keeps; the eps^(-b) factor is
+    applied when the averaging iteration starts.  H0 must expose
+    value/grad/hess and min_hess_det; its Hessian determinant must stay
+    positive on the action box.
     """
 
     d: int
@@ -89,12 +90,12 @@ class HamiltonianSpec:
             raise ValueError("perturbation angle dimension does not match d")
         if self.I0.shape != (self.d,):
             raise ValueError("I0 must be a length-d action vector")
-        lo = self.I0 - self.tau0
-        hi = self.I0 + self.tau0
-        self.c3 = float(self.H0.min_hess_det((lo, hi)))
-        if self.c3 <= 0:
-            raise ValueError(
-                f"H0 is degenerate on the action box (min Hessian det {self.c3:.3e})")
+        grid = self.R.grid
+        if grid is None or not grid.same_as(ActionGrid(self.I0, self.tau0, grid.n)):
+            raise ValueError("R must be sampled on the action ball ActionGrid(I0, tau0, n)")
+        c3 = float(self.H0.min_hess_det((self.I0 - self.tau0, self.I0 + self.tau0)))
+        if c3 <= 0:
+            raise ValueError(f"H0 is degenerate on the action box (min Hessian det {c3:.3e})")
 
     @property
     def eps_a(self):
@@ -118,7 +119,6 @@ class NormalFormParams:
     m0: int
     K0: int
     K_cap: int
-    n_nodes: int
 
     def K_j(self, j):
         return int(min(self.K0 * 2**j, self.K_cap))
@@ -160,13 +160,8 @@ class NormalFormState:
 
 def split_tail(spec, params):
     """Initial state: scale by eps^(-b) and split at the first truncation order."""
-    grid0 = ActionGrid(spec.I0, spec.tau0, params.n_nodes)
-    R = spec.R
-    if R.grid is None:
-        R = R.broadcast_action(grid0)
-    elif not R.grid.same_as(grid0):
-        R = R.restrict_action(grid0)
-    W = R * spec.eps ** (-spec.b)
+    grid0 = spec.R.grid
+    W = spec.R * spec.eps ** (-spec.b)
     K0 = params.K_j(0)
     state = NormalFormState(
         j=0,
@@ -263,9 +258,10 @@ def solve_fixed_point(apply_map, shape, max_iter):
 def implicit_angle_shift(srho, nshape, out_grid):
     """Solve V = -srho(phi + V) on the (phi, t) grid crossed with the action nodes.
 
-    ``srho`` is the vector field dS/drho of a generating function S, either
-    sampled on ``out_grid`` or restricted to it.  V is the angle change
-    theta = phi + V of the implicit transformation phi = theta + dS/drho.
+    ``srho`` is the vector field dS/drho of a generating function S, sampled
+    on ``out_grid`` or on a grid enclosing it; in the latter case it is
+    restricted to ``out_grid`` once, before the iteration.  V is the angle
+    change theta = phi + V of the implicit transformation phi = theta + dS/drho.
     Returns (V, iterations); V has shape (*nshape, *out_grid.shape, d) and
     the residual |V + srho(phi + V)| is at most SHIFT_TOL * max(1, |V|).  Both
     the fixed point and its Taylor compositions stop at ``SHIFT_TOL``, and at
@@ -273,8 +269,8 @@ def implicit_angle_shift(srho, nshape, out_grid):
     depend on V, so every iteration shares one dict of them.
     """
     shape = tuple(nshape) + out_grid.shape + srho.vshape
-    if srho.n_modes == 0:
-        return np.zeros(shape), 0
+    if not srho.grid.same_as(out_grid):
+        srho = srho.restrict_action(out_grid)
     grids = {}
 
     def step(V):
@@ -295,8 +291,6 @@ def canonical_change(S, nshape, out_grid):
     iteration count, and the largest Taylor error of the U compositions.
     """
     V, iters = implicit_angle_shift(S.grad_action(), nshape, out_grid)
-    if S.n_modes == 0:
-        return np.zeros_like(V), V, 0, 0.0
     U, err = compose_shifted_grid(S.grad_angle(), nshape, dtheta=V, out_grid=out_grid)
     return U, V, iters, err
 
@@ -313,7 +307,7 @@ def push_forward(state, S, spec, params):
     j_next = state.j + 1
     s_next = spec.s0 * 0.5 ** j_next
     tau_next = spec.tau0 * 0.5 ** j_next
-    grid_new = ActionGrid(spec.I0, tau_next, params.n_nodes)
+    grid_new = ActionGrid(spec.I0, tau_next, state.grid.n)
     nshape = params.nshape(d)
     epa = spec.eps_a
 
@@ -334,17 +328,14 @@ def push_forward(state, S, spec, params):
             vals, e = compose_shifted_grid(piece, nshape, dtheta=V, drho=U, out_grid=grid_new)
             tot += vals
             taylor_errs.append(e)
-    if S.n_modes:
-        vals, e = compose_shifted_grid(S.time_derivative(), nshape, dtheta=V,
-                                       out_grid=grid_new)
-        tot += vals
-        taylor_errs.append(e)
+    vals, e = compose_shifted_grid(S.time_derivative(), nshape, dtheta=V, out_grid=grid_new)
+    tot += vals
+    taylor_errs.append(e)
 
     h_next = (state.h + state.R.angle_average().truncate(params.K_cap)) \
         .restrict_action(grid_new).prune()
     tot -= epa * spec.H0.value(nodes)[(None,) * (d + 1)]
-    if h_next.n_modes:
-        tot -= h_next.to_grid(nshape)
+    tot -= h_next.to_grid(nshape)
 
     Rt = FourierField.from_grid(tot, d, params.K_cap, grid=grid_new)
     K_next = params.K_j(j_next)
@@ -496,10 +487,7 @@ def taylor_split(avg, spec, I_star, r0, kam_nodes):
     const = epa * (spec.H0.value(I_star) + ea * hv[0])
 
     kgrid = ActionGrid(np.zeros(d), r0, kam_nodes)
-    R = avg.R_breve
-    if R.grid is None:
-        R = R.broadcast_action(avg.grid)
-    R0, R1, R2, high = jet_split(R, I_star, kgrid)
+    R0, R1, R2, high = jet_split(avg.R_breve, I_star, kgrid)
     extra = FourierField.from_modes(d, {(0,) * (d + 1): epa * delta}, vshape=(d,))
     R1 = (R1 + extra).prune()
 

@@ -325,7 +325,7 @@ def test_criterion_5_averaging_decay():
                                K0=int(nfc["K_cap"]), base_grid=int(nfc["base_grid"]))
     nf = run_normal_form(spec, NormalFormParams(
         dc=dcp, m0=int(nfc["m0"]), K0=int(nfc["K0"]),
-        K_cap=int(nfc["K_cap"]), n_nodes=int(nfc["n_nodes"])))
+        K_cap=int(nfc["K_cap"])))
     norms = [row["R_angle_norm"] for row in nf.diagnostics]
     factors = [norms[i + 1] / norms[i] for i in range(len(norms) - 1)]
     bound = 10.0 * sys_.eps ** (sys_.a - sys_.b)

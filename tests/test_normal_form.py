@@ -155,11 +155,11 @@ def chain():
         (0, 0, 0): 3e-3,
         (0, 0, 2): 1e-3, (0, 0, -2): 1e-3,
     }
-    R = FourierField.from_modes(2, modes)
+    R = FourierField.from_modes(2, modes).broadcast_action(ActionGrid(I0, 2e-3, 5))
     spec = HamiltonianSpec(d=2, eps=0.5, a=2.0, b=1.0, H0=H0, R=R, I0=I0,
                            s0=0.4, tau0=2e-3)
     dc = DiophantineParams(d=2, gamma=5e-4, eps=0.5, a=2.0, K_split=8, K_check=16)
-    params = NormalFormParams(dc=dc, m0=2, K0=4, K_cap=8, n_nodes=5)
+    params = NormalFormParams(dc=dc, m0=2, K0=4, K_cap=8)
     states = [split_tail(spec, params)]
     for _ in range(params.m0):
         S = solve_homological(states[-1].R, spec.omega(states[-1].R.grid.node_points()),
@@ -188,7 +188,7 @@ def test_split_tail_scales_by_eps_b(chain):
     tt = rng.uniform(0, 2 * np.pi, 40)
     I = spec.I0 + rng.uniform(-1, 1, (40, 2)) * spec.tau0 * 0.9
     total = state0.R.evaluate(th, tt, I) + state0.R_plus.evaluate(th, tt, I)
-    np.testing.assert_allclose(total, spec.eps ** (-spec.b) * spec.R.evaluate(th, tt),
+    np.testing.assert_allclose(total, spec.eps ** (-spec.b) * spec.R.evaluate(th, tt, I),
                                rtol=1e-12, atol=1e-15)
 
 
@@ -384,14 +384,27 @@ def test_taylor_split_starts_the_kam_chain(chain):
 
 def test_spec_validation():
     H0 = PowerLawH0(0.5, 2, 2)
-    R = FourierField.from_modes(2, {(0, 0, 0): 1e-3})
-    with pytest.raises(ValueError):
+    R = FourierField.from_modes(2, {(0, 0, 0): 1e-3}).broadcast_action(
+        ActionGrid(np.ones(2), 0.01, 3))
+    with pytest.raises(ValueError, match="need a > b >= 0"):
         HamiltonianSpec(d=2, eps=0.5, a=1.0, b=1.0, H0=H0, R=R,
                         I0=np.ones(2), s0=0.3, tau0=0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eps must lie in"):
         HamiltonianSpec(d=2, eps=1.5, a=2.0, b=1.0, H0=H0, R=R,
                         I0=np.ones(2), s0=0.3, tau0=0.01)
     degenerate = PowerLawH0(1.0, 1, 2)  # linear H0: zero Hessian
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="H0 is degenerate"):
         HamiltonianSpec(d=2, eps=0.5, a=2.0, b=1.0, H0=degenerate, R=R,
+                        I0=np.ones(2), s0=0.3, tau0=0.01)
+
+
+@pytest.mark.parametrize("grid", [None, ActionGrid([1.0, 1.01], 0.01, 3),
+                                  ActionGrid(np.ones(2), 0.02, 3)],
+                         ids=["action_free", "wrong_centre", "wrong_radius"])
+def test_spec_takes_r_on_its_own_action_ball(grid):
+    R = FourierField.from_modes(2, {(0, 0, 0): 1e-3})
+    if grid is not None:
+        R = R.broadcast_action(grid)
+    with pytest.raises(ValueError, match="action ball"):
+        HamiltonianSpec(d=2, eps=0.5, a=2.0, b=1.0, H0=PowerLawH0(0.5, 2, 2), R=R,
                         I0=np.ones(2), s0=0.3, tau0=0.01)
