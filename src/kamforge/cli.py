@@ -242,7 +242,7 @@ def run_pipeline(cfg, out_dir=None, log=None):
 
     kp = KamParams(dc=dcp, tol=float(cfg["kam"]["tol"]),
                    max_steps=int(cfg["kam"]["max_steps"]),
-                   K_cap=int(cfg["kam"]["K_cap"]), n_nodes=int(cfg["kam"]["n_nodes"]))
+                   K_cap=int(cfg["kam"]["K_cap"]))
     kam = kam_iterate(kam0, kp)
     log(f"pipeline: kam stopped after {kam.m} steps, low norm {kam.low_norm():.4g}")
 

@@ -22,12 +22,12 @@ gamma * max(eps^(-a), 1) >= 1.4, else 1).  The margins and worst modes, ties
 included, are those of the full scan, bit for bit.
 """
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import ball_modes
 from .util import get_workers, spawn_rngs, write_csv
 
 K_CHUNK = 2048  # k-modes per matmul in _margins_for
@@ -69,24 +69,15 @@ class DiophantineParams:
         return self.gamma / (1.0 + knorm) ** (self.d + 1)
 
 
-@functools.lru_cache(maxsize=32)
 def _k_enumeration(d, K):
-    """Nonzero k with |k|_1 <= K, one representative per {k, -k} pair."""
-    rng = np.arange(-K, K + 1)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=1)
-    ks = ks[np.abs(ks).sum(axis=1) <= K]
-    ks = ks[np.any(ks != 0, axis=1)]
-    # canonical half: first nonzero entry positive
-    lead = np.zeros(ks.shape[0], dtype=bool)
-    undecided = np.ones(ks.shape[0], dtype=bool)
-    for j in range(d):
-        col = ks[:, j]
-        lead |= undecided & (col > 0)
-        undecided &= col == 0
-    ks = ks[lead]
-    ks.setflags(write=False)
-    return ks
+    """Nonzero k with |k|_1 <= K, one representative per {k, -k} pair.
+
+    The canonical order of ``ball_modes`` is lexicographic and reverses under
+    negation, so the modes after the middle (zero) row are exactly those whose
+    first nonzero entry is positive.
+    """
+    ks = ball_modes(d - 1, K)
+    return ks[ks.shape[0] // 2 + 1:]
 
 
 @dataclass

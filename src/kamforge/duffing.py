@@ -18,8 +18,6 @@ from .normal_form import HamiltonianSpec
 from .oscillator import YOSHIDA6
 from .util import write_csv
 
-# Aliasing mass at which to_hamiltonian_spec stops doubling its grid.
-ALIAS_TOL = 1e-10
 # Steps of integrate whose stage times and coupling time factors are computed at once.
 BLOCK_STEPS = 512
 
@@ -52,14 +50,13 @@ class DuffingNetwork:
             if sum(alpha) > 2 * self.n + 1:
                 raise ValueError(f"|alpha| = {sum(alpha)} exceeds 2n+1 = {2 * self.n + 1}")
             self.terms[alpha] = {int(l): complex(c) for l, c in p.items()}
-        # per-term mode arrays of the loop-form references `coefficient` and `potential`
         self._alphas = np.array(sorted(self.terms), dtype=np.int64).reshape(-1, self.m)
-        self._pmodes = []
-        for alpha in map(tuple, self._alphas):
-            items = sorted(self.terms[alpha].items())
-            ls = np.array([l for l, _ in items], dtype=float)
-            cs = np.array([c for _, c in items], dtype=complex)
-            self._pmodes.append((ls, cs))
+        # time modes and coefficients of each P_alpha, read by `coefficient`
+        self._pmodes = {}
+        for alpha, p in self.terms.items():
+            items = sorted(p.items())
+            self._pmodes[alpha] = (np.array([l for l, _ in items], dtype=float),
+                                   np.array([c for _, c in items], dtype=complex))
         # Tables of the fused force kernel, one row r per component j and term
         # alpha with alpha_j > 0, grouped by component so that each output sums its
         # terms in sorted order: exponents alpha - e_j, the scatter of alpha_j into
@@ -83,19 +80,17 @@ class DuffingNetwork:
 
     def coefficient(self, alpha, t):
         """P_alpha at times t (real part of the stored mode sum)."""
-        idx = list(map(tuple, self._alphas)).index(tuple(alpha))
-        ls, cs = self._pmodes[idx]
+        ls, cs = self._pmodes[tuple(int(a) for a in alpha)]
         t = np.asarray(t, dtype=float)
         return (np.exp(1j * np.multiply.outer(t, ls)) @ cs).real
 
     def potential(self, x, t):
-        """F(x, t) for x of shape (..., m) and matching t."""
+        """F(x, t) for x of shape (..., m) and t broadcasting against x's batch shape."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         out = np.zeros(np.broadcast_shapes(x.shape[:-1], t.shape))
-        for alpha, (ls, cs) in zip(self._alphas, self._pmodes):
-            P = (np.exp(1j * np.multiply.outer(t, ls)) @ cs).real
-            out = out + P * np.prod(x**alpha, axis=-1)
+        for alpha in self._alphas:
+            out = out + self.coefficient(alpha, t) * np.prod(x**alpha, axis=-1)
         return out
 
     def force_coefficients(self, t):
@@ -273,54 +268,29 @@ def to_hamiltonian_spec(sys, aa_map, center, tau0, n_nodes, s0, K0, base_grid):
     """Project the scaled perturbation onto a Fourier field over action nodes.
 
     Returns a HamiltonianSpec for H = eps^(-a) H0(I) + eps^(-b) R(theta, t, I)
-    with R = A^(-(2n+1)) F(A x(theta, I), t) sampled on a (theta, t) grid times
-    a Chebyshev action grid centered at ``center`` with radius ``tau0``.  The
-    grid is doubled until the estimated aliasing mass falls below ``ALIAS_TOL``.
+    with R = A^(-(2n+1)) F(A x(theta, I), t), the network's potential pulled
+    back by the chart, sampled on the uniform (theta, t) grid of ``base_grid``
+    points per axis times a Chebyshev action grid centered at ``center`` with
+    radius ``tau0``, and projected once onto modes with |k| + |l| <= K0.  The
+    grid must have at least 4 * K0 points per axis, so that every retained
+    mode lies in the lower half of the resolved band.
     """
     net, A = sys.net, sys.A
-    m, n = net.m, net.n
-    grid = ActionGrid(center, tau0, n_nodes)
-    nodes = grid.node_points().reshape(-1, m)
-    scale = A ** (-(2 * n + 1))
-
+    m = net.m
     N = int(base_grid)
-    while True:
-        nshape = (N,) * m + (N,)
-        axis = 2.0 * np.pi * np.arange(N) / N  # the angle and the time grid
-        u_th, _ = aa_map.orbit.eval_angle(axis)  # (N,)
-        vals = np.empty(nshape + (nodes.shape[0],))
-        xfac = (aa_map.c * nodes) ** aa_map.alpha  # (n_nodes^m, m)
-        # P_alpha on the time grid, once per grid size
-        coeffs = [(np.array(alpha), net.coefficient(alpha, axis))
-                  for alpha in sorted(net.terms)]
-        for c_idx in range(nodes.shape[0]):
-            # x_j(theta_j) on the angle grid, for this action node
-            xs = [A * xfac[c_idx, j] * u_th for j in range(m)]
-            acc = np.zeros(nshape)
-            for alpha, P in coeffs:
-                mono = np.ones((N,) * m)
-                for j in range(m):
-                    shape = [1] * m
-                    shape[j] = N
-                    mono = mono * (xs[j] ** alpha[j]).reshape(shape)
-                acc += mono[..., None] * P
-            vals[..., c_idx] = acc * scale
-        R = FourierField.from_grid(vals.reshape(nshape + grid.shape), m,
-                                   min(K0, (N - 1) // 2), grid=grid)
-        # aliasing proxy: relative coefficient mass in the top octave of the grid
-        if R.n_modes:
-            top = np.abs(R.modes).max(axis=1) > N // 4
-            mass = np.abs(R.coeffs).reshape(R.n_modes, -1).max(axis=1)
-            alias = float(mass[top].sum() / mass.sum()) if mass.sum() > 0 else 0.0
-        else:
-            alias = 0.0
-        if alias <= ALIAS_TOL or N >= 8 * base_grid:
-            break
-        N *= 2
-
-    h0 = aa_map.h0()
+    if N < 4 * K0:
+        raise ValueError(f"base_grid {N} must be at least 4 * K0 = {4 * K0}")
+    grid = ActionGrid(center, tau0, n_nodes)
+    axis = 2.0 * np.pi * np.arange(N) / N  # the angle and the time grid
+    theta = np.stack(np.meshgrid(*([axis] * m), indexing="ij"), axis=-1)
+    # angles (N,)*m, time (1,), action nodes grid.shape
+    x, _ = aa_map.to_cartesian(theta.reshape((N,) * m + (1,) * (m + 1) + (m,)),
+                               grid.node_points())
+    t = axis.reshape((N,) + (1,) * m)
+    vals = A ** (-(2 * net.n + 1)) * net.potential(A * x, t)
+    R = FourierField.from_grid(vals, m, K0, grid=grid)
     return HamiltonianSpec(
-        d=m, eps=sys.eps, a=float(sys.a), b=float(sys.b), H0=h0, R=R,
+        d=m, eps=sys.eps, a=float(sys.a), b=float(sys.b), H0=aa_map.h0(), R=R,
         I0=np.asarray(center, dtype=float), s0=float(s0), tau0=float(tau0))
 
 

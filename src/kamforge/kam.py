@@ -38,7 +38,6 @@ class KamParams:
     tol: float
     max_steps: int
     K_cap: int
-    n_nodes: int
 
     nshape = NormalFormParams.nshape
 
@@ -133,7 +132,7 @@ def kam_step(state, params):
     m_next = state.m + 1
     s_next = state.s0 * params.shrink(m_next)
     r_next = state.r0 * params.shrink(m_next)
-    grid_new = ActionGrid(np.zeros(d), r_next, params.n_nodes)
+    grid_new = ActionGrid(np.zeros(d), r_next, state.grid.n)
     nshape = params.nshape(d)
     taylor_errs = [0.0]
 

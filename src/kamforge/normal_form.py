@@ -221,7 +221,7 @@ def solve_homological(R, omega, dc, regime):
             mode=mode, divisor=float(dmin[idx]), floor=float(floor[idx]))
 
     coeffs = np.zeros_like(R.coeffs)
-    shape = (delta.shape[0],) + (1,) * len(R.vshape) + extra
+    shape = (delta.shape[0],) + (1,) * (R.coeffs.ndim - 1 - len(extra)) + extra
     coeffs[sel] = 1j * R.coeffs[sel] / delta.reshape(shape)
     return R.replace(coeffs=coeffs).prune()
 
@@ -407,23 +407,20 @@ def _h_bar_jet(avg, points):
 def time_average_transform(state, spec, params):
     """Remove the oscillating part of h by the angle-free change generated by S(t, I).
 
-    S is the zero-mean primitive in t of <h> - h, so its change leaves the
-    action unchanged and shifts the angle, phi = theta + dS/dI.  The
-    transformed Hamiltonian is eps^(-a) H0(I) + <h>(I) + R_breve(phi, t, I):
-    the oscillation of h cancels exactly against dS/dt, and
+    S is the zero-mean primitive in t of <h> - h, solved by
+    ``solve_homological``: every mode of h - <h> has k = 0, so each divisor is
+    exactly its l.  The change leaves the action unchanged and shifts the
+    angle, phi = theta + dS/dI.  The transformed Hamiltonian is
+    eps^(-a) H0(I) + <h>(I) + R_breve(phi, t, I): the oscillation of h
+    cancels exactly against dS/dt, and
     R_breve(phi, t, I) = R(phi - dS/dI(t, I), t, I) is composed by
     ``twist_compose`` on the averaging grid ``params.nshape(d)`` and projected
     at ``params.K_cap``.  The change is appended to the chain as
     ``Change(S, 0.0)``.
     """
-    h = state.h
-    hbar = h.time_average()
-    osc = (h - hbar).prune()
-    ls = osc.modes[:, -1]
-    if np.any(ls == 0):
-        raise AssertionError("oscillating part retained a time average")
-    shape = (osc.n_modes,) + (1,) * (osc.coeffs.ndim - 1)
-    S = osc.replace(coeffs=osc.coeffs / (1j * ls.reshape(shape))) * -1.0
+    hbar = state.h.time_average()
+    S = solve_homological((state.h - hbar).prune(), spec.omega(spec.I0), params.dc,
+                          regime="full")
     R_tilde = (state.R + state.R_plus).prune()
     R_breve, err = twist_compose(R_tilde, S, params.nshape(spec.d), params.K_cap)
     return AveragedResult(h_bar=hbar, taylor_err=err, R_breve=R_breve,

@@ -130,7 +130,7 @@ def kam_synthetic():
     raw = build([1e-5, 1e-5, 1e-5])
     fac = 1e-4 / raw.low_norm()
     state = build([fac * 1e-5] * 3)
-    params = KamParams(dc=dc, K_cap=16, tol=1e-30, max_steps=3, n_nodes=5)
+    params = KamParams(dc=dc, K_cap=16, tol=1e-30, max_steps=3)
     states = [state]
     for _ in range(3):
         states.append(kam_step(states[-1], params))
@@ -403,7 +403,7 @@ def test_default_m0_state_takes_a_kam_step(pipeline_run):
     cfg, _, res = pipeline_run
     kc = cfg["kam"]
     params = KamParams(dc=res["dc"], tol=1e-20, max_steps=int(kc["max_steps"]),
-                       K_cap=int(kc["K_cap"]), n_nodes=int(kc["n_nodes"]))
+                       K_cap=int(kc["K_cap"]))
     assert res["avg"].R_breve.orders().max() <= cfg["normal_form"]["K_cap"]
     state = kam_step(res["kam0"], params)
     assert state.m == 1

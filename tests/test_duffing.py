@@ -264,3 +264,11 @@ def test_hamiltonian_spec_reproduces_scaled_forcing():
     x, _ = aa.to_cartesian(theta, II)
     want = A ** (-(2 * n + 1)) * net.potential(A * x, t)
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def test_hamiltonian_spec_needs_four_grid_points_per_retained_order():
+    sys_ = ScaledSystem(DuffingNetwork(2, 1, TERMS), 10.0)
+    aa = ActionAngleMap(1, 2)
+    with pytest.raises(ValueError, match=r"base_grid 32 must be at least 4 \* K0 = 64"):
+        to_hamiltonian_spec(sys_, aa, np.array([1.0, 1.3]), 2e-3, n_nodes=5, s0=0.35,
+                            K0=16, base_grid=32)

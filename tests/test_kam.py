@@ -66,7 +66,6 @@ def make_params(**kw):
     kw.setdefault("K_cap", 7)
     kw.setdefault("tol", 1e-30)
     kw.setdefault("max_steps", 3)
-    kw.setdefault("n_nodes", 5)
     return KamParams(dc=DC, **kw)
 
 

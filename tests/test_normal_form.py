@@ -52,14 +52,22 @@ def transport_residual(S, R, unsolved, omega, eps, a, rng, n_pts=60):
 def test_homological_single_mode_closed_form():
     omega = np.array([2.0, np.sqrt(2.0)])
     dc = DiophantineParams(d=2, gamma=1e-3, eps=1.0, a=1.0, K_split=6, K_check=12)
-    R = FourierField.from_modes(2, {(1, 0, 1): 0.5, (-1, 0, -1): 0.5})
-    S = solve_homological(R, omega, dc, regime="split")
     rng = np.random.default_rng(0)
     th = rng.uniform(0, 2 * np.pi, (40, 2))
     tt = rng.uniform(0, 2 * np.pi, 40)
-    # divisor <k, omega> + l = 3, so S = -sin(theta_1 + t) / 3
-    np.testing.assert_allclose(S.evaluate(th, tt), -np.sin(th[:, 0] + tt) / 3,
-                               atol=1e-14)
+    modes = np.array([[-1, 0, -1], [1, 0, 1]])
+    # R = amp cos(theta_1 + t), with amp = 1 and with amp = I_1 sampled on nodes
+    grid = ActionGrid([1.0, 1.2], 1e-3, 3)
+    II = grid.center + rng.uniform(-1e-3, 1e-3, (40, 2))
+    for R, I, amp in [
+        (FourierField(2, modes, np.full(2, 0.5)), None, 1.0),
+        (FourierField(2, modes, 0.5 * np.stack([grid.node_points()[..., 0]] * 2), grid=grid),
+         II, II[:, 0]),
+    ]:
+        S = solve_homological(R, omega, dc, regime="split")
+        # divisor <k, omega> + l = 3, so S = -amp sin(theta_1 + t) / 3
+        np.testing.assert_allclose(S.evaluate(th, tt, I), -amp * np.sin(th[:, 0] + tt) / 3,
+                                   atol=1e-14)
 
 
 @pytest.mark.parametrize("eps,a", [(1.0, 1.0), (0.5, 2.0)])
