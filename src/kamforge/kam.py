@@ -22,12 +22,10 @@ import numpy as np
 
 from .errors import DomainError, EscapeError
 from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
-from .normal_form import (Change, NormalFormParams, implicit_angle_shift, solve_fixed_point,
-                          solve_homological)
+from .normal_form import (SHIFT_MAX_ITER, Change, NormalFormParams, implicit_angle_shift,
+                          solve_fixed_point, solve_homological)
 
 ZETA2 = np.pi**2 / 6.0
-# Iteration cap of the implicit angle changes unwound point by point in extract_torus.
-INVERT_MAX_ITER = 80
 
 
 @dataclass
@@ -270,11 +268,12 @@ def _invert_change(S, phi, t, rho):
     """Old (theta, I) of points given in the new coordinates of the change generated by S.
 
     theta = phi + V solves V = -dS/drho(phi + V, t, rho) at the given points, to
-    ``fourier.SHIFT_TOL``, and I = rho + dS/dtheta(theta, t, rho).
+    ``fourier.SHIFT_TOL`` in at most ``normal_form.SHIFT_MAX_ITER`` maps, and
+    I = rho + dS/dtheta(theta, t, rho).
     """
     srho = S.grad_action()
     theta = phi + solve_fixed_point(lambda V: -srho.evaluate(phi + V, t, rho), phi.shape,
-                                    INVERT_MAX_ITER)[0]
+                                    SHIFT_MAX_ITER)[0]
     return theta, rho + S.grad_angle().evaluate(theta, t, rho)
 
 

@@ -41,7 +41,7 @@ LIPSCHITZ_MAX = 0.5
 # Residual and iteration cap of the frequency-matching Newton solve.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-# Iteration cap of the implicit angle change solved on a grid.
+# Iteration cap of the implicit angle change, solved on grids and at points.
 SHIFT_MAX_ITER = 60
 
 
@@ -66,8 +66,8 @@ class HamiltonianSpec:
     R is stored unscaled and sampled on the action ball ActionGrid(I0, tau0, n)
     for some node count n, which the averaging keeps; the eps^(-b) factor is
     applied when the averaging iteration starts.  H0 must expose
-    value/grad/hess and min_hess_det; its Hessian determinant must stay
-    positive on the action box.
+    value/increment/grad/hess and min_hess_det; its Hessian determinant must
+    stay positive on the action box.
     """
 
     d: int
@@ -131,12 +131,14 @@ class NormalFormParams:
 
 @dataclass
 class NormalFormState:
-    """One averaging stage; ``changes`` holds one ``Change(S, 0.0)`` per step."""
+    """One averaging stage; ``changes`` holds one ``Change(S, 0.0)`` per step.
+
+    R is the whole remainder; the next step solves its part up to order K.
+    """
 
     j: int
     h: FourierField
     R: FourierField
-    R_plus: FourierField
     grid: ActionGrid
     s: float
     K: int
@@ -144,33 +146,30 @@ class NormalFormState:
     diagnostics: list = dc_field(default_factory=list)
 
     def angle_norm(self):
-        """Weighted norm of the angle-dependent part of the remainder."""
-        osc = self.R - self.R.angle_average()
-        return osc.norm(self.s)
+        """Weighted norm of the angle-dependent part of the remainder up to order K."""
+        R = self.R.truncate(self.K)
+        return (R - R.angle_average()).norm(self.s)
 
     def diag_row(self, taylor_err, proj_res, fp_iters):
         """Diagnostics row of this state, reached by a step with these health numbers."""
         return {
-            "j": self.j, "h_norm": self.h.norm(self.s), "R_norm": self.R.norm(self.s),
-            "R_plus_norm": self.R_plus.norm(self.s), "R_angle_norm": self.angle_norm(),
+            "j": self.j, "h_norm": self.h.norm(self.s),
+            "R_norm": self.R.truncate(self.K).norm(self.s),
+            "R_plus_norm": self.R.tail(self.K).norm(self.s), "R_angle_norm": self.angle_norm(),
             "K": self.K, "s": self.s, "tau": self.grid.tau,
             "taylor_err": taylor_err, "projection_residual": proj_res, "fp_iters": fp_iters,
         }
 
 
-def split_tail(spec, params):
-    """Initial state: scale by eps^(-b) and split at the first truncation order."""
-    grid0 = spec.R.grid
-    W = spec.R * spec.eps ** (-spec.b)
-    K0 = params.K_j(0)
+def initial_state(spec, params):
+    """Initial state: the remainder scaled by eps^(-b), solved up to the first order."""
     state = NormalFormState(
         j=0,
-        h=FourierField.zero(spec.d, grid=grid0),
-        R=W.truncate(K0).prune(),
-        R_plus=W.tail(K0).prune(),
-        grid=grid0,
+        h=FourierField.zero(spec.d, grid=spec.R.grid),
+        R=(spec.R * spec.eps ** (-spec.b)).prune(),
+        grid=spec.R.grid,
         s=spec.s0,
-        K=K0,
+        K=params.K_j(0),
     )
     state.diagnostics.append(state.diag_row(0.0, 0.0, 0))
     return state
@@ -295,58 +294,49 @@ def canonical_change(S, nshape, out_grid):
     return U, V, iters, err
 
 
-def push_forward(state, S, spec, params):
-    """Apply the canonical change generated by S and re-split the remainder.
+def push_forward(state, spec, params):
+    """One averaging step: solve for S on the remainder up to order K and apply its change.
 
     The transformed Hamiltonian is assembled in mixed variables on a uniform
     (theta, t) grid crossed with the shrunk action ball, composed with the
     implicit angle change, projected back onto modes, and split into the new
-    averaged part h, the truncated remainder R, and the tail R_plus.
+    averaged part h and the remainder R.  The integrable part enters as its
+    increment eps^(-a) (H0(rho + U) - H0(rho)).
     """
     d = spec.d
+    S = solve_homological(state.R.truncate(state.K), spec.omega(state.grid.node_points()),
+                          params.dc, regime="split")
     j_next = state.j + 1
-    s_next = spec.s0 * 0.5 ** j_next
-    tau_next = spec.tau0 * 0.5 ** j_next
-    grid_new = ActionGrid(spec.I0, tau_next, state.grid.n)
+    grid_new = ActionGrid(spec.I0, spec.tau0 * 0.5 ** j_next, state.grid.n)
     nshape = params.nshape(d)
-    epa = spec.eps_a
 
     U, V, fp_iters, err = canonical_change(S, nshape, grid_new)
     taylor_errs = [err]
 
-    nodes = grid_new.node_points()
-    pts = nodes[(None,) * (d + 1)] + U
-    tot = epa * spec.H0.value(pts)
+    tot = spec.eps_a * spec.H0.increment(grid_new.node_points(), U)
     if state.h.n_modes:
         vals, e = compose_shifted_grid(state.h, nshape, drho=U, out_grid=grid_new)
         tot += vals
         taylor_errs.append(e)
-    # R and R_plus are composed apart: one call on their sum would change the
-    # order in which the grid sums its large terms, and so its roundoff
-    for piece in (state.R, state.R_plus):
-        if piece.n_modes:
-            vals, e = compose_shifted_grid(piece, nshape, dtheta=V, drho=U, out_grid=grid_new)
-            tot += vals
-            taylor_errs.append(e)
+    vals, e = compose_shifted_grid(state.R, nshape, dtheta=V, drho=U, out_grid=grid_new)
+    tot += vals
+    taylor_errs.append(e)
     vals, e = compose_shifted_grid(S.time_derivative(), nshape, dtheta=V, out_grid=grid_new)
     tot += vals
     taylor_errs.append(e)
 
-    h_next = (state.h + state.R.angle_average().truncate(params.K_cap)) \
+    h_next = (state.h + state.R.truncate(state.K).angle_average()) \
         .restrict_action(grid_new).prune()
-    tot -= epa * spec.H0.value(nodes)[(None,) * (d + 1)]
     tot -= h_next.to_grid(nshape)
 
     Rt = FourierField.from_grid(tot, d, params.K_cap, grid=grid_new)
-    K_next = params.K_j(j_next)
     new_state = NormalFormState(
         j=j_next,
         h=h_next,
-        R=Rt.truncate(K_next).prune(),
-        R_plus=Rt.tail(K_next).prune(),
+        R=Rt,
         grid=grid_new,
-        s=s_next,
-        K=K_next,
+        s=spec.s0 * 0.5 ** j_next,
+        K=params.K_j(j_next),
         changes=state.changes + [Change(S, 0.0)],
         diagnostics=list(state.diagnostics),
     )
@@ -357,11 +347,9 @@ def push_forward(state, S, spec, params):
 
 def run_normal_form(spec, params):
     """Run m0 averaging steps; returns the final NormalFormState."""
-    state = split_tail(spec, params)
+    state = initial_state(spec, params)
     for _ in range(params.m0):
-        S = solve_homological(state.R, spec.omega(state.R.grid.node_points()), params.dc,
-                              regime="split")
-        state = push_forward(state, S, spec, params)
+        state = push_forward(state, spec, params)
     return state
 
 
@@ -421,8 +409,7 @@ def time_average_transform(state, spec, params):
     hbar = state.h.time_average()
     S = solve_homological((state.h - hbar).prune(), spec.omega(spec.I0), params.dc,
                           regime="full")
-    R_tilde = (state.R + state.R_plus).prune()
-    R_breve, err = twist_compose(R_tilde, S, params.nshape(spec.d), params.K_cap)
+    R_breve, err = twist_compose(state.R, S, params.nshape(spec.d), params.K_cap)
     return AveragedResult(h_bar=hbar, taylor_err=err, R_breve=R_breve,
                           grid=state.grid, s=state.s,
                           changes=state.changes + [Change(S, 0.0)])
@@ -439,7 +426,7 @@ def locate_expansion_point(avg, spec):
     lo = avg.grid.center - avg.grid.tau
     hi = avg.grid.center + avg.grid.tau
     I = spec.I0.astype(float).copy()
-    for _ in range(NEWTON_MAX_ITER):
+    for _ in range(NEWTON_MAX_ITER + 1):
         if np.any(I < lo - 1e-12) or np.any(I > hi + 1e-12):
             raise DomainError(
                 f"frequency matching left the averaged action ball at I = {I}")
@@ -448,11 +435,8 @@ def locate_expansion_point(avg, spec):
         if float(np.abs(g).max()) <= NEWTON_TOL:
             return I, g
         I = I - np.linalg.solve(spec.H0.hess(I) + ea * hh[0], g)
-    g = spec.H0.grad(I) + ea * _h_bar_jet(avg, I[None])[1][0] - omega_target
-    if float(np.abs(g).max()) > NEWTON_TOL:
-        raise ContractionError(
-            f"frequency matching stalled with residual {float(np.abs(g).max()):.3e}")
-    return I, g
+    raise ContractionError(
+        f"frequency matching stalled with residual {float(np.abs(g).max()):.3e}")
 
 
 def taylor_split(avg, spec, I_star, r0, kam_nodes):
@@ -488,12 +472,11 @@ def taylor_split(avg, spec, I_star, r0, kam_nodes):
     extra = FourierField.from_modes(d, {(0,) * (d + 1): epa * delta}, vshape=(d,))
     R1 = (R1 + extra).prune()
 
-    # cubic tail of the integrable part (theta-free)
+    # cubic tail of the integrable part (theta-free), from its increment over I*
     rho = kgrid.node_points().reshape(-1, d)
     pts = I_star[None, :] + rho
-    g0 = epa * (spec.H0.value(pts) + ea * _h_bar_jet(avg, pts)[0])
-    taylor0 = (const + epa * (rho @ grad_full)
-               + epa * np.einsum("nj,jk,nk->n", rho, Omega, rho))
+    g0 = epa * (spec.H0.increment(I_star, rho) + ea * (_h_bar_jet(avg, pts)[0] - hv[0]))
+    taylor0 = epa * (rho @ grad_full) + epa * np.einsum("nj,jk,nk->n", rho, Omega, rho)
     tail0 = (g0 - taylor0).reshape((1,) + kgrid.shape)
     zero_mode = FourierField(d, np.zeros((1, d + 1), dtype=np.int64), tail0, grid=kgrid)
     high = (high + zero_mode).prune()

@@ -144,6 +144,21 @@ class PowerLawH0:
         I = np.asarray(I, dtype=float)
         return self.kappa * np.sum(I**self.p, axis=-1)
 
+    def increment(self, I, U):
+        """H0(I + U) - H0(I) without subtracting two values of H0.
+
+        Each term is I^p expm1(p log1p(U / I)).  It is taken in place on one
+        temporary: a fresh array per operation raised the averaging step's peak
+        RSS by about 8 %, heap that glibc kept after the step.
+        """
+        I = np.asarray(I, dtype=float)
+        x = U / I
+        np.log1p(x, out=x)
+        x *= self.p
+        np.expm1(x, out=x)
+        x *= I**self.p
+        return self.kappa * np.sum(x, axis=-1)
+
     def grad(self, I):
         I = np.asarray(I, dtype=float)
         return self.kappa * self.p * I ** (self.p - 1)

@@ -250,8 +250,6 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     rho = spec.I0[None, :] + rng.uniform(-0.5, 0.5, (P, m)) * nf.grid.tau
     H_fin = (eps_a * spec.H0.value(rho) + nf.h.evaluate(phi, tt, rho)
              + nf.R.evaluate(phi, tt, rho))
-    if nf.R_plus.n_modes:
-        H_fin = H_fin + nf.R_plus.evaluate(phi, tt, rho)
     theta, II = phi.copy(), rho.copy()
     dts = np.zeros(P)
     for S, _ in reversed(nf.changes):
@@ -269,9 +267,8 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     if S_tilde.n_modes:
         delta = np.atleast_2d(S_tilde.grad_action().evaluate(phi, tt, rho))
         dSdt = S_tilde.time_derivative().evaluate(phi, tt, rho)
-    R_tilde = (nf.R + nf.R_plus).prune()
     H_nf = (eps_a * spec.H0.value(rho) + nf.h.evaluate(phi, tt, rho)
-            + R_tilde.evaluate(phi + delta, tt, rho))
+            + nf.R.evaluate(phi + delta, tt, rho))
     H_avg = (eps_a * spec.H0.value(rho) + avg.h_bar.evaluate(phi, tt, rho)
              + avg.R_breve.evaluate(phi, tt, rho))
     scale = max(1.0, float(np.abs(H_nf).max()))

@@ -9,10 +9,11 @@ from kamforge.fourier import SHIFT_TOL, ActionGrid, FourierField, compose_shifte
 from kamforge.kam import _invert_change
 from kamforge.normal_form import (AveragedResult, HamiltonianSpec,
                                   NormalFormParams, canonical_change,
-                                  implicit_angle_shift, locate_expansion_point,
-                                  push_forward, solve_fixed_point,
-                                  solve_homological, split_tail, taylor_split,
-                                  time_average_transform, twist_compose)
+                                  implicit_angle_shift, initial_state,
+                                  locate_expansion_point, push_forward,
+                                  solve_fixed_point, solve_homological,
+                                  taylor_split, time_average_transform,
+                                  twist_compose)
 from kamforge.oscillator import PowerLawH0
 
 from jets import evaluate_jet
@@ -168,11 +169,9 @@ def chain():
                            s0=0.4, tau0=2e-3)
     dc = DiophantineParams(d=2, gamma=5e-4, eps=0.5, a=2.0, K_split=8, K_check=16)
     params = NormalFormParams(dc=dc, m0=2, K0=4, K_cap=8)
-    states = [split_tail(spec, params)]
+    states = [initial_state(spec, params)]
     for _ in range(params.m0):
-        S = solve_homological(states[-1].R, spec.omega(states[-1].R.grid.node_points()),
-                              params.dc, regime="split")
-        states.append(push_forward(states[-1], S, spec, params))
+        states.append(push_forward(states[-1], spec, params))
     avg = time_average_transform(states[-1], spec, params)
     I_star, resid = locate_expansion_point(avg, spec)
     kam0 = taylor_split(avg, spec, I_star, 2e-4, kam_nodes=5)
@@ -182,21 +181,21 @@ def chain():
 
 def eval_state(state, spec, th, tt, I):
     out = spec.eps_a * spec.H0.value(I)
-    for f in (state.h, state.R, state.R_plus):
+    for f in (state.h, state.R):
         if f.n_modes:
             out = out + f.evaluate(th, tt, I)
     return out
 
 
-def test_split_tail_scales_by_eps_b(chain):
+def test_initial_state_scales_by_eps_b(chain):
     spec = chain["spec"]
     state0 = chain["states"][0]
     rng = np.random.default_rng(1)
     th = rng.uniform(0, 2 * np.pi, (40, 2))
     tt = rng.uniform(0, 2 * np.pi, 40)
     I = spec.I0 + rng.uniform(-1, 1, (40, 2)) * spec.tau0 * 0.9
-    total = state0.R.evaluate(th, tt, I) + state0.R_plus.evaluate(th, tt, I)
-    np.testing.assert_allclose(total, spec.eps ** (-spec.b) * spec.R.evaluate(th, tt, I),
+    np.testing.assert_allclose(state0.R.evaluate(th, tt, I),
+                               spec.eps ** (-spec.b) * spec.R.evaluate(th, tt, I),
                                rtol=1e-12, atol=1e-15)
 
 
@@ -259,10 +258,9 @@ def test_time_average_removes_oscillation(chain):
     osc = state.h.evaluate(th, tt, I) - avg.h_bar.evaluate(th, tt, I)
     np.testing.assert_allclose(dst, osc, atol=1e-13)
     # R_breve is the remainder composed with the angle twist
-    R_tilde = (state.R + state.R_plus).prune()
     delta = S_tilde.grad_action().evaluate(th, tt, I)
     np.testing.assert_allclose(avg.R_breve.evaluate(th, tt, I),
-                               R_tilde.evaluate(th + delta, tt, I), atol=1e-15)
+                               state.R.evaluate(th + delta, tt, I), atol=1e-15)
 
 
 def test_time_average_change_inverts_to_the_angle_twist(chain):
@@ -363,6 +361,35 @@ def test_taylor_split_reproduces_hamiltonian(chain):
     # the sampled tail vanishes to third order at the expansion point
     zero = np.zeros((N, 2))
     np.testing.assert_allclose(form.high.evaluate(th, tt, zero), 0.0, atol=1e-18)
+
+
+def test_taylor_split_integrable_tail_is_exact():
+    # with R = 0, high's zero mode is the power law's own cubic tail at I*
+    mpmath = pytest.importorskip("mpmath")
+    H0 = PowerLawH0(0.8671453264848216, 4.0 / 3.0, 2)
+    I0 = np.array([1.0, 1.3])
+    grid = ActionGrid(I0, 1e-3, 5)
+    zero = FourierField.from_grid(np.zeros((4, 4, 4) + grid.shape), 2, 1, grid=grid)
+    spec = HamiltonianSpec(d=2, eps=0.1, a=1.0, b=0.5, H0=H0, R=zero, I0=I0,
+                           s0=0.3, tau0=1e-3)
+    avg = AveragedResult(h_bar=zero, taylor_err=0.0, R_breve=zero, grid=grid, s=0.3,
+                         changes=[])
+    kam0 = taylor_split(avg, spec, I0, 6.25e-5, kam_nodes=5)
+    (row,) = np.flatnonzero((kam0.high.modes == 0).all(axis=1))
+    got = kam0.high.coeffs[row].real
+    nodes = kam0.grid.node_points()
+    exact = np.zeros(kam0.grid.shape)
+    with mpmath.workdps(40):
+        p, kappa, epa = (mpmath.mpf(x) for x in (H0.p, H0.kappa, spec.eps_a))
+        for idx in np.ndindex(*kam0.grid.shape):
+            tail = 0
+            for i, r in zip(I0, nodes[idx]):
+                i, r = mpmath.mpf(i), mpmath.mpf(r)
+                tail += ((i + r) ** p - i**p - p * i ** (p - 1) * r
+                         - p * (p - 1) / 2 * i ** (p - 2) * r**2)
+            exact[idx] = float(epa * kappa * tail)
+    assert np.abs(exact).max() > 1e-14
+    np.testing.assert_allclose(got, exact, rtol=0, atol=1e-4 * np.abs(exact).max())
 
 
 def test_taylor_split_starts_the_kam_chain(chain):

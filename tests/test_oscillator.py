@@ -156,6 +156,20 @@ def test_power_law_derivatives_consistent():
     assert grad.shape == (2,)
 
 
+def test_power_law_increment_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    h0 = PowerLawH0(kappa=0.8671453264848216, p=4.0 / 3.0, m=1)
+    rng = np.random.default_rng(3)
+    I = rng.uniform(0.5, 2.0, 60)
+    U = I * np.logspace(-8, math.log10(0.5), 60) * rng.choice([-1.0, 1.0], 60)
+    got = h0.increment(I[:, None], U[:, None])
+    with mpmath.workdps(40):
+        kappa, p = mpmath.mpf(h0.kappa), mpmath.mpf(h0.p)
+        exact = np.array([float(kappa * ((mpmath.mpf(i) + mpmath.mpf(u)) ** p
+                                         - mpmath.mpf(i) ** p)) for i, u in zip(I, U)])
+    np.testing.assert_allclose(got, exact, rtol=1e-15, atol=0)
+
+
 def test_energy_drift_guard():
     orbit = reference_solution(1)
     assert orbit.energy_defect() < 1e-10
