@@ -121,6 +121,9 @@ def load_config(path=None, overrides=None):
     if cfg["kam"]["K_cap"] < cfg["normal_form"]["K_cap"]:
         # the KAM grid must resolve every mode of the averaged remainder
         raise ValueError("kam.K_cap must be at least normal_form.K_cap")
+    if cfg["kam"]["n_nodes"] < 4:
+        # fewer nodes per axis cannot hold the cubic terms of the KAM step's tail
+        raise ValueError("kam.n_nodes must be at least 4")
     return cfg
 
 

@@ -109,6 +109,19 @@ def _matrix_apply(M, f):
     return f.replace(coeffs=c)
 
 
+def _jet_on_nodes(f0, f1, f2, grid):
+    """f0 + <f1, rho> + <f2 rho, rho> as one field on the nodes rho of ``grid``.
+
+    A quadratic in rho is exact on the nodes.
+    """
+    nodes = grid.node_points()
+    flat = {"vshape": (), "grid": grid}
+    return (f0.broadcast_action(grid)
+            + f1.replace(coeffs=np.einsum("mi,...i->m...", f1.coeffs, nodes), **flat)
+            + f2.replace(coeffs=np.einsum("mij,...i,...j->m...", f2.coeffs, nodes, nodes),
+                         **flat))
+
+
 def cubic_contraction(high, w_grid, nshape):
     """Grids of T3[w]_jk = sum_i d^3 R_high / d rho_i d rho_j d rho_k (0) w_i.
 
@@ -153,8 +166,7 @@ def kam_step(state, params):
     OmG = np.einsum("ij,mjk->mik", Om, G.coeffs)
     symOmG = G.replace(coeffs=epa * (OmG + np.swapaxes(OmG, 1, 2)))
 
-    g0 = A0.to_grid(nshape)                         # (*nshape, d)
-    T3w = cubic_contraction(state.high, g0, nshape)
+    T3w = cubic_contraction(state.high, A0.to_grid(nshape), nshape)
     T3_field = FourierField.from_grid(0.5 * T3w, d, params.K_cap, vshape=(d, d))
     Rss = (R2 + symOmG + T3_field).prune()
     S2 = solve_homological(Rss, omega, params.dc, regime="full")
@@ -163,53 +175,27 @@ def kam_step(state, params):
     dOm = 0.5 * (dOm + dOm.T)
     Om_new = Om + dOm
 
-    # the step's generating function S = S0 + <S1, rho> + <S2 rho, rho> on the
-    # new nodes, where a quadratic in rho is exact
-    nodes = grid_new.node_points()
-    flat = {"vshape": (), "grid": grid_new}
-    S = (S0.broadcast_action(grid_new)
-         + S1.replace(coeffs=np.einsum("mi,...i->m...", S1.coeffs, nodes), **flat)
-         + S2.replace(coeffs=np.einsum("mij,...i,...j->m...", S2.coeffs, nodes, nodes),
-                      **flat))
+    S = _jet_on_nodes(S0, S1, S2, grid_new)
+    dC = _mode_zero(R0) + epa * (float(omega @ nu) + float(nu @ Om @ nu))
 
-    # remainder assembly in the old angle variables -------------------------
-    rho = nodes.reshape(-1, d)                       # (P, d)
-    base = tuple(nshape) + (rho.shape[0],)
-
-    Ggrid = G.to_grid(nshape)                       # (*nshape, d, d)
-    dS2g = S2.grad_angle().to_grid(nshape)          # d(theta_i) S2_jk
-    quad = np.einsum("...ijk,pj,pk->...pi", dS2g, rho, rho)  # <dS2 rho, rho>
-
-    # d(theta) S at the new nodes: A(theta, t, rho) = g0 + G rho + <dS2 rho, rho>
-    A = g0[..., None, :] + np.einsum("...ij,pj->...pi", Ggrid, rho) + quad
-    Wfull = nu[None, :] + A                               # nu + d(theta) S
-
-    rem = np.zeros(base)
-    # eps^(-a) (<Omega dS, dS> + 2 <Omega nu, dS>)
-    rem += epa * (np.einsum("...pi,ij,...pj->...p", A, Om, A)
-                  + 2.0 * np.einsum("i,...pi->...p", Om @ nu, A))
-    # <R1, nu + dS>
-    R1g = R1.to_grid(nshape)
-    rem += np.einsum("...i,...pi->...p", R1g, Wfull)
-    # <R2 (nu + dS), nu + dS> + 2 <R2 (nu + dS), rho>
-    Q = np.einsum("...ij,...pj->...pi", R2.to_grid(nshape), Wfull)
-    rem += (np.einsum("...pi,...pi->...p", Q, Wfull)
-            + 2.0 * np.einsum("...pi,pi->...p", Q, rho))
-    # 2 eps^(-a) <Omega rho, <dS2 rho, rho>>  (cubic tail of the twist cross term)
-    rem += 2.0 * epa * np.einsum("pi,ij,...pj->...p", rho, Om, quad)
-    # R_high at the shifted action, minus the part absorbed into S2's equation
-    vals, e = compose_shifted_grid(state.high, nshape, drho=Wfull.reshape(
-        tuple(nshape) + grid_new.shape + (d,)), out_grid=grid_new)
-    rem += vals.reshape(base)
+    # the remainder H(theta, t, rho + W) + dS/dt - N' in the old angle variables,
+    # with W = nu + dS/dtheta on the new nodes and N' the new normal form, whose
+    # constant moves by dC ---------------------------------------------------
+    rho = grid_new.node_points()                                # (*gshape, d)
+    W = nu + np.moveaxis(S.grad_angle().to_grid(nshape), d + 1, -1)
+    rem = -dC + S.time_derivative().to_grid(nshape) + epa * (
+        W @ omega + np.einsum("...i,ij,...j->...", 2.0 * rho + W, Om, W)
+        - np.einsum("...i,ij,...j->...", rho, dOm, rho))
+    P = _jet_on_nodes(R0, R1, R2, state.grid) + state.high
+    vals, e = compose_shifted_grid(P, nshape, drho=W, out_grid=grid_new)
+    rem += vals
     taylor_errs.append(e)
-    rem -= 0.5 * np.einsum("pj,...jk,pk->...p", rho, T3w, rho)
 
     # compose with the implicit angle change theta = phi + V, where
     # phi = theta + dS/drho -------------------------------------------------
     V, fp_iters = implicit_angle_shift(S.grad_action(), nshape, grid_new)
 
-    rem_field = FourierField.from_grid(rem.reshape(tuple(nshape) + grid_new.shape),
-                                       d, params.K_cap, grid=grid_new)
+    rem_field = FourierField.from_grid(rem, d, params.K_cap, grid=grid_new)
     vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V, out_grid=grid_new)
     taylor_errs.append(e)
     final = FourierField.from_grid(vals, d, params.K_cap, grid=grid_new)
@@ -218,12 +204,9 @@ def kam_step(state, params):
     # split by Taylor order at rho = 0 ---------------------------------------
     R0n, R1n, R2n, highn = jet_split(final, np.zeros(d), grid_new)
 
-    C_new = (state.const + _mode_zero(R0)
-             + epa * (float(omega @ nu) + float(nu @ Om @ nu)))
-
     new_state = KamState(
         m=m_next, eps=eps, a=a, omega=omega, Omega=Om_new,
-        low=ActionJet(r0=R0n, r1=R1n, r2=R2n), high=highn, const=C_new,
+        low=ActionJet(r0=R0n, r1=R1n, r2=R2n), high=highn, const=state.const + dC,
         s=s_next, r=r_next, grid=grid_new, s0=state.s0, r0=state.r0,
         changes=state.changes + [Change(S, nu)],
         diagnostics=list(state.diagnostics),

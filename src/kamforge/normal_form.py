@@ -451,9 +451,14 @@ def taylor_split(avg, spec, I_star, r0, kam_nodes):
     sampled on a fresh node ball of radius r0 around zero.  The integrable
     part contributes its own exact cubic tail on the same nodes.  The state's
     chain is the averaging chain plus the recentring ``Change(empty S, I*)``.
+    DomainError if the ball of radius r0 around I* leaves the averaged node box.
     """
     from .kam import KamState
 
+    bound = avg.grid.tau - float(np.abs(I_star - avg.grid.center).max())
+    if r0 > bound:
+        raise DomainError(f"KAM ball radius r0 = {r0:.3e} leaves the averaged node box: "
+                          f"it must be at most {bound:.3e} around I*")
     d = spec.d
     omega_target = spec.omega(spec.I0)
     s = avg.s

@@ -76,6 +76,13 @@ def test_load_config_rejects_kam_cap_below_normal_form_cap(tmp_path):
         cli.load_config(path)
 
 
+def test_load_config_rejects_kam_nodes_below_four():
+    # below four nodes per axis the KAM step loses the tail's cubic terms
+    with pytest.raises(ValueError, match="kam.n_nodes must be at least 4"):
+        cli.load_config(None, {"kam": {"n_nodes": 3}})
+    assert cli.load_config(None, {"kam": {"n_nodes": 4}})["kam"]["n_nodes"] == 4
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match=r"normal_form\.KCap"):
         cli.load_config(None, {"normal_form": {"KCap": 5}})

@@ -62,6 +62,17 @@ def make_state(rng, with_high=True):
                     s0=S0_STRIP, r0=R_BALL)
 
 
+def make_tail_state(rng):
+    """make_state's low jet with a cubic tail of norm about 2.8e-6, large enough to matter."""
+    state = make_state(rng)
+    noise = ball_noise_field(rng, (), 1e-8)
+    u = state.grid.node_points() / R_BALL
+    cubic = u[..., 0] ** 3 + 0.5 * u[..., 1] ** 2 * u[..., 0] + 0.3 * u[..., 1] ** 3
+    high = FourierField(2, noise.modes, noise.coeffs[:, None, None] * cubic[None],
+                        grid=state.grid)
+    return dataclasses.replace(state, high=high)
+
+
 def make_params(**kw):
     kw.setdefault("K_cap", 7)
     kw.setdefault("tol", 1e-30)
@@ -101,20 +112,37 @@ def test_quadratic_contraction(steps):
     assert norms[3] <= 1e-7 * norms[2]
 
 
+def assert_step_conjugates(before, after, rng, atol, N=30):
+    """The step's Hamiltonian is the old one in the new variables, plus dS/dt."""
+    ch = after.changes[-1]
+    phi = rng.uniform(0, 2 * np.pi, (N, 2))
+    tt = rng.uniform(0, 2 * np.pi, N)
+    rho = rng.uniform(-1, 1, (N, 2)) * after.r * 0.9
+    theta, II = _invert_change(ch.S, phi, tt, rho)
+    lhs = kam_hamiltonian(after, phi, tt, rho)
+    rhs = (kam_hamiltonian(before, theta, tt, ch.nu + II)
+           + ch.S.time_derivative().evaluate(theta, tt, rho))
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=atol)
+
+
 def test_each_step_conjugates_the_hamiltonian(steps):
     rng = np.random.default_rng(5)
-    N = 30
     for m in (1, 2):
-        before, after = steps[m - 1], steps[m]
-        ch = after.changes[-1]
-        phi = rng.uniform(0, 2 * np.pi, (N, 2))
-        tt = rng.uniform(0, 2 * np.pi, N)
-        rho = rng.uniform(-1, 1, (N, 2)) * after.r * 0.9
-        theta, II = _invert_change(ch.S, phi, tt, rho)
-        lhs = kam_hamiltonian(after, phi, tt, rho)
-        rhs = (kam_hamiltonian(before, theta, tt, ch.nu + II)
-               + ch.S.time_derivative().evaluate(theta, tt, rho))
-        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
+        assert_step_conjugates(steps[m - 1], steps[m], rng, atol=1e-10)
+
+
+def test_cubic_tail_enters_the_step():
+    states = [make_tail_state(np.random.default_rng(11))]
+    assert states[0].high.norm(S0_STRIP) > 1e-6
+    for _ in range(3):
+        states.append(kam_step(states[-1], make_params()))
+    # low norms 1.5e-3, 1.05e-6, 1.59e-9, 1.51e-13; without the tail's cubic
+    # term in S2's equation step 3 ends at 1.05e-11
+    assert states[3].low_norm() <= 1e-12
+    # measured 2.5e-9, 5.6e-12 and 4.7e-16
+    rng = np.random.default_rng(5)
+    for m, atol in ((1, 1e-8), (2, 3e-11), (3, 3e-15)):
+        assert_step_conjugates(states[m - 1], states[m], rng, atol)
 
 
 def assert_inversion_solves_the_generating_equations(S, rng, N=30):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kamforge.diophantine import DiophantineParams
-from kamforge.errors import ContractionError, SmallDivisorError
+from kamforge.errors import ContractionError, DomainError, SmallDivisorError
 from kamforge.fourier import SHIFT_TOL, ActionGrid, FourierField, compose_shifted_grid
 from kamforge.kam import _invert_change
 from kamforge.normal_form import (AveragedResult, HamiltonianSpec,
@@ -415,6 +415,15 @@ def test_taylor_split_starts_the_kam_chain(chain):
     S_rec, nu_rec = kam0.changes[-1]
     assert S_rec.n_modes == 0 and S_rec.grid is kam0.grid
     np.testing.assert_array_equal(nu_rec, chain["I_star"])
+
+
+def test_taylor_split_keeps_the_kam_ball_in_the_averaged_box(chain):
+    avg, I_star = chain["avg"], chain["I_star"]
+    bound = avg.grid.tau - np.abs(I_star - avg.grid.center).max()
+    assert 0 < bound < avg.grid.tau
+    with pytest.raises(DomainError, match=f"r0 = {1.001 * bound:.3e}.*{bound:.3e}"):
+        taylor_split(avg, chain["spec"], I_star, 1.001 * bound, kam_nodes=5)
+    assert taylor_split(avg, chain["spec"], I_star, bound, kam_nodes=5).r == bound
 
 
 def test_spec_validation():
