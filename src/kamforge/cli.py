@@ -124,6 +124,13 @@ def load_config(path=None, overrides=None):
     if cfg["kam"]["n_nodes"] < 4:
         # fewer nodes per axis cannot hold the cubic terms of the KAM step's tail
         raise ValueError("kam.n_nodes must be at least 4")
+    vc = cfg["verify"]
+    for key in ("T_check", "h_check", "T_long", "h_long", "escape"):
+        if not vc[key] > 0:
+            raise ValueError(f"verify.{key} must be positive, got {vc[key]!r}")
+    for key in ("n_samples", "sample_every"):
+        if not vc[key] >= 1:
+            raise ValueError(f"verify.{key} must be at least 1, got {vc[key]!r}")
     return cfg
 
 
@@ -319,13 +326,21 @@ def make_flow(sys_, h, escape):
 def run_verify(cfg, out_dir, torus_path=None, log=None):
     """Check a stored torus: invariance defect, long-orbit stability, rotation.
 
-    Writes verify.json and orbit.csv into ``out_dir``; raises EscapeError if
-    the long orbit leaves the configured bound.
+    Writes verify.json and orbit.csv into ``out_dir``, which it creates;
+    raises EscapeError if the long orbit leaves the configured bound.  A
+    sample spacing too coarse to track the rotation raises ValueError before
+    anything is integrated.
     """
     log = log or (lambda *_: None)
+    os.makedirs(out_dir, exist_ok=True)
     vc = cfg["verify"]
     chash = config_hash(cfg)
     torus = load_torus(torus_path or os.path.join(out_dir, "torus.json"))
+    h = float(vc["h_long"])
+    every = int(vc["sample_every"])
+    if h * every * float(np.abs(torus.omega).max()) >= np.pi:
+        raise ValueError("sample spacing too coarse to track the rotation; "
+                         "lower verify.h_long * verify.sample_every")
     net, sys_ = network_from_config(cfg)
     aa = ActionAngleMap(net.n, net.m)
     m = net.m
@@ -338,11 +353,6 @@ def run_verify(cfg, out_dir, torus_path=None, log=None):
     if not np.isfinite(defect):
         raise EscapeError("a sampled torus orbit escaped during the invariance check")
 
-    h = float(vc["h_long"])
-    every = int(vc["sample_every"])
-    if h * every * float(np.abs(torus.omega).max()) >= np.pi:
-        raise ValueError("sample spacing too coarse to track the rotation; "
-                         "lower verify.h_long * verify.sample_every")
     th0 = torus.angles(np.zeros((1, m)), np.zeros(1))[0]
     I0 = torus.actions(np.zeros((1, m)), np.zeros(1))[0]
     x0, y0 = aa.to_cartesian(th0, I0)
@@ -375,8 +385,13 @@ def run_verify(cfg, out_dir, torus_path=None, log=None):
 
 
 def run_measure(cfg, out_dir=None, log=None):
-    """Excluded-frequency fractions for gamma0 * 2^-i, i = 0..halvings."""
+    """Excluded-frequency fractions for gamma0 * 2^-i, i = 0..halvings.
+
+    Writes measure.csv into ``out_dir``, when given, which it creates first.
+    """
     log = log or (lambda *_: None)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     mc = cfg["measure"]
     chash = config_hash(cfg)
     rows = []

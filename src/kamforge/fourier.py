@@ -136,16 +136,20 @@ class ActionGrid:
             WW = WW[..., None] * Wj.reshape(Wj.shape[0], *([1] * j), self.n)
         return WW
 
-    def to_json_dict(self):
-        return {
-            "center": [fmt_float(c) for c in self.center],
-            "tau": fmt_float(self.tau),
-            "n": self.n,
-        }
 
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls([float(c) for c in obj["center"]], float(obj["tau"]), int(obj["n"]))
+def _grid_values(modes, coeffs, nshape):
+    """Real values on the uniform grid ``nshape`` of conjugate-symmetric mode coefficients.
+
+    ``coeffs`` has shape (M, ...) and the result (*nshape, ...).  Only the
+    l >= 0 half of the spectrum is placed; irfftn supplies the conjugate
+    l < 0 half.  The grid must resolve every mode (``FourierField.to_grid``
+    checks this).
+    """
+    half = nshape[:-1] + (nshape[-1] // 2 + 1,)
+    C = np.zeros(half + coeffs.shape[1:], dtype=complex)
+    upper = modes[:, -1] >= 0
+    C[tuple(np.mod(modes[upper, j], n) for j, n in enumerate(nshape))] = coeffs[upper]
+    return ifftn(C, axes=tuple(range(len(nshape))), s=nshape) * np.prod(nshape)
 
 
 def _encode_reim(arr):
@@ -487,17 +491,10 @@ class FourierField:
         nshape = tuple(int(n) for n in nshape)
         if len(nshape) != self.d + 1:
             raise ValueError("grid shape must have d+1 entries")
-        gshape = self.grid.shape if self.grid is not None else ()
-        half = nshape[:-1] + (nshape[-1] // 2 + 1,)
-        C = np.zeros(half + self.vshape + gshape, dtype=complex)
-        if self.n_modes:
-            for j, n in enumerate(nshape):
-                if 2 * np.abs(self._modes[:, j]).max(initial=0) + 1 > n:
-                    raise ValueError("grid too small for stored modes (aliasing collision)")
-            upper = self._modes[:, -1] >= 0
-            idx = tuple(np.mod(self._modes[upper, j], nshape[j]) for j in range(self.d + 1))
-            C[idx] = self._coeffs[upper]
-        return ifftn(C, axes=tuple(range(self.d + 1)), s=nshape) * np.prod(nshape)
+        for j, n in enumerate(nshape):
+            if 2 * np.abs(self._modes[:, j]).max(initial=0) + 1 > n:
+                raise ValueError("grid too small for stored modes (aliasing collision)")
+        return _grid_values(self._modes, self._coeffs, nshape)
 
     @classmethod
     def from_grid(cls, values, d, cutoff, grid=None, vshape=()):
@@ -542,7 +539,8 @@ class FourierField:
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self):
-        out = {
+        """JSON form of an action-free field (the only kind a torus file holds)."""
+        return {
             "d": self.d,
             "vshape": list(self.vshape),
             "modes": [
@@ -555,82 +553,81 @@ class FourierField:
                 for m, c in zip(self._modes, self._coeffs)
             ],
         }
-        if self.grid is not None:
-            out["grid"] = self.grid.to_json_dict()
-        return out
 
     @classmethod
     def from_json_dict(cls, obj):
+        """Action-free field from its JSON form; other unknown keys are ignored."""
+        if "grid" in obj:
+            raise ValueError("a stored field must be action-free: unexpected key 'grid'")
         d = int(obj["d"])
-        grid = ActionGrid.from_json_dict(obj["grid"]) if "grid" in obj else None
         vshape = tuple(obj.get("vshape", []))
         modes = np.array([list(m["k"]) + [m["l"]] for m in obj["modes"]],
                          dtype=np.int64).reshape(-1, d + 1)
-        gshape = grid.shape if grid is not None else ()
         coeffs = np.array(
             [_decode_reim(m["re"]) + 1j * _decode_reim(m["im"]) for m in obj["modes"]],
-            dtype=complex).reshape(-1, *vshape, *gshape)
-        return cls(d, modes, coeffs, grid=grid, vshape=vshape)
+            dtype=complex).reshape(-1, *vshape)
+        return cls(d, modes, coeffs, vshape=vshape)
 
 
-def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, grids=None):
-    """Grid values of field(theta + dtheta, t, rho + drho), Taylor in the angles only.
+def compose_shifted_grid(field, nshape, dtheta=None, rho=None, grids=None):
+    """Grid values of field(theta + dtheta, t, rho), Taylor in the angles only.
 
     The values live on the uniform (theta, t) grid of shape ``nshape`` crossed
-    with the nodes rho of ``out_grid`` (default: the field's own grid).  The
-    angle shift is summed as a Taylor series whose derivative grids come from
-    mode factors; each value component's series runs until its last order is
-    below ``SHIFT_TOL`` relative to that component's sum.  The action shift is exact:
-    node coefficients are polynomials in the action, so each derivative grid
-    is contracted with the barycentric weights of ``field.grid`` at the points
-    rho + drho.  Without ``drho`` a field on another grid is restricted to
-    ``out_grid`` at the coefficient level, once per call; a caller composing
-    one field repeatedly (``implicit_angle_shift``) passes it restricted.
+    with the field's own action nodes, or with the action points ``rho``
+    given per grid point.  The angle shift is summed as a Taylor series whose
+    derivative grids come from mode factors; each value component's series
+    runs until its last order is below ``SHIFT_TOL`` relative to that
+    component's sum.  The action argument is exact: node coefficients are
+    polynomials in the action, so each derivative grid is contracted with
+    the barycentric weights of ``field.grid`` at ``rho``.
 
     Parameters
     ----------
     dtheta : array or None
-        Angle shift, broadcastable to (*nshape, *out_grid.shape, d).
-    drho : array or None
-        Action shift, broadcastable to (*nshape, *out_grid.shape, dim);
-        ignored for an action-free field.
+        Angle shift, broadcastable to (*nshape, *gshape, d).
+    rho : array or None
+        Action points of shape (*nshape, *gshape, dim) for any ``gshape``;
+        without them gshape is the field's own node shape (() for an
+        action-free field, which takes no ``rho``).
     grids : dict or None
-        Derivative grids keyed by the multi-index alpha, taken before the
-        action contraction.  They depend on neither ``dtheta`` nor ``drho``,
-        so calls that share the field, ``nshape``, ``out_grid`` and whether
-        ``drho`` is given can share one dict: missing grids are added and
-        present ones reused, with the same values as fresh ones.
+        Derivative grids keyed by the multi-index alpha, in the field's own
+        node layout.  They depend only on the field and ``nshape``, so calls
+        that share those can share one dict, with or without ``rho``:
+        missing grids are added and present ones reused, with the same
+        values as fresh ones.
 
     Returns
     -------
-    values : float array of shape (*nshape, *out_grid.shape, *field.vshape)
+    values : float array of shape (*nshape, *gshape, *field.vshape)
     err : float
         Largest relative size of the last angle order over the components
-        (0 without ``dtheta``: the action shift is exact).
+        (0 without ``dtheta``: the action argument is exact).
     """
     nshape = tuple(nshape)
-    if out_grid is None:
-        out_grid = field.grid
-    gshape = out_grid.shape if out_grid is not None else ()
+    nodes = field.grid.shape if field.grid is not None else ()
+    gshape = nodes if rho is None else rho.shape[len(nshape):-1]
     P, Q, C = int(np.prod(nshape)), int(np.prod(gshape)), int(np.prod(field.vshape))
-    f = field
     W = None
-    if f.grid is not None and drho is not None:
-        pts = out_grid.node_points() + np.broadcast_to(drho, nshape + gshape + (f.grid.dim,))
+    if rho is not None:
+        if field.grid is None:
+            raise ValueError("an action-free field takes no action points")
         # (P, field nodes, Q): g @ W contracts a grid's node axis
-        W = f.grid.interp_weights(pts.reshape(-1, f.grid.dim)).reshape(P, Q, -1) \
+        W = field.grid.interp_weights(rho.reshape(-1, field.grid.dim)).reshape(P, Q, -1) \
             .transpose(0, 2, 1)
-    elif f.grid is not None and not f.grid.same_as(out_grid):
-        f = f.restrict_action(out_grid)
-    coeffs = f.coeffs.reshape(f.n_modes, C, int(np.prod(f.grid.shape)) if f.grid else 1)
+    coeffs = field.coeffs.reshape(field.n_modes, C, int(np.prod(nodes)))
 
-    # every grid below is (P, components, Q or 1): to_grid's own layout
+    # every grid below is (P, components, field nodes or 1): to_grid's own layout
     def values(alpha, fac, active):
-        """Values of the alpha-th derivative grid for the active components."""
+        """Values of the alpha-th derivative grid for the active components.
+
+        The order-0 grid is the field's own; a higher one is placed from the
+        coefficients times ``fac``.
+        """
         g = None if grids is None else grids.get(alpha)
         if g is None:
-            g = f.replace(coeffs=coeffs * fac[:, None, None], vshape=(C,)) \
-                .to_grid(nshape).reshape(P, C, -1)
+            g = (field.to_grid(nshape) if fac is None
+                 else _grid_values(field.modes, coeffs * fac[:, None, None], nshape))
+            g = g.reshape(P, C, -1)
             if grids is not None:
                 grids[alpha] = g
         if active.size < C:
@@ -640,24 +637,24 @@ def compose_shifted_grid(field, nshape, dtheta=None, drho=None, out_grid=None, g
     def peak(a):
         return np.abs(a).max(axis=2).max(axis=0)
 
-    zero = (0,) * f.d
+    zero = (0,) * field.d
     active = np.arange(C)
     accum = np.zeros((P, C, Q))
-    accum += values(zero, np.ones(f.n_modes), active)
+    accum += values(zero, None, active)
     err = np.zeros(C)
     if dtheta is not None:
-        shift = np.broadcast_to(dtheta, nshape + gshape + (f.d,)).reshape(P, Q, f.d)
-        ik = 1j * f.modes[:, : f.d]
+        shift = np.broadcast_to(dtheta, nshape + gshape + (field.d,)).reshape(P, Q, field.d)
+        ik = 1j * field.modes[:, : field.d]
         # order-n terms keyed by alpha: coefficient factor (ik)^alpha / alpha! and
         # monomial shift^alpha, each one multiply from a parent one order below
-        level = {zero: (np.ones(f.n_modes), 1.0)}
+        level = {zero: (np.ones(field.n_modes), 1.0)}
         last = np.where(peak(accum) > 0, 1.0, 0.0)
         for _ in range(TAYLOR_MAX_ORDER):
             nxt = {}
             contrib = np.zeros((P, active.size, Q))
             for parent, (fac, mono) in level.items():
-                first = max((j for j in range(f.d) if parent[j]), default=0)
-                for j in range(first, f.d):
+                first = max((j for j in range(field.d) if parent[j]), default=0)
+                for j in range(first, field.d):
                     alpha = parent[:j] + (parent[j] + 1,) + parent[j + 1:]
                     nxt[alpha] = (fac * ik[:, j] / alpha[j], mono * shift[..., j])
                     contrib += values(alpha, nxt[alpha][0], active) * nxt[alpha][1][:, None]

@@ -187,16 +187,16 @@ def kam_step(state, params):
         W @ omega + np.einsum("...i,ij,...j->...", 2.0 * rho + W, Om, W)
         - np.einsum("...i,ij,...j->...", rho, dOm, rho))
     P = _jet_on_nodes(R0, R1, R2, state.grid) + state.high
-    vals, e = compose_shifted_grid(P, nshape, drho=W, out_grid=grid_new)
+    vals, e = compose_shifted_grid(P, nshape, rho=rho + W)
     rem += vals
     taylor_errs.append(e)
 
     # compose with the implicit angle change theta = phi + V, where
     # phi = theta + dS/drho -------------------------------------------------
-    V, fp_iters = implicit_angle_shift(S.grad_action(), nshape, grid_new)
+    V, fp_iters = implicit_angle_shift(S.grad_action(), nshape)
 
     rem_field = FourierField.from_grid(rem, d, params.K_cap, grid=grid_new)
-    vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V, out_grid=grid_new)
+    vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V)
     taylor_errs.append(e)
     final = FourierField.from_grid(vals, d, params.K_cap, grid=grid_new)
     proj_res = max(rem_field.projection_residual, final.projection_residual)

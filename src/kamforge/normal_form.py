@@ -254,74 +254,76 @@ def solve_fixed_point(apply_map, shape, max_iter):
                            f"(last change {delta:.3e})")
 
 
-def implicit_angle_shift(srho, nshape, out_grid):
-    """Solve V = -srho(phi + V) on the (phi, t) grid crossed with the action nodes.
+def implicit_angle_shift(srho, nshape):
+    """Solve V = -srho(phi + V) on the (phi, t) grid crossed with srho's action nodes.
 
-    ``srho`` is the vector field dS/drho of a generating function S, sampled
-    on ``out_grid`` or on a grid enclosing it; in the latter case it is
-    restricted to ``out_grid`` once, before the iteration.  V is the angle
-    change theta = phi + V of the implicit transformation phi = theta + dS/drho.
-    Returns (V, iterations); V has shape (*nshape, *out_grid.shape, d) and
-    the residual |V + srho(phi + V)| is at most SHIFT_TOL * max(1, |V|).  Both
-    the fixed point and its Taylor compositions stop at ``SHIFT_TOL``, and at
-    most ``SHIFT_MAX_ITER`` maps run.  The derivative grids of ``srho`` do not
-    depend on V, so every iteration shares one dict of them.
+    ``srho`` is the vector field dS/drho of a generating function S.  V is
+    the angle change theta = phi + V of the implicit transformation
+    phi = theta + dS/drho.  Returns (V, iterations); V has shape
+    (*nshape, *srho.grid.shape, d) and the residual |V + srho(phi + V)| is at
+    most SHIFT_TOL * max(1, |V|).  Both the fixed point and its Taylor
+    compositions stop at ``SHIFT_TOL``, and at most ``SHIFT_MAX_ITER`` maps
+    run.  The derivative grids of ``srho`` do not depend on V, so every
+    iteration shares one dict of them.
     """
-    shape = tuple(nshape) + out_grid.shape + srho.vshape
-    if not srho.grid.same_as(out_grid):
-        srho = srho.restrict_action(out_grid)
+    shape = tuple(nshape) + srho.grid.shape + srho.vshape
     grids = {}
 
     def step(V):
-        return -compose_shifted_grid(srho, nshape, dtheta=V, out_grid=out_grid,
-                                     grids=grids)[0]
+        return -compose_shifted_grid(srho, nshape, dtheta=V, grids=grids)[0]
 
     V, iters, _ = solve_fixed_point(step, shape, SHIFT_MAX_ITER)
     return V, iters
 
 
-def canonical_change(S, nshape, out_grid):
+def canonical_change(S, nshape):
     """Solve the implicit transformation generated by S(theta, t, rho) on a grid.
 
     New coordinates satisfy phi = theta + dS/drho and I = rho + dS/dtheta.
     Returns (U, V, iterations, taylor_err): grids of shape
-    (*nshape, *out_grid.shape, d) over the uniform (phi, t) grid crossed with
-    the action nodes, with theta = phi + V and I = rho + U, the fixed-point
+    (*nshape, *S.grid.shape, d) over the uniform (phi, t) grid crossed with
+    S's action nodes, with theta = phi + V and I = rho + U, the fixed-point
     iteration count, and the largest Taylor error of the U compositions.
     """
-    V, iters = implicit_angle_shift(S.grad_action(), nshape, out_grid)
-    U, err = compose_shifted_grid(S.grad_angle(), nshape, dtheta=V, out_grid=out_grid)
+    V, iters = implicit_angle_shift(S.grad_action(), nshape)
+    U, err = compose_shifted_grid(S.grad_angle(), nshape, dtheta=V)
     return U, V, iters, err
 
 
 def push_forward(state, spec, params):
     """One averaging step: solve for S on the remainder up to order K and apply its change.
 
-    The transformed Hamiltonian is assembled in mixed variables on a uniform
-    (theta, t) grid crossed with the shrunk action ball, composed with the
-    implicit angle change, projected back onto modes, and split into the new
-    averaged part h and the remainder R.  The integrable part enters as its
-    increment eps^(-a) (H0(rho + U) - H0(rho)).
+    S is solved on the current ball and restricted once to the shrunk ball,
+    where the change acts and where it is stored in the chain.  The
+    transformed Hamiltonian is assembled in mixed variables on a uniform
+    (theta, t) grid crossed with the shrunk ball's nodes rho, composed with
+    the implicit angle change, projected back onto modes, and split into the
+    new averaged part h and the remainder R.  The integrable part enters as
+    its increment eps^(-a) (H0(rho + U) - H0(rho)); h and R are composed at
+    the old actions rho + U.
     """
     d = spec.d
-    S = solve_homological(state.R.truncate(state.K), spec.omega(state.grid.node_points()),
-                          params.dc, regime="split")
     j_next = state.j + 1
     grid_new = ActionGrid(spec.I0, spec.tau0 * 0.5 ** j_next, state.grid.n)
+    S = solve_homological(state.R.truncate(state.K), spec.omega(state.grid.node_points()),
+                          params.dc, regime="split").restrict_action(grid_new)
     nshape = params.nshape(d)
 
-    U, V, fp_iters, err = canonical_change(S, nshape, grid_new)
+    U, V, fp_iters, err = canonical_change(S, nshape)
     taylor_errs = [err]
 
-    tot = spec.eps_a * spec.H0.increment(grid_new.node_points(), U)
+    nodes = grid_new.node_points()
+    tot = spec.eps_a * spec.H0.increment(nodes, U)
+    # U becomes the old actions rho + U in place: a fresh array raises the peak memory
+    U += nodes
     if state.h.n_modes:
-        vals, e = compose_shifted_grid(state.h, nshape, drho=U, out_grid=grid_new)
+        vals, e = compose_shifted_grid(state.h, nshape, rho=U)
         tot += vals
         taylor_errs.append(e)
-    vals, e = compose_shifted_grid(state.R, nshape, dtheta=V, drho=U, out_grid=grid_new)
+    vals, e = compose_shifted_grid(state.R, nshape, dtheta=V, rho=U)
     tot += vals
     taylor_errs.append(e)
-    vals, e = compose_shifted_grid(S.time_derivative(), nshape, dtheta=V, out_grid=grid_new)
+    vals, e = compose_shifted_grid(S.time_derivative(), nshape, dtheta=V)
     tot += vals
     taylor_errs.append(e)
 

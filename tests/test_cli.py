@@ -94,6 +94,17 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     assert cfg["system"]["terms"][0]["modes"] == []
 
 
+@pytest.mark.parametrize("key, value", [
+    ("T_check", -2.0), ("T_check", 0.0), ("h_check", -2.5e-3), ("T_long", -1.0),
+    ("h_long", -2.5e-2), ("escape", -1.0), ("n_samples", 0), ("sample_every", 0)])
+def test_load_config_rejects_unusable_verify_settings(key, value, tmp_path, capsys):
+    with pytest.raises(ValueError, match=rf"verify\.{key}"):
+        cli.load_config(None, {"verify": {key: value}})
+    path = dump_config(tmp_path / "c.json", {"verify": {key: value}})
+    assert cli.main(["period", "--config", path]) == 1
+    assert f"verify.{key}" in capsys.readouterr().err
+
+
 def test_config_sections_must_be_objects(tmp_path, capsys):
     for section in ("torus", "dc"):
         path = dump_config(tmp_path / f"{section}.json", {section: 5})
@@ -315,6 +326,27 @@ def test_verify_missing_torus_exits_1(tmp_path, capsys):
     rc = cli.main(["verify", "--config", cfg_path, "--out", str(tmp_path / "empty")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_coarse_sampling_before_integrating(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: calls.append(a))
+    cfg = cli.load_config(None, {"verify": {"h_long": 1.0, "sample_every": 8}})
+    with pytest.raises(ValueError, match="sample spacing"):
+        cli.run_verify(cfg, str(tmp_path / "o"), torus_path=CERTIFY_TORUS)
+    assert calls == []
+
+
+def test_entry_points_create_their_output_directory(tmp_path):
+    cfg = cli.load_config(None, {"verify": {"T_check": 2.0, "T_long": 50.0}})
+    out = tmp_path / "a" / "b"
+    cli.run_verify(cfg, str(out), torus_path=CERTIFY_TORUS)
+    assert (out / "verify.json").exists() and (out / "orbit.csv").exists()
+    cfg = cli.load_config(None, {"measure": {"halvings": 0, "n_samples": 1000,
+                                             "K_split": 8, "K_check": 24}})
+    out = tmp_path / "c" / "d"
+    cli.run_measure(cfg, out_dir=str(out))
+    assert (out / "measure.csv").exists()
 
 
 def test_measure_is_deterministic(tmp_path):

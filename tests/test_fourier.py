@@ -94,15 +94,17 @@ def test_prune_drops_negligible_modes():
 
 
 def test_json_roundtrip_is_exact():
-    grid = ActionGrid((1.0, 1.5), 0.01, 3)
-    for f in (sample_field(), random_real_field(2, (2,), grid, seed=3)):
+    for f in (sample_field(), random_real_field(2, (2,), None, seed=3)):
         g = FourierField.from_json_dict(f.to_json_dict())
         assert np.array_equal(f.modes, g.modes)
         np.testing.assert_array_equal(f.coeffs, g.coeffs)
-        assert g.vshape == f.vshape
-        assert g.grid is None if f.grid is None else g.grid.same_as(f.grid)
+        assert g.vshape == f.vshape and g.grid is None
         # dict is json-serializable as is
         json.dumps(f.to_json_dict())
+    # a stored field is action-free: a file that carries an action grid is refused
+    obj = dict(sample_field().to_json_dict(), grid={"center": [1.0, 1.5], "tau": 0.01, "n": 3})
+    with pytest.raises(ValueError, match="grid"):
+        FourierField.from_json_dict(obj)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -182,6 +184,8 @@ def staggered_field(rng, grid):
 # case: (value shape, action-free field, angle shift, action shift).  Node
 # coefficients that vary strongly over a small ball would stall a Taylor
 # series in the action in "both"; only an exact action shift passes it.
+# Every case but "action_free" evaluates at points rho around the nodes of a
+# grid other than the field's own ("angle" at those nodes).
 COMPOSE_CASES = {
     "angle": ((), False, True, False),
     "action": ((), False, False, True),
@@ -206,18 +210,19 @@ def test_compose_shifted_grid_matches_direct_evaluation(case):
     else:
         f = sample_field() if action_free else node_field(rng, grid, scale, vshape)
     nshape = (12, 12, 12)
-    pshape = nshape + out.shape + (2,)
+    gshape = () if action_free else out.shape
+    pshape = nshape + gshape + (2,)
     V = 0.03 * rng.standard_normal(pshape) if angle else np.zeros(pshape)
     U = 4e-4 * rng.standard_normal(pshape) if action else np.zeros(pshape)
-    vals, err = compose_shifted_grid(f, nshape, dtheta=V if angle else None,
-                                     drho=U if action else None, out_grid=out)
-    assert vals.shape == nshape + out.shape + f.vshape
+    rho = None if action_free else out.node_points() + U
+    vals, err = compose_shifted_grid(f, nshape, dtheta=V if angle else None, rho=rho)
+    assert vals.shape == nshape + gshape + f.vshape
     axes = [np.linspace(0, 2 * np.pi, n, endpoint=False) for n in nshape]
     mesh = np.meshgrid(*axes, indexing="ij")
-    phi = np.stack(mesh[:2], axis=-1)[:, :, :, None, None, :] + V
-    t = np.broadcast_to(mesh[2][..., None, None], nshape + out.shape)
-    rho = out.node_points() + U
-    direct = f.evaluate(phi.reshape(-1, 2), t.ravel(), rho.reshape(-1, 2))
+    phi = np.stack(mesh[:2], axis=-1).reshape(nshape + (1,) * len(gshape) + (2,)) + V
+    t = np.broadcast_to(mesh[2].reshape(nshape + (1,) * len(gshape)), nshape + gshape)
+    direct = f.evaluate(phi.reshape(-1, 2), t.ravel(),
+                        None if action_free else rho.reshape(-1, 2))
     got = vals.reshape(direct.shape)
     assert got.dtype == np.float64
     dev = np.abs(got - direct).max(axis=0)
@@ -487,8 +492,8 @@ def test_from_grid_rejects_complex_values():
         FourierField.from_grid(vals, 2, cutoff=3)
 
 
-@pytest.mark.parametrize("with_drho", [False, True])
-def test_compose_reuses_shared_derivative_grids(with_drho):
+@pytest.mark.parametrize("with_rho", [False, True])
+def test_compose_reuses_shared_derivative_grids(with_rho):
     rng = np.random.default_rng(5)
     grid = ActionGrid((1.0, 1.5), 2e-3, 5)
     out = ActionGrid((1.0, 1.5), 1e-3, 5)
@@ -497,15 +502,15 @@ def test_compose_reuses_shared_derivative_grids(with_drho):
     f = staggered_field(rng, grid)
     nshape = (12, 12, 12)
     pshape = nshape + out.shape + (2,)
-    # shifts of growing size need more orders than the ones already stored
+    # shifts of growing size need more orders than the ones already stored;
+    # the last call alternates between points rho and the field's own nodes
     shifts = [(size * rng.standard_normal(pshape),
-               4e-4 * rng.standard_normal(pshape) if with_drho else None)
-              for size in (1e-3, 0.03, 0.01)]
+               out.node_points() + 4e-4 * rng.standard_normal(pshape) if rho else None)
+              for size, rho in ((1e-3, with_rho), (0.03, with_rho), (0.01, not with_rho))]
     grids, stored = {}, []
-    for dtheta, drho in shifts:
-        shared = compose_shifted_grid(f, nshape, dtheta=dtheta, drho=drho, out_grid=out,
-                                      grids=grids)
-        fresh = compose_shifted_grid(f, nshape, dtheta=dtheta, drho=drho, out_grid=out)
+    for dtheta, rho in shifts:
+        shared = compose_shifted_grid(f, nshape, dtheta=dtheta, rho=rho, grids=grids)
+        fresh = compose_shifted_grid(f, nshape, dtheta=dtheta, rho=rho)
         assert np.array_equal(shared[0], fresh[0])
         assert shared[1] == fresh[1]
         stored.append(len(grids))

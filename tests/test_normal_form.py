@@ -145,9 +145,9 @@ def test_implicit_angle_shift_residual_is_certified():
         grid=grid)
     srho = S.grad_action()
     nshape = (8, 8, 8)
-    V, iters = implicit_angle_shift(srho, nshape, grid)
+    V, iters = implicit_angle_shift(srho, nshape)
     assert V.shape == nshape + grid.shape + (2,) and iters > 1
-    shifted = compose_shifted_grid(srho, nshape, dtheta=V, out_grid=grid)[0]
+    shifted = compose_shifted_grid(srho, nshape, dtheta=V)[0]
     assert np.abs(V + shifted).max() <= SHIFT_TOL * max(1.0, np.abs(V).max())
     assert np.abs(V).max() > 1e-3
 
@@ -204,7 +204,7 @@ def test_push_forward_conjugates_the_hamiltonian(chain):
     state0, state1 = chain["states"][0], chain["states"][1]
     S = state1.changes[-1].S
     nshape = params.nshape(spec.d)
-    U, V, iters, err = canonical_change(S, nshape, S.grid)
+    U, V, iters, err = canonical_change(S, nshape)
     assert iters > 0 and err < 1e-12
     # project the grids (*nshape, *gshape, d) onto vector fields in (phi, t, rho)
     ax = len(nshape)
