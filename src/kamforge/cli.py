@@ -121,16 +121,19 @@ def load_config(path=None, overrides=None):
     if cfg["kam"]["K_cap"] < cfg["normal_form"]["K_cap"]:
         # the KAM grid must resolve every mode of the averaged remainder
         raise ValueError("kam.K_cap must be at least normal_form.K_cap")
-    if cfg["kam"]["n_nodes"] < 4:
-        # fewer nodes per axis cannot hold the cubic terms of the KAM step's tail
-        raise ValueError("kam.n_nodes must be at least 4")
     vc = cfg["verify"]
     for key in ("T_check", "h_check", "T_long", "h_long", "escape"):
         if not vc[key] > 0:
             raise ValueError(f"verify.{key} must be positive, got {vc[key]!r}")
-    for key in ("n_samples", "sample_every"):
-        if not vc[key] >= 1:
-            raise ValueError(f"verify.{key} must be at least 1, got {vc[key]!r}")
+    # kam.n_nodes: fewer nodes per axis cannot hold the cubic terms of the KAM
+    # remainder; measure.n_samples: the smallest sample excluded_measure takes
+    for section, key, low in (("kam", "n_nodes", 4), ("verify", "n_samples", 1),
+                              ("verify", "sample_every", 1), ("measure", "halvings", 0),
+                              ("measure", "n_samples", 1000), ("torus", "n_phi", 1),
+                              ("torus", "n_t", 1)):
+        if not cfg[section][key] >= low:
+            raise ValueError(f"{section}.{key} must be at least {low}, "
+                             f"got {cfg[section][key]!r}")
     return cfg
 
 

@@ -13,7 +13,6 @@ through rfftn, and the shift composition accumulates in float.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -674,47 +673,16 @@ def compose_shifted_grid(field, nshape, dtheta=None, rho=None, grids=None):
     return out, float(err.max(initial=0.0))
 
 
-@dataclass
-class ActionJet:
-    """Quadratic jet in the action around a point.
+def action_jet(field, point):
+    """Quadratic action jet (r0, r1, r2) of a node-sampled scalar field at an action point.
 
-    r0, r1, r2 are scalar-, vector-, and matrix-valued FourierFields in
-    (theta, t).
-    """
-
-    r0: FourierField
-    r1: FourierField
-    r2: FourierField
-
-    def __post_init__(self):
-        sym_defect = 0.0
-        if self.r2.n_modes:
-            c = self.r2.coeffs
-            sym_defect = float(np.abs(c - np.swapaxes(c, 1, 2)).max())
-            scale = max(1.0, float(np.abs(c).max()))
-            if sym_defect > 1e-10 * scale:
-                raise ValueError(f"quadratic jet matrix is not symmetric (defect {sym_defect:.3e})")
-
-
-def jet_split(field, point, kgrid):
-    """Quadratic jet of a node-sampled scalar field at an action point, plus its tail.
-
-    Returns (r0, r1, r2, high) with
-    field(theta, t, point + rho) = r0 + <r1, rho> + <r2 rho, rho> + high(theta, t, rho).
-    r0, r1 and r2 are action-free scalar, vector and symmetric matrix fields:
+    field(theta, t, point + rho) = r0 + <r1, rho> + <r2 rho, rho> + O(|rho|^3):
+    r0, r1 and r2 are action-free scalar, vector and symmetric matrix fields,
     the value, gradient and half Hessian of each mode coefficient at ``point``.
-    ``high`` vanishes to third order at rho = 0 and is sampled on the nodes of
-    ``kgrid``, whose coordinates are the offsets rho from ``point``.
     """
     d = field.grid.dim
-    at = np.atleast_2d(np.asarray(point, dtype=float))
-    rho = kgrid.node_points().reshape(-1, d)
-    c0, c1, c2 = (c[..., 0] for c in field.interp_jet(at))   # (M,), (M, d), (M, d, d)
+    c0, c1, c2 = (c[..., 0] for c in field.interp_jet(np.atleast_2d(point)))
     c2 = 0.25 * (c2 + np.swapaxes(c2, 1, 2))
-    jet = c0[:, None] + c1 @ rho.T + np.einsum("nj,mjk,nk->mn", rho, c2, rho)
-    tail = field.interp_action(at + rho) - jet
-    r0 = field.replace(coeffs=c0, grid=None).prune()
-    r1 = field.replace(coeffs=c1, vshape=(d,), grid=None).prune()
-    r2 = field.replace(coeffs=c2, vshape=(d, d), grid=None).prune()
-    high = field.replace(coeffs=tail.reshape(tail.shape[:1] + kgrid.shape), grid=kgrid).prune()
-    return r0, r1, r2, high
+    return (field.replace(coeffs=c0, grid=None).prune(),
+            field.replace(coeffs=c1, vshape=(d,), grid=None).prune(),
+            field.replace(coeffs=c2, vshape=(d, d), grid=None).prune())

@@ -2,26 +2,26 @@
 
 The stage Hamiltonian has the normal form
 
-    H_m = C + eps^(-a) (<omega, rho> + <Omega rho, rho>)
-        + R0(theta, t) + <R1(theta, t), rho> + <R2(theta, t) rho, rho>
-        + R_high(theta, t, rho)
+    H_m = C + eps^(-a) (<omega, rho> + <Omega rho, rho>) + R(theta, t, rho)
 
-with R_high vanishing to third order at rho = 0.  One step solves three
-homological equations (for the generating jet S = S0 + <S1, rho>
-+ <S2 rho, rho>), shifts the action origin by nu to keep the rotation vector
-fixed, updates the twist matrix Omega, and reassembles the remainder, whose
-low-order part shrinks superlinearly while the domain radii barely move.  Each
-step appends its ``Change(S, nu)`` to the chain that starts with the averaging
-changes, and ``extract_torus`` unwinds the whole chain to carry the invariant
-torus back to the base action-angle frame.
+with the remainder R sampled on a node ball around rho = 0.  Its quadratic
+jet there, R0(theta, t) + <R1(theta, t), rho> + <R2(theta, t) rho, rho>, is
+what one step removes: it solves three homological equations (for the
+generating jet S = S0 + <S1, rho> + <S2 rho, rho>), shifts the action origin
+by nu to keep the rotation vector fixed, updates the twist matrix Omega, and
+evaluates the new remainder, whose jet shrinks superlinearly while the domain
+radii barely move.  Each step appends its ``Change(S, nu)`` to the chain that
+starts with the averaging changes, and ``extract_torus`` unwinds the whole
+chain to carry the invariant torus back to the base action-angle frame.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, EscapeError
-from .fourier import ActionGrid, ActionJet, FourierField, compose_shifted_grid, jet_split
+from .fourier import ActionGrid, FourierField, action_jet, compose_shifted_grid
 from .normal_form import (SHIFT_MAX_ITER, Change, NormalFormParams, implicit_angle_shift,
                           solve_fixed_point, solve_homological)
 
@@ -51,13 +51,18 @@ class KamParams:
 
 @dataclass
 class KamState:
+    """One KAM stage: the normal form's data and the remainder R = H - N.
+
+    R is sampled on the node ball ``grid`` in the offsets rho from the
+    stage's action origin; ``low`` is its quadratic jet at rho = 0.
+    """
+
     m: int
     eps: float
     a: float
     omega: np.ndarray          # unscaled target frequency
     Omega: np.ndarray
-    low: ActionJet
-    high: FourierField
+    R: FourierField
     const: float
     s: float
     r: float
@@ -67,14 +72,20 @@ class KamState:
     changes: list = dc_field(default_factory=list)   # Change(S, nu), base frame first
     diagnostics: list = dc_field(default_factory=list)
 
+    @cached_property
+    def low(self):
+        """Quadratic jet (R0, R1, R2) of R at rho = 0."""
+        return action_jet(self.R, np.zeros(self.grid.dim))
+
     def low_norms(self):
         """Norms ||R0'||, ||R1||, ||R2|| of the low jet, and its size over the current ball.
 
         The size is ||R0'|| + r ||R1|| + r^2 ||R2||.  R0' excludes the constant
         mode of R0, which only shifts the energy.
         """
-        r0_osc = self.low.r0 - self.low.r0.time_average().angle_average()
-        n0, n1, n2 = (f.norm(self.s) for f in (r0_osc, self.low.r1, self.low.r2))
+        R0, R1, R2 = self.low
+        r0_osc = R0 - R0.time_average().angle_average()
+        n0, n1, n2 = (f.norm(self.s) for f in (r0_osc, R1, R2))
         return n0, n1, n2, n0 + self.r * n1 + self.r**2 * n2
 
     def low_norm(self):
@@ -89,7 +100,7 @@ class KamState:
         n0, n1, n2, low = self.low_norms()
         return {
             "m": self.m, "R0_norm": n0, "R1_norm": n1, "R2_norm": n2, "low_norm": low,
-            "high_norm": self.high.norm(self.s),
+            "high_norm": (self.R - _jet_on_nodes(*self.low, self.grid)).norm(self.s),
             "nu_inf": float(np.abs(nu).max(initial=0.0)),
             "dOmega": float(np.abs(dOmega).max(initial=0.0)), "s": self.s, "r": self.r,
             "taylor_err": taylor_err, "projection_residual": proj_res,
@@ -122,20 +133,21 @@ def _jet_on_nodes(f0, f1, f2, grid):
                          **flat))
 
 
-def cubic_contraction(high, w_grid, nshape):
-    """Grids of T3[w]_jk = sum_i d^3 R_high / d rho_i d rho_j d rho_k (0) w_i.
+def cubic_contraction(R, w_grid, nshape):
+    """Grids of T3[w]_jk = sum_i d^3 R / d rho_i d rho_j d rho_k (0) w_i.
 
     Node coefficients are polynomials in rho, so the third derivatives at the
-    origin are exact: three spectral action gradients frozen at rho = 0, put
-    on the grid once and contracted with the vector grid ``w_grid`` of shape
-    (*nshape, d).  Returns (*nshape, d, d).
+    origin are exact, and the quadratic jet of R adds nothing to them: three
+    spectral action gradients frozen at rho = 0, put on the grid once and
+    contracted with the vector grid ``w_grid`` of shape (*nshape, d).
+    Returns (*nshape, d, d).
     """
-    d3 = high.grad_action().grad_action().grad_action().at_action(np.zeros(high.grid.dim))
+    d3 = R.grad_action().grad_action().grad_action().at_action(np.zeros(R.grid.dim))
     return np.einsum("...ijk,...i->...jk", d3.to_grid(nshape), w_grid)
 
 
 def kam_step(state, params):
-    """One KAM step: solve, shift, retwist, reassemble, and re-split."""
+    """One KAM step: solve, shift, retwist, and evaluate the new remainder."""
     d = len(state.omega)
     eps, a = state.eps, state.a
     epa = eps ** (-a)
@@ -147,7 +159,7 @@ def kam_step(state, params):
     nshape = params.nshape(d)
     taylor_errs = [0.0]
 
-    R0, R1, R2 = state.low.r0, state.low.r1, state.low.r2
+    R0, R1, R2 = state.low
     omega = state.omega
     Om = state.Omega
 
@@ -166,7 +178,7 @@ def kam_step(state, params):
     OmG = np.einsum("ij,mjk->mik", Om, G.coeffs)
     symOmG = G.replace(coeffs=epa * (OmG + np.swapaxes(OmG, 1, 2)))
 
-    T3w = cubic_contraction(state.high, A0.to_grid(nshape), nshape)
+    T3w = cubic_contraction(state.R, A0.to_grid(nshape), nshape)
     T3_field = FourierField.from_grid(0.5 * T3w, d, params.K_cap, vshape=(d, d))
     Rss = (R2 + symOmG + T3_field).prune()
     S2 = solve_homological(Rss, omega, params.dc, regime="full")
@@ -186,8 +198,7 @@ def kam_step(state, params):
     rem = -dC + S.time_derivative().to_grid(nshape) + epa * (
         W @ omega + np.einsum("...i,ij,...j->...", 2.0 * rho + W, Om, W)
         - np.einsum("...i,ij,...j->...", rho, dOm, rho))
-    P = _jet_on_nodes(R0, R1, R2, state.grid) + state.high
-    vals, e = compose_shifted_grid(P, nshape, rho=rho + W)
+    vals, e = compose_shifted_grid(state.R, nshape, rho=rho + W)
     rem += vals
     taylor_errs.append(e)
 
@@ -198,15 +209,11 @@ def kam_step(state, params):
     rem_field = FourierField.from_grid(rem, d, params.K_cap, grid=grid_new)
     vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V)
     taylor_errs.append(e)
-    final = FourierField.from_grid(vals, d, params.K_cap, grid=grid_new)
-    proj_res = max(rem_field.projection_residual, final.projection_residual)
-
-    # split by Taylor order at rho = 0 ---------------------------------------
-    R0n, R1n, R2n, highn = jet_split(final, np.zeros(d), grid_new)
+    R_new = FourierField.from_grid(vals, d, params.K_cap, grid=grid_new)
+    proj_res = max(rem_field.projection_residual, R_new.projection_residual)
 
     new_state = KamState(
-        m=m_next, eps=eps, a=a, omega=omega, Omega=Om_new,
-        low=ActionJet(r0=R0n, r1=R1n, r2=R2n), high=highn, const=state.const + dC,
+        m=m_next, eps=eps, a=a, omega=omega, Omega=Om_new, R=R_new, const=state.const + dC,
         s=s_next, r=r_next, grid=grid_new, s0=state.s0, r0=state.r0,
         changes=state.changes + [Change(S, nu)],
         diagnostics=list(state.diagnostics),

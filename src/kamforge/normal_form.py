@@ -15,8 +15,9 @@ Hamiltonian eps^(-a) H0 + h(t, I) plus a small remainder is left.
 
 A final time average removes the oscillation of h itself, after which
 ``locate_expansion_point`` and ``taylor_split`` recentre the system at the
-action I* whose corrected frequency matches the target and split the remainder
-into a quadratic jet plus a cubic tail, the starting data for the KAM stage.
+action I* whose corrected frequency matches the target and sample the
+remainder over the quadratic normal form there on a ball of action offsets,
+the starting data for the KAM stage.
 
 Every stage records its coordinate changes as one chain of ``Change(S, nu)``
 entries, each extending the previous stage's list: the averaging steps, the
@@ -30,8 +31,7 @@ import numpy as np
 
 from .diophantine import DiophantineParams
 from .errors import ContractionError, DomainError, SmallDivisorError
-from .fourier import (SHIFT_TOL, ActionGrid, ActionJet, FourierField, compose_shifted_grid,
-                      jet_split)
+from .fourier import SHIFT_TOL, ActionGrid, FourierField, compose_shifted_grid
 from .util import fast_len
 
 # Small divisors must stay above this fraction of their Diophantine bound.
@@ -442,18 +442,19 @@ def locate_expansion_point(avg, spec):
 
 
 def taylor_split(avg, spec, I_star, r0, kam_nodes):
-    """Expand the averaged Hamiltonian at I* and split off the cubic remainder.
+    """Expand the averaged Hamiltonian at I* to second order; the rest is the remainder.
 
     Returns the KAM stage's starting ``KamState`` (m = 0, with its first
-    diagnostics row), whose Hamiltonian is exactly
-    const + eps^(-a)(<omega, rho> + <Omega rho, rho>) + R0 + <R1, rho>
-    + <R2 rho, rho> + high(theta, t, rho) with rho = I - I* and omega = omega(I0);
-    the frequency-matching residual is folded into R1.  The remainder field is
-    split by ``jet_split`` at I* into the quadratic jet plus a cubic tail
-    sampled on a fresh node ball of radius r0 around zero.  The integrable
-    part contributes its own exact cubic tail on the same nodes.  The state's
-    chain is the averaging chain plus the recentring ``Change(empty S, I*)``.
-    DomainError if the ball of radius r0 around I* leaves the averaged node box.
+    diagnostics row) with rho = I - I*, omega = omega(I0), the normal form
+    N = const + eps^(-a)(<omega, rho> + <Omega rho, rho>) of the averaged
+    Hamiltonian's value and half Hessian at I*, and the remainder
+    R(theta, t, rho) = H_avg(theta, t, I* + rho) - N(rho) on the nodes of a
+    fresh ball of radius r0 around zero: ``R_breve`` interpolated at I* + rho
+    plus the theta-free node term, the integrable part's increment over I*
+    less N's linear and quadratic terms.  The frequency-matching residual
+    thus stays in R's jet.  The state's chain is the averaging chain plus the
+    recentring ``Change(empty S, I*)``.  DomainError if the ball of radius r0
+    around I* leaves the averaged node box.
     """
     from .kam import KamState
 
@@ -466,33 +467,28 @@ def taylor_split(avg, spec, I_star, r0, kam_nodes):
     s = avg.s
     ea = spec.eps ** spec.a
     epa = spec.eps ** (-spec.a)
-    hv, hg, hh = _h_bar_jet(avg, I_star[None])
+    hv, _, hh = _h_bar_jet(avg, I_star[None])
     Omega_full = spec.H0.hess(I_star) + ea * hh[0]
     # quadratic form <Omega rho, rho> must reproduce the Taylor term rho^T H rho / 2
     Omega = 0.25 * (Omega_full + Omega_full.T)
-    grad_full = spec.H0.grad(I_star) + ea * hg[0]
-    delta = grad_full - omega_target
     const = epa * (spec.H0.value(I_star) + ea * hv[0])
 
     kgrid = ActionGrid(np.zeros(d), r0, kam_nodes)
-    R0, R1, R2, high = jet_split(avg.R_breve, I_star, kgrid)
-    extra = FourierField.from_modes(d, {(0,) * (d + 1): epa * delta}, vshape=(d,))
-    R1 = (R1 + extra).prune()
-
-    # cubic tail of the integrable part (theta-free), from its increment over I*
     rho = kgrid.node_points().reshape(-1, d)
     pts = I_star[None, :] + rho
-    g0 = epa * (spec.H0.increment(I_star, rho) + ea * (_h_bar_jet(avg, pts)[0] - hv[0]))
-    taylor0 = epa * (rho @ grad_full) + epa * np.einsum("nj,jk,nk->n", rho, Omega, rho)
-    tail0 = (g0 - taylor0).reshape((1,) + kgrid.shape)
-    zero_mode = FourierField(d, np.zeros((1, d + 1), dtype=np.int64), tail0, grid=kgrid)
-    high = (high + zero_mode).prune()
+    R = avg.R_breve.replace(coeffs=avg.R_breve.interp_action(pts)
+                            .reshape((-1,) + kgrid.shape), grid=kgrid)
+    # the integrable part's increment over I*, less N's linear and quadratic terms
+    node = epa * (spec.H0.increment(I_star, rho) + ea * (_h_bar_jet(avg, pts)[0] - hv[0])
+                  - rho @ omega_target - np.einsum("nj,jk,nk->n", rho, Omega, rho))
+    R = (R + FourierField.from_modes(d, {(0,) * (d + 1): node.reshape(kgrid.shape)},
+                                     grid=kgrid)).prune()
 
     recentre = Change(FourierField.zero(d, grid=kgrid), np.asarray(I_star, dtype=float))
     state = KamState(
-        m=0, eps=spec.eps, a=spec.a, omega=omega_target, Omega=Omega,
-        low=ActionJet(r0=R0, r1=R1, r2=R2), high=high, const=float(const), s=s,
-        r=float(r0), grid=kgrid, s0=s, r0=float(r0), changes=avg.changes + [recentre],
+        m=0, eps=spec.eps, a=spec.a, omega=omega_target, Omega=Omega, R=R,
+        const=float(const), s=s, r=float(r0), grid=kgrid, s0=s, r0=float(r0),
+        changes=avg.changes + [recentre],
     )
     state.diagnostics.append(state.diag_row(avg.taylor_err, avg.R_breve.projection_residual,
                                             np.zeros(d), 0.0, 0))

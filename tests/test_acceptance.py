@@ -17,12 +17,12 @@ import pytest
 from kamforge import cli
 from kamforge.diophantine import DiophantineParams, check_dc, find_dc_point
 from kamforge.duffing import to_hamiltonian_spec
-from kamforge.fourier import ActionGrid, ActionJet, FourierField
-from kamforge.kam import KamParams, KamState, _invert_change, kam_step
+from kamforge.fourier import ActionGrid, FourierField
+from kamforge.kam import KamParams, KamState, _invert_change, _jet_on_nodes, kam_step
 from kamforge.normal_form import NormalFormParams, run_normal_form, solve_homological
 from kamforge.oscillator import ActionAngleMap, compute_period, reference_solution
 
-from jets import evaluate_jet, kam_hamiltonian
+from jets import kam_hamiltonian
 
 GOLDEN = np.array([(1 + np.sqrt(5)) / 2, 1.3247179572447460])
 
@@ -121,8 +121,7 @@ def kam_synthetic():
         return KamState(
             m=0, eps=1.0, a=1.0, omega=GOLDEN.copy(),
             Omega=np.array([[0.45, 0.08], [0.08, 0.55]]),
-            low=ActionJet(r0=fields[0], r1=fields[1], r2=fields[2]),
-            high=FourierField.zero(2, grid=grid),
+            R=_jet_on_nodes(*fields, grid),
             const=0.0, s=0.3, r=1e-3, grid=grid, s0=0.3, r0=1e-3)
 
     dc = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30, K_check=300)
@@ -279,9 +278,7 @@ def test_criterion_4_conjugation(pipeline_run, kam_synthetic):
     lhs = (form.const
            + eps_a * (rho_s @ form.omega
                       + np.einsum("nj,jk,nk->n", rho_s, form.Omega, rho_s))
-           + evaluate_jet(form.low, phi, tt, rho_s))
-    if form.high.n_modes:
-        lhs = lhs + form.high.evaluate(phi, tt, rho_s)
+           + form.R.evaluate(phi, tt, rho_s))
     I_abs = res["I_star"][None, :] + rho_s
     rhs = (eps_a * spec.H0.value(I_abs) + avg.h_bar.evaluate(phi, tt, I_abs)
            + avg.R_breve.evaluate(phi, tt, I_abs))

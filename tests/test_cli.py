@@ -105,6 +105,17 @@ def test_load_config_rejects_unusable_verify_settings(key, value, tmp_path, caps
     assert f"verify.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("measure", "halvings", -1), ("measure", "n_samples", 999), ("torus", "n_phi", 0),
+    ("torus", "n_t", 0)])
+def test_load_config_rejects_unusable_sizes(section, key, value, tmp_path, capsys):
+    with pytest.raises(ValueError, match=rf"{section}\.{key}"):
+        cli.load_config(None, {section: {key: value}})
+    path = dump_config(tmp_path / "c.json", {section: {key: value}})
+    assert cli.main(["period", "--config", path]) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
 def test_config_sections_must_be_objects(tmp_path, capsys):
     for section in ("torus", "dc"):
         path = dump_config(tmp_path / f"{section}.json", {section: 5})

@@ -5,8 +5,8 @@ import pytest
 
 from kamforge import fourier
 from kamforge.errors import RealityError
-from kamforge.fourier import (REALITY_TOL, ActionGrid, FourierField, ball_modes,
-                              compose_shifted_grid, jet_split)
+from kamforge.fourier import (REALITY_TOL, ActionGrid, FourierField, action_jet, ball_modes,
+                              compose_shifted_grid)
 
 
 def sample_field():
@@ -258,7 +258,6 @@ def test_grad_angle_stacks_angle_derivatives(vshape):
 def test_jet_split_of_exact_cubic():
     grid = ActionGrid(np.array([1.0, 1.3]), 0.05, 5)
     point = np.array([1.01, 1.28])
-    kgrid = ActionGrid(np.zeros(2), 0.02, 5)
     modes = np.array([[0, 0, 0], [1, 0, 1], [-1, 0, -1], [0, 1, -2], [0, -1, 2]])
     rng = np.random.default_rng(21)
     # per mode: a0 + <a1, x> + <x, a2 x> + a3 x_0^2 x_1 + a4 x_1^3, x = I - point
@@ -282,14 +281,12 @@ def test_jet_split_of_exact_cubic():
 
     x = grid.node_points().reshape(-1, 2) - point
     f = FourierField(2, modes, poly(x).reshape(5, *grid.shape), grid=grid)
-    r0, r1, r2, high = jet_split(f, point, kgrid)
-    assert (r1.vshape, r2.vshape, high.grid) == ((2,), (2, 2), kgrid)
+    r0, r1, r2 = action_jet(f, point)
+    assert (r1.vshape, r2.vshape) == ((2,), (2, 2))
     order = [r0.modes.tolist().index(m) for m in modes.tolist()]
     np.testing.assert_allclose(r0.coeffs[order], a0, atol=1e-12)
     np.testing.assert_allclose(r1.coeffs[order], a1, atol=1e-12)
     np.testing.assert_allclose(r2.coeffs[order], a2, atol=1e-12)
-    rho = kgrid.node_points().reshape(-1, 2)
-    np.testing.assert_allclose(high.coeffs[order].reshape(5, -1), cubic(rho), atol=1e-12)
 
 
 # -- conjugate symmetry -------------------------------------------------------
@@ -532,8 +529,7 @@ def derived_fields(f):
     out["restrict_action"] = f.restrict_action(ActionGrid((1.0, 1.5), 0.005, 3))
     out["at_action"] = f.at_action(point)
     if not f.vshape:
-        parts = jet_split(f, point, ActionGrid(np.zeros(2), 0.004, 3))
-        out.update(zip(("jet_r0", "jet_r1", "jet_r2", "jet_high"), parts))
+        out.update(zip(("jet_r0", "jet_r1", "jet_r2"), action_jet(f, point)))
     return out
 
 
@@ -543,13 +539,13 @@ def test_derived_fields_are_exactly_symmetric(vshape, node_grid):
     grid = ActionGrid((1.0, 1.5), 0.01, 3) if node_grid else None
     f = random_real_field(2, vshape, grid, seed=5 + len(vshape))
     fields = derived_fields(f)
-    assert len(fields) == (5 if grid is None else 7 if vshape else 11)
+    assert len(fields) == (5 if grid is None else 7 if vshape else 10)
     for name, g in fields.items():
         assert g.reality_drift == 0.0, name
         assert np.array_equal(g.modes, -g.modes[::-1]), name
         assert np.array_equal(g.coeffs, np.conj(g.coeffs[::-1])), name
     if grid is not None:
-        # jet_split prunes its outputs, so also check the jet coefficients it reads
+        # action_jet prunes its outputs, so also check the jet coefficients it reads
         for c in f.interp_jet(np.array([[1.003, 1.496], [0.995, 1.507]])):
             assert np.array_equal(c, np.conj(c[::-1]))
 

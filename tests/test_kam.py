@@ -6,9 +6,10 @@ import pytest
 
 from kamforge.diophantine import DiophantineParams
 from kamforge.errors import DomainError, EscapeError
-from kamforge.fourier import ActionGrid, ActionJet, FourierField
-from kamforge.kam import (KamParams, KamState, _invert_change, cubic_contraction,
-                          extract_torus, invariance_defect, kam_iterate, kam_step)
+from kamforge.fourier import ActionGrid, FourierField
+from kamforge.kam import (KamParams, KamState, _invert_change, _jet_on_nodes,
+                          cubic_contraction, extract_torus, invariance_defect, kam_iterate,
+                          kam_step)
 from kamforge.normal_form import Change
 
 from jets import kam_hamiltonian
@@ -18,6 +19,7 @@ OMEGA_MAT = np.array([[0.45, 0.08], [0.08, 0.55]])
 S0_STRIP = 0.3
 R_BALL = 1e-3
 DC = DiophantineParams(d=2, gamma=5e-3, eps=1.0, a=1.0, K_split=30, K_check=300)
+GRID = ActionGrid(np.zeros(2), R_BALL, 5)
 
 
 def ball_noise_field(rng, vshape, scale, K=3, sym=False):
@@ -43,34 +45,35 @@ def ball_noise_field(rng, vshape, scale, K=3, sym=False):
     return FourierField(2, np.array(modes, dtype=np.int64), c, vshape=vshape).prune()
 
 
-def make_state(rng, with_high=True):
-    R0 = ball_noise_field(rng, (), 1e-5)
-    R1 = ball_noise_field(rng, (2,), 1e-5)
-    R2 = ball_noise_field(rng, (2, 2), 1e-5, sym=True)
-    grid = ActionGrid(np.zeros(2), R_BALL, 5)
-    if with_high:
-        base = ball_noise_field(rng, (), 1e-6)
-        u = grid.node_points() / R_BALL
-        cubic = (u[..., 0] ** 3 + 0.5 * u[..., 1] ** 2 * u[..., 0]) * R_BALL**3
-        high = FourierField(2, base.modes, base.coeffs[:, None, None] * cubic[None],
-                            grid=grid)
-    else:
-        high = FourierField.zero(2, grid=grid)
-    return KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
-                    low=ActionJet(r0=R0, r1=R1, r2=R2), high=high,
-                    const=0.0, s=S0_STRIP, r=R_BALL, grid=grid,
-                    s0=S0_STRIP, r0=R_BALL)
+def jet_state(R0, R1, R2, tail=None, const=0.0):
+    """KamState on GRID whose remainder is the jet R0 + <R1, rho> + <R2 rho, rho> plus tail."""
+    R = _jet_on_nodes(R0, R1, R2, GRID)
+    if tail is not None:
+        R = R + tail
+    return KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT, R=R, const=const,
+                    s=S0_STRIP, r=R_BALL, grid=GRID, s0=S0_STRIP, r0=R_BALL)
 
 
-def make_tail_state(rng):
-    """make_state's low jet with a cubic tail of norm about 2.8e-6, large enough to matter."""
-    state = make_state(rng)
-    noise = ball_noise_field(rng, (), 1e-8)
-    u = state.grid.node_points() / R_BALL
-    cubic = u[..., 0] ** 3 + 0.5 * u[..., 1] ** 2 * u[..., 0] + 0.3 * u[..., 1] ** 3
-    high = FourierField(2, noise.modes, noise.coeffs[:, None, None] * cubic[None],
-                        grid=state.grid)
-    return dataclasses.replace(state, high=high)
+def make_jet(rng):
+    return (ball_noise_field(rng, (), 1e-5), ball_noise_field(rng, (2,), 1e-5),
+            ball_noise_field(rng, (2, 2), 1e-5, sym=True))
+
+
+def make_state(rng, big_tail=False):
+    """A random jet plus a cubic node tail, of norm about 2.8e-6 with big_tail.
+
+    The big tail's noise is drawn after the small one's, so both states share
+    the jet.
+    """
+    jet = make_jet(rng)
+    noise = ball_noise_field(rng, (), 1e-6)
+    u = GRID.node_points() / R_BALL
+    cubic = (u[..., 0] ** 3 + 0.5 * u[..., 1] ** 2 * u[..., 0]) * R_BALL**3
+    if big_tail:
+        noise = ball_noise_field(rng, (), 1e-8)
+        cubic = u[..., 0] ** 3 + 0.5 * u[..., 1] ** 2 * u[..., 0] + 0.3 * u[..., 1] ** 3
+    tail = FourierField(2, noise.modes, noise.coeffs[:, None, None] * cubic[None], grid=GRID)
+    return jet_state(*jet, tail)
 
 
 def make_params(**kw):
@@ -91,17 +94,13 @@ def steps():
 
 def test_low_norm_weighs_jet_by_ball_radius():
     state = make_state(np.random.default_rng(11))
-    r0_osc = state.low.r0 - state.low.r0.time_average().angle_average()
-    expect = (r0_osc.norm(S0_STRIP) + state.r * state.low.r1.norm(S0_STRIP)
-              + state.r**2 * state.low.r2.norm(S0_STRIP))
+    R0, R1, R2 = state.low
+    r0_osc = R0 - R0.time_average().angle_average()
+    expect = (r0_osc.norm(S0_STRIP) + state.r * R1.norm(S0_STRIP)
+              + state.r**2 * R2.norm(S0_STRIP))
     assert state.low_norm() == pytest.approx(expect, rel=1e-14)
     # a constant added to R0 only shifts the energy, never the norm
-    shifted = state.low.r0 + FourierField.from_modes(2, {(0, 0, 0): 0.7})
-    bumped = KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
-                      low=ActionJet(r0=shifted, r1=state.low.r1, r2=state.low.r2),
-                      high=FourierField.zero(2, grid=state.grid), const=0.0, s=S0_STRIP,
-                      r=R_BALL,
-                      grid=state.grid, s0=S0_STRIP, r0=R_BALL)
+    bumped = jet_state(R0 + FourierField.from_modes(2, {(0, 0, 0): 0.7}), R1, R2)
     assert bumped.low_norm() == pytest.approx(state.low_norm(), rel=1e-12)
 
 
@@ -132,8 +131,8 @@ def test_each_step_conjugates_the_hamiltonian(steps):
 
 
 def test_cubic_tail_enters_the_step():
-    states = [make_tail_state(np.random.default_rng(11))]
-    assert states[0].high.norm(S0_STRIP) > 1e-6
+    states = [make_state(np.random.default_rng(11), big_tail=True)]
+    assert states[0].diag_row(0.0, 0.0, np.zeros(2), 0.0, 0)["high_norm"] > 1e-6
     for _ in range(3):
         states.append(kam_step(states[-1], make_params()))
     # low norms 1.5e-3, 1.05e-6, 1.59e-9, 1.51e-13; without the tail's cubic
@@ -190,12 +189,7 @@ def test_action_shift_oracle():
     # constant R1 forces nu = -Omega^\'{-1} mean / 2 and empties the low jet
     cbar = np.array([2e-5, -1e-5])
     R1 = FourierField.from_modes(2, {(0, 0, 0): cbar}, vshape=(2,))
-    z = FourierField.zero(2)
-    zm = FourierField.zero(2, vshape=(2, 2))
-    grid = ActionGrid(np.zeros(2), R_BALL, 5)
-    state = KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
-                     low=ActionJet(r0=z, r1=R1, r2=zm), high=FourierField.zero(2, grid=grid),
-                     const=1.5, s=S0_STRIP, r=R_BALL, grid=grid, s0=S0_STRIP, r0=R_BALL)
+    state = jet_state(FourierField.zero(2), R1, FourierField.zero(2, vshape=(2, 2)), const=1.5)
     out = kam_step(state, make_params())
     nu = out.changes[0].nu
     np.testing.assert_allclose(nu, -0.5 * np.linalg.solve(OMEGA_MAT, cbar),
@@ -215,12 +209,7 @@ def test_action_shift_oracle():
 def test_action_shift_outside_ball_raises():
     cbar = np.array([1e-3, -1e-3])
     R1 = FourierField.from_modes(2, {(0, 0, 0): cbar}, vshape=(2,))
-    z = FourierField.zero(2)
-    zm = FourierField.zero(2, vshape=(2, 2))
-    grid = ActionGrid(np.zeros(2), R_BALL, 5)
-    state = KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
-                     low=ActionJet(r0=z, r1=R1, r2=zm), high=FourierField.zero(2, grid=grid),
-                     const=0.0, s=S0_STRIP, r=R_BALL, grid=grid, s0=S0_STRIP, r0=R_BALL)
+    state = jet_state(FourierField.zero(2), R1, FourierField.zero(2, vshape=(2, 2)))
     with pytest.raises(DomainError):
         kam_step(state, make_params())
 
@@ -228,12 +217,7 @@ def test_action_shift_outside_ball_raises():
 def test_twist_matrix_update():
     c2 = np.array([[3e-5, 1e-5], [1e-5, -2e-5]])
     R2 = FourierField.from_modes(2, {(0, 0, 0): c2}, vshape=(2, 2))
-    z = FourierField.zero(2)
-    zv = FourierField.zero(2, vshape=(2,))
-    grid = ActionGrid(np.zeros(2), R_BALL, 5)
-    state = KamState(m=0, eps=1.0, a=1.0, omega=OMEGA, Omega=OMEGA_MAT,
-                     low=ActionJet(r0=z, r1=zv, r2=R2), high=FourierField.zero(2, grid=grid),
-                     const=0.0, s=S0_STRIP, r=R_BALL, grid=grid, s0=S0_STRIP, r0=R_BALL)
+    state = jet_state(FourierField.zero(2), FourierField.zero(2, vshape=(2,)), R2)
     out = kam_step(state, make_params())
     np.testing.assert_allclose(out.Omega, OMEGA_MAT + c2, atol=1e-18)
     assert out.diagnostics[-1]["dOmega"] == pytest.approx(np.abs(c2).max())
@@ -262,16 +246,14 @@ def third_derivatives(poly):
 
 def test_cubic_contraction_is_exact_on_node_polynomials():
     rng = np.random.default_rng(4)
-    grid = ActionGrid(np.zeros(2), R_BALL, 5)
-    u = grid.node_points() / R_BALL
+    u = GRID.node_points() / R_BALL
     base = ball_noise_field(rng, (2,), 1e-6)         # one mode weight per polynomial
     vals = [sum(a * u[..., 0] ** i * u[..., 1] ** j for (i, j), a in poly.items())
             * R_BALL**3 for poly in CUBIC_POLYS]
     coeffs = sum(base.coeffs[:, p, None, None] * vals[p][None] for p in range(2))
-    high = FourierField(2, base.modes, coeffs, grid=grid)
+    field = FourierField(2, base.modes, coeffs, grid=GRID)
     nshape = (8, 8, 8)
     w = rng.standard_normal(nshape + (2,))
-    got = cubic_contraction(high, w, nshape)
 
     axes = [2 * np.pi * np.arange(n) / n for n in nshape]
     th0, th1, tt = np.meshgrid(*axes, indexing="ij")
@@ -280,8 +262,12 @@ def test_cubic_contraction_is_exact_on_node_polynomials():
     D3 = np.stack([third_derivatives(poly) for poly in CUBIC_POLYS])
     tensor = np.einsum("...m,mp,pijk->...ijk", phase, base.coeffs, D3).real
     expect = np.einsum("...ijk,...i->...jk", tensor, w)
-    assert got.shape == nshape + (2, 2)
-    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+    # a quadratic jet, as large on the ball as the polynomials, has no third derivative
+    jet = [f * (0.1 * R_BALL**p) for p, f in zip((3, 2, 1), make_jet(rng))]
+    for R in (field, field + _jet_on_nodes(*jet, GRID)):
+        got = cubic_contraction(R, w, nshape)
+        assert got.shape == nshape + (2, 2)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_iterate_stops_at_tolerance():
@@ -300,13 +286,10 @@ def test_diagnostics_rows_have_stable_keys(steps):
 
 
 def flat_torus(I_star, omega, eps=0.1):
-    z = FourierField.zero(2)
-    zv = FourierField.zero(2, vshape=(2,))
-    zm = FourierField.zero(2, vshape=(2, 2))
     grid = ActionGrid(np.zeros(2), 1e-4, 5)
     kam_state = KamState(m=0, eps=eps, a=1.0, omega=omega, Omega=np.eye(2),
-                         low=ActionJet(r0=z, r1=zv, r2=zm), high=FourierField.zero(2, grid=grid),
-                         const=0.0, s=0.3, r=1e-4, grid=grid, s0=0.3, r0=1e-4)
+                         R=FourierField.zero(2, grid=grid), const=0.0, s=0.3, r=1e-4,
+                         grid=grid, s0=0.3, r0=1e-4)
     return extract_at(kam_state, I_star)
 
 

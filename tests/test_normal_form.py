@@ -16,7 +16,6 @@ from kamforge.normal_form import (AveragedResult, HamiltonianSpec,
                                   twist_compose)
 from kamforge.oscillator import PowerLawH0
 
-from jets import evaluate_jet
 
 GOLDEN = np.array([(1 + np.sqrt(5)) / 2, 1.3247179572447460])
 
@@ -355,16 +354,12 @@ def test_taylor_split_reproduces_hamiltonian(chain):
     lhs = (epa * spec.H0.value(I) + avg.h_bar.evaluate(th, tt, I)
            + avg.R_breve.evaluate(th, tt, I))
     quad = epa * (rho @ form.omega + np.einsum("nj,jk,nk->n", rho, form.Omega, rho))
-    rhs = (form.const + quad + evaluate_jet(form.low, th, tt, rho)
-           + form.high.evaluate(th, tt, rho))
+    rhs = form.const + quad + form.R.evaluate(th, tt, rho)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
-    # the sampled tail vanishes to third order at the expansion point
-    zero = np.zeros((N, 2))
-    np.testing.assert_allclose(form.high.evaluate(th, tt, zero), 0.0, atol=1e-18)
 
 
 def test_taylor_split_integrable_tail_is_exact():
-    # with R = 0, high's zero mode is the power law's own cubic tail at I*
+    # with R = 0, the remainder's zero mode is the power law's own cubic tail at I*
     mpmath = pytest.importorskip("mpmath")
     H0 = PowerLawH0(0.8671453264848216, 4.0 / 3.0, 2)
     I0 = np.array([1.0, 1.3])
@@ -375,8 +370,8 @@ def test_taylor_split_integrable_tail_is_exact():
     avg = AveragedResult(h_bar=zero, taylor_err=0.0, R_breve=zero, grid=grid, s=0.3,
                          changes=[])
     kam0 = taylor_split(avg, spec, I0, 6.25e-5, kam_nodes=5)
-    (row,) = np.flatnonzero((kam0.high.modes == 0).all(axis=1))
-    got = kam0.high.coeffs[row].real
+    (row,) = np.flatnonzero((kam0.R.modes == 0).all(axis=1))
+    got = kam0.R.coeffs[row].real
     nodes = kam0.grid.node_points()
     exact = np.zeros(kam0.grid.shape)
     with mpmath.workdps(40):
