@@ -151,6 +151,15 @@ def _grid_values(modes, coeffs, nshape):
     return ifftn(C, axes=tuple(range(len(nshape))), s=nshape) * np.prod(nshape)
 
 
+def _symmetric_part(c):
+    """(c + conj(c reversed)) / 2: the conjugate-symmetric part of coefficient rows
+    whose mode set is closed under negation and in canonical order."""
+    sym = np.conj(c[::-1])
+    sym += c
+    sym *= 0.5
+    return sym
+
+
 def _encode_reim(arr):
     a = np.asarray(arr)
     if a.ndim == 0:
@@ -247,9 +256,7 @@ class FourierField:
             self._modes = np.insert(modes, pos[missing], partners[missing], axis=0)
             self._coeffs = np.insert(self._coeffs, pos[missing], 0, axis=0)
         c = self._coeffs
-        sym = np.conj(c[::-1])
-        sym += c
-        sym *= 0.5
+        sym = _symmetric_part(c)
         # exactly symmetric input, the common case, has drift 0 at any scale
         if not np.array_equal(c, sym):
             scale = np.abs(c).max()
@@ -340,15 +347,19 @@ class FourierField:
         return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep])
 
     def prune(self, rel_tol=PRUNE_TOL):
-        """Drop modes whose coefficient magnitude is below rel_tol times the maximum."""
+        """Drop modes whose coefficient magnitude is below rel_tol times the maximum.
+
+        The result keeps this field's ``reality_drift``: its own construction
+        starts from symmetrised coefficients and would record 0.
+        """
         if self.n_modes == 0:
             return self
         mags = np.abs(self._coeffs).reshape(self.n_modes, -1).max(axis=1)
         top = mags.max()
-        if top == 0.0:
-            return self.replace(modes=self._modes[:0], coeffs=self._coeffs[:0])
-        keep = mags >= rel_tol * top
-        return self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep])
+        keep = mags >= rel_tol * top if top > 0.0 else np.zeros_like(mags, dtype=bool)
+        out = self.replace(modes=self._modes[keep], coeffs=self._coeffs[keep])
+        out.reality_drift = self.reality_drift
+        return out
 
     def norm(self, s):
         """Weighted-l1 analytic norm on the angle strip of width s.
@@ -502,7 +513,9 @@ class FourierField:
         The l >= 0 coefficients come from rfftn and the l < 0 ones are the
         conjugates of their mirror modes.  The relative coefficient mass of the
         full spectrum outside the retained ball is stored on the result as
-        ``projection_residual``.
+        ``projection_residual``, and the departure of the l = 0 plane from
+        conjugate symmetry, relative to the largest coefficient of the
+        spectrum, as ``reality_drift``.
         """
         values = np.asarray(values)
         if np.iscomplexobj(values):
@@ -520,6 +533,12 @@ class FourierField:
         idx = tuple(np.mod(mirror[:, j], nshape[j]) for j in range(d + 1))
         coeffs = C[idx]
         coeffs[~upper] = np.conj(coeffs[~upper])
+        # only the l = 0 plane, whose partners both come from rfftn, can drift,
+        # and only by the transform's roundoff: measured against the whole
+        # spectrum, so that a field of roundoff alone does not read as complex
+        sym = _symmetric_part(coeffs)
+        scale = np.abs(C).max(initial=0.0)
+        drift = float(np.abs(coeffs - sym).max(initial=0.0) / scale) if scale > 0 else 0.0
         # the half spectrum stands for its mirror too, except on the l = 0
         # plane and on the Nyquist plane of an even time axis
         weight = np.full(C.shape[d], 2.0)
@@ -530,7 +549,8 @@ class FourierField:
         total = float(weight @ mass)
         kept = float(np.abs(coeffs).sum())
         residual = 0.0 if total == 0 else max(0.0, (total - kept) / total)
-        f = cls(d, modes, coeffs, grid=grid, vshape=vshape)
+        f = cls(d, modes, sym, grid=grid, vshape=vshape)
+        f.reality_drift = drift
         f = f.prune()
         f.projection_residual = residual
         return f

@@ -7,8 +7,8 @@ symplectic and pulls the oscillator energy back to kappa * I**(2*beta).
 The period T0 has the closed form 4*sqrt(n+1)*a*B(a, 1/2), a = 1/(2n+2).
 """
 
+import mpmath
 import numpy as np
-import scipy.special
 
 from .errors import DomainError
 from .util import fftn
@@ -45,7 +45,10 @@ def compute_period(n):
     if n == 0:
         return 2.0 * np.pi
     a = 1.0 / (2 * n + 2)
-    return 4.0 * np.sqrt(n + 1.0) * a * scipy.special.beta(a, 0.5)
+    # B(a, 1/2) at 30 digits, rounded once to a float
+    with mpmath.workdps(30):
+        beta = float(mpmath.beta(a, 0.5))
+    return 4.0 * np.sqrt(n + 1.0) * a * beta
 
 
 def _integrate_reference(n, t_grid, substeps):

@@ -1,4 +1,10 @@
-"""Small shared helpers: threading knob, deterministic CSV output, config hashing."""
+"""Small shared helpers: the FFT seam, threading knob, deterministic CSV output, config hashing.
+
+Every FFT in the package goes through ``fftn``/``ifftn`` here, on numpy's
+pocketfft.  ``numpy.fft`` and ``numpy.random`` load lazily in numpy 2; they
+are imported with this module so that a run pays for them at start-up, not
+inside its first transform or its first generator.
+"""
 
 import csv
 import hashlib
@@ -6,13 +12,14 @@ import json
 import os
 
 import numpy as np
-import scipy.fft
+import numpy.fft
+import numpy.random
 
 _ENV_THREADS = "KAMFORGE_THREADS"
 
 
 def get_workers():
-    """Worker-thread cap from the KAMFORGE_THREADS environment variable (default 1)."""
+    """Thread cap of the excluded-measure pool, from KAMFORGE_THREADS (default 1)."""
     raw = os.environ.get(_ENV_THREADS, "")
     try:
         n = int(raw)
@@ -24,17 +31,26 @@ def get_workers():
 def fftn(a, axes=None):
     """Forward FFT over ``axes``; a real input gives the half spectrum of rfftn."""
     if np.isrealobj(a):
-        return scipy.fft.rfftn(a, axes=axes, workers=get_workers())
-    return scipy.fft.fftn(a, axes=axes, workers=get_workers())
+        return np.fft.rfftn(a, axes=axes)
+    return np.fft.fftn(a, axes=axes)
 
 
 def ifftn(a, axes, s):
     """Inverse of a half spectrum over ``axes`` (irfftn): real values of shape ``s`` there."""
-    return scipy.fft.irfftn(a, s=s, axes=axes, workers=get_workers())
+    return np.fft.irfftn(a, s=s, axes=axes)
 
 
 def fast_len(n):
-    return scipy.fft.next_fast_len(int(n), real=False)
+    """Smallest 11-smooth integer >= n: a transform length with only radices 2 to 11."""
+    m = max(1, int(n))
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 def fmt_float(x):

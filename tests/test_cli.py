@@ -259,7 +259,7 @@ def test_pipeline_reruns_byte_identical(flat_run, tmp_path):
 
 
 def test_pipeline_artifacts_do_not_depend_on_thread_count(tmp_path, monkeypatch):
-    # KAMFORGE_THREADS sets the FFT workers and the excluded-measure thread pool
+    # KAMFORGE_THREADS sets the excluded-measure thread pool
     cfg = cli.load_config(None, REDUCED)
     outs = []
     for threads in ("1", "2"):

@@ -455,7 +455,8 @@ def test_from_grid_inverts_to_grid(nshape, vshape):
     g = FourierField.from_grid(f.to_grid(nshape), 2, cutoff=3, grid=grid, vshape=vshape)
     assert np.array_equal(g.modes, f.modes)
     assert np.abs(g.coeffs - f.coeffs).max() <= 1e-14 * np.abs(f.coeffs).max()
-    assert g.reality_drift == 0.0
+    # the l = 0 plane of rfftn is conjugate-symmetric to roundoff only
+    assert g.reality_drift <= 1e-15
     assert g.projection_residual < 1e-14
 
 
@@ -487,6 +488,28 @@ def test_from_grid_rejects_complex_values():
     vals = sample_field().to_grid((8, 8, 8)).astype(complex)
     with pytest.raises(TypeError):
         FourierField.from_grid(vals, 2, cutoff=3)
+
+
+def test_from_grid_reports_the_unpruned_drift(monkeypatch):
+    # rfftn's l = 0 plane is conjugate-symmetric only to roundoff; the drift
+    # measured there must survive from_grid's prune, and stay at roundoff
+    vals = np.random.default_rng(11).standard_normal((9, 9, 9, 2))
+    f = FourierField.from_grid(vals, 2, cutoff=6, vshape=(2,))
+    monkeypatch.setattr(FourierField, "prune", lambda self, rel_tol=None: self)
+    unpruned = FourierField.from_grid(vals, 2, cutoff=6, vshape=(2,))
+    assert 0.0 < unpruned.reality_drift <= 1e-15
+    assert f.reality_drift == unpruned.reality_drift
+
+
+def test_prune_keeps_the_reality_drift():
+    f = sample_field()
+    assert f.prune().reality_drift == 0.0
+    c = f.coeffs.copy()
+    c[0] *= 1.0 + 1e-13
+    skewed = f.replace(coeffs=c)
+    assert skewed.reality_drift > 0.0
+    assert skewed.prune().reality_drift == skewed.reality_drift
+    assert skewed.prune(1.0).reality_drift == skewed.reality_drift
 
 
 @pytest.mark.parametrize("with_rho", [False, True])

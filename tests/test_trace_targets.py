@@ -4,18 +4,21 @@
 wrapper.  A deleted or renamed target, or a module-level alias that keeps the
 unwrapped function (``_to_grid = FourierField.to_grid``), would otherwise only
 show up as a failed check in a traced benchmark run.  Likewise an FFT that
-bypasses ``util.fftn``/``util.ifftn`` would escape the trace's FFT counters
-and the ``KAMFORGE_THREADS`` worker setting.  Importing the package must not
-load the heavy scipy subpackages, whose import time and memory every run
-would otherwise pay.  The last test keeps the number of settable values in
-the package from growing.
+bypasses ``util.fftn``/``util.ifftn`` would escape the trace's FFT counters.
+A run must load no scipy module at all, whose import time and memory it
+would otherwise pay, and a pipeline call must import no module of its own,
+which the benchmark would time as part of the call.  The last test keeps the
+number of settable values in the package from growing.
 """
 
 import ast
 import glob
+import json
 import os
 import subprocess
 import sys
+
+from test_cli import REDUCED
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -75,18 +78,32 @@ def test_only_util_reaches_an_fft_module():
                                                                             "numpy.fft"]
 
 
-HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
-               "scipy.spatial")
+IMPORT_SCRIPT = """
+import json, sys
+sys.path.insert(0, {src!r})
+import kamforge.cli as cli
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(scipy_loaded()))
+cfg = cli.load_config(None, json.loads({overrides!r}))
+before = set(sys.modules)
+cli.run_pipeline(cfg, out_dir={out!r})
+print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps(scipy_loaded()))
+"""
 
 
-def test_package_import_leaves_heavy_scipy_unloaded():
-    script = (f"import sys\nsys.path.insert(0, {os.path.join(ROOT, 'src')!r})\n"
-              "import kamforge.cli\n"
-              f"print(sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules))")
+def test_runs_load_no_scipy_and_import_nothing_inside_the_pipeline(tmp_path):
+    script = IMPORT_SCRIPT.format(src=os.path.join(ROOT, "src"), overrides=json.dumps(REDUCED),
+                                  out=str(tmp_path))
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    after_import, inside_pipeline, after_pipeline = map(json.loads, proc.stdout.splitlines())
+    assert after_import == []
+    # a module first loaded inside the call is paid for in the timed region
+    assert inside_pipeline == []
+    assert after_pipeline == []
 
 
 # Keyword defaults plus defaulted dataclass fields in the package: each is a
