@@ -13,6 +13,7 @@ through rfftn, and the shift composition accumulates in float.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -107,6 +108,15 @@ class ActionGrid:
         np.fill_diagonal(D, -D.sum(axis=1))
         return D / self.tau
 
+    def gradient(self, values):
+        """Action gradient (A, dim * B, N) of flat node values (A, B, N): diff1d on each axis."""
+        eye = [np.eye(self.n)] * self.dim
+        op = np.concatenate([functools.reduce(np.kron, eye[:j] + [self.diff1d] + eye[j + 1:])
+                             for j in range(self.dim)])
+        A, B, N = values.shape
+        return (values.reshape(A * B, N) @ op.T).reshape(A, B, self.dim, N).swapaxes(1, 2) \
+            .reshape(A, self.dim * B, N)
+
     def interp_matrix(self, pts, axis):
         """Barycentric interpolation matrix: rows map node values to values at pts."""
         x = np.atleast_1d(np.asarray(pts, dtype=float))
@@ -134,21 +144,6 @@ class ActionGrid:
             Wj = self.interp_matrix(pts[:, j], j)
             WW = WW[..., None] * Wj.reshape(Wj.shape[0], *([1] * j), self.n)
         return WW
-
-
-def _grid_values(modes, coeffs, nshape):
-    """Real values on the uniform grid ``nshape`` of conjugate-symmetric mode coefficients.
-
-    ``coeffs`` has shape (M, ...) and the result (*nshape, ...).  Only the
-    l >= 0 half of the spectrum is placed; irfftn supplies the conjugate
-    l < 0 half.  The grid must resolve every mode (``FourierField.to_grid``
-    checks this).
-    """
-    half = nshape[:-1] + (nshape[-1] // 2 + 1,)
-    C = np.zeros(half + coeffs.shape[1:], dtype=complex)
-    upper = modes[:, -1] >= 0
-    C[tuple(np.mod(modes[upper, j], n) for j, n in enumerate(nshape))] = coeffs[upper]
-    return ifftn(C, axes=tuple(range(len(nshape))), s=nshape) * np.prod(nshape)
 
 
 def _symmetric_part(c):
@@ -392,11 +387,9 @@ class FourierField:
         """
         if self.grid is None:
             raise ValueError("field has no action dependence to differentiate")
-        base = self._coeffs.ndim - self.grid.dim
-        D = self.grid.diff1d
-        c = np.stack([np.moveaxis(np.tensordot(self._coeffs, D, axes=([base + j], [1])),
-                                  -1, base + j) for j in range(self.grid.dim)], axis=1)
-        return self.replace(coeffs=c, vshape=(self.grid.dim,) + self.vshape)
+        g = self.grid
+        c = self._coeffs.reshape(self.n_modes, int(np.prod(self.vshape)), g.n ** g.dim)
+        return self.replace(coeffs=g.gradient(c), vshape=(g.dim,) + self.vshape)
 
     def angle_average(self):
         """Projection onto k = 0: the time-dependent, angle-free part."""
@@ -501,10 +494,12 @@ class FourierField:
         nshape = tuple(int(n) for n in nshape)
         if len(nshape) != self.d + 1:
             raise ValueError("grid shape must have d+1 entries")
-        for j, n in enumerate(nshape):
-            if 2 * np.abs(self._modes[:, j]).max(initial=0) + 1 > n:
-                raise ValueError("grid too small for stored modes (aliasing collision)")
-        return _grid_values(self._modes, self._coeffs, nshape)
+        if np.any(2 * np.abs(self._modes).max(axis=0, initial=0) + 1 > nshape):
+            raise ValueError("grid too small for stored modes (aliasing collision)")
+        C = np.zeros(nshape[:-1] + (nshape[-1] // 2 + 1,) + self._coeffs.shape[1:], dtype=complex)
+        upper = self._modes[:, -1] >= 0
+        C[tuple(np.mod(self._modes[upper], nshape).T)] = self._coeffs[upper]
+        return ifftn(C, axes=tuple(range(len(nshape))), s=nshape) * np.prod(nshape)
 
     @classmethod
     def from_grid(cls, values, d, cutoff, grid=None, vshape=()):
@@ -588,67 +583,85 @@ class FourierField:
         return cls(d, modes, coeffs, vshape=vshape)
 
 
-def compose_shifted_grid(field, nshape, dtheta=None, rho=None, grids=None):
-    """Grid values of field(theta + dtheta, t, rho), Taylor in the angles only.
+class ShiftGrids:
+    """The angle-derivative grids of one field f on the uniform (theta, t) grid ``nshape``.
 
-    The values live on the uniform (theta, t) grid of shape ``nshape`` crossed
-    with the field's own action nodes, or with the action points ``rho``
-    given per grid point.  The angle shift is summed as a Taylor series whose
-    derivative grids come from mode factors; each value component's series
+    ``derivative(alpha)`` places the Taylor term d^alpha f / dtheta^alpha / alpha!
+    on that grid crossed with f's action nodes, (points, components, nodes),
+    and keeps nothing.  The views ``grad_angle()`` and ``grad_action()`` read
+    df/dtheta and df/drho off grids of f that the family keeps across calls:
+    df/dtheta_j's alpha-grid is f's (alpha + e_j)-grid times alpha_j + 1, and
+    df/drho's is f's alpha-grid through ``ActionGrid.gradient``, exact as
+    node values are polynomials.
+    """
+
+    def __init__(self, field, nshape):
+        self.field, self.nshape, self.kept = field, tuple(nshape), {}
+        self.d, self.vshape, self.grid = field.d, field.vshape, field.grid
+
+    def derivative(self, alpha):
+        f, P, C = self.field, int(np.prod(self.nshape)), int(np.prod(self.vshape))
+        fac = 1j ** sum(alpha) * np.prod(np.power(f.modes[:, : f.d], alpha, dtype=float), axis=1) \
+            / math.prod(map(math.factorial, alpha))
+        return f.replace(coeffs=f.coeffs * fac.reshape((-1,) + (1,) * (f.coeffs.ndim - 1))) \
+            .to_grid(self.nshape).reshape(P, C, -1)
+
+    def _keep(self, alpha):
+        if alpha not in self.kept:
+            self.kept[alpha] = self.derivative(alpha)
+        return self.kept[alpha]
+
+    def grad_angle(self):
+        return _Gradient(self, self.d, lambda alpha: np.concatenate([
+            (alpha[j] + 1) * self._keep(alpha[:j] + (alpha[j] + 1,) + alpha[j + 1:])
+            for j in range(self.d)], 1))
+
+    def grad_action(self):
+        return _Gradient(self, self.grid.dim, lambda alpha: self.grid.gradient(self._keep(alpha)))
+
+
+class _Gradient:
+    """df/dtheta or df/drho of a ShiftGrids family: its grids, derivative index first."""
+
+    def __init__(self, family, n, derivative):
+        self.nshape, self.d, self.grid = family.nshape, family.d, family.grid
+        self.vshape, self.derivative = (n,) + family.vshape, derivative
+
+
+def compose_shifted_grid(grids, dtheta=None, rho=None):
+    """Grid values of f(theta + dtheta, t, rho), Taylor in the angles only.
+
+    ``grids`` is a ``ShiftGrids`` family of f, or one of its views.  The
+    values live on its (theta, t) grid crossed with f's action nodes, or
+    with the action points ``rho`` given per grid point.  The series sums
+    alpha-grids times shift^alpha; each value component's series
     runs until its last order is below ``SHIFT_TOL`` relative to that
     component's sum.  The action argument is exact: node coefficients are
     polynomials in the action, so each derivative grid is contracted with
-    the barycentric weights of ``field.grid`` at ``rho``.
+    the barycentric weights of f's action grid at ``rho``.
 
-    Parameters
-    ----------
-    dtheta : array or None
-        Angle shift, broadcastable to (*nshape, *gshape, d).
-    rho : array or None
-        Action points of shape (*nshape, *gshape, dim) for any ``gshape``;
-        without them gshape is the field's own node shape (() for an
-        action-free field, which takes no ``rho``).
-    grids : dict or None
-        Derivative grids keyed by the multi-index alpha, in the field's own
-        node layout.  They depend only on the field and ``nshape``, so calls
-        that share those can share one dict, with or without ``rho``:
-        missing grids are added and present ones reused, with the same
-        values as fresh ones.
-
-    Returns
-    -------
-    values : float array of shape (*nshape, *gshape, *field.vshape)
-    err : float
-        Largest relative size of the last angle order over the components
-        (0 without ``dtheta``: the action argument is exact).
+    ``dtheta`` is broadcastable to (*nshape, *gshape, d), and ``rho`` has
+    shape (*nshape, *gshape, dim) for any ``gshape``; without ``rho``, gshape
+    is f's own node shape (() for an action-free field, which takes none).
+    Returns the float values (*nshape, *gshape, *vshape) and the largest
+    relative size of the last angle order over the components (0 without
+    ``dtheta``: the action argument is exact).
     """
-    nshape = tuple(nshape)
-    nodes = field.grid.shape if field.grid is not None else ()
+    nshape, d = grids.nshape, grids.d
+    nodes = grids.grid.shape if grids.grid is not None else ()
     gshape = nodes if rho is None else rho.shape[len(nshape):-1]
-    P, Q, C = int(np.prod(nshape)), int(np.prod(gshape)), int(np.prod(field.vshape))
+    P, Q, C = int(np.prod(nshape)), int(np.prod(gshape)), int(np.prod(grids.vshape))
     W = None
     if rho is not None:
-        if field.grid is None:
+        if grids.grid is None:
             raise ValueError("an action-free field takes no action points")
         # (P, field nodes, Q): g @ W contracts a grid's node axis
-        W = field.grid.interp_weights(rho.reshape(-1, field.grid.dim)).reshape(P, Q, -1) \
+        W = grids.grid.interp_weights(rho.reshape(-1, grids.grid.dim)).reshape(P, Q, -1) \
             .transpose(0, 2, 1)
-    coeffs = field.coeffs.reshape(field.n_modes, C, int(np.prod(nodes)))
 
-    # every grid below is (P, components, field nodes or 1): to_grid's own layout
-    def values(alpha, fac, active):
-        """Values of the alpha-th derivative grid for the active components.
-
-        The order-0 grid is the field's own; a higher one is placed from the
-        coefficients times ``fac``.
-        """
-        g = None if grids is None else grids.get(alpha)
-        if g is None:
-            g = (field.to_grid(nshape) if fac is None
-                 else _grid_values(field.modes, coeffs * fac[:, None, None], nshape))
-            g = g.reshape(P, C, -1)
-            if grids is not None:
-                grids[alpha] = g
+    def values(alpha, active):
+        """The alpha-grid (P, active components, Q) at the points."""
+        g = grids.derivative(alpha)
         if active.size < C:
             g = g[:, active]
         return g if W is None else g @ W
@@ -656,27 +669,26 @@ def compose_shifted_grid(field, nshape, dtheta=None, rho=None, grids=None):
     def peak(a):
         return np.abs(a).max(axis=2).max(axis=0)
 
-    zero = (0,) * field.d
+    zero = (0,) * d
     active = np.arange(C)
     accum = np.zeros((P, C, Q))
-    accum += values(zero, None, active)
+    accum += values(zero, active)
     err = np.zeros(C)
     if dtheta is not None:
-        shift = np.broadcast_to(dtheta, nshape + gshape + (field.d,)).reshape(P, Q, field.d)
-        ik = 1j * field.modes[:, : field.d]
-        # order-n terms keyed by alpha: coefficient factor (ik)^alpha / alpha! and
-        # monomial shift^alpha, each one multiply from a parent one order below
-        level = {zero: (np.ones(field.n_modes), 1.0)}
+        shift = np.broadcast_to(dtheta, nshape + gshape + (d,)).reshape(P, Q, d)
+        # order-n monomials shift^alpha keyed by alpha, each one multiply from
+        # a parent one order below
+        level = {zero: 1.0}
         last = np.where(peak(accum) > 0, 1.0, 0.0)
         for _ in range(TAYLOR_MAX_ORDER):
             nxt = {}
             contrib = np.zeros((P, active.size, Q))
-            for parent, (fac, mono) in level.items():
-                first = max((j for j in range(field.d) if parent[j]), default=0)
-                for j in range(first, field.d):
+            for parent, mono in level.items():
+                first = max((j for j in range(d) if parent[j]), default=0)
+                for j in range(first, d):
                     alpha = parent[:j] + (parent[j] + 1,) + parent[j + 1:]
-                    nxt[alpha] = (fac * ik[:, j] / alpha[j], mono * shift[..., j])
-                    contrib += values(alpha, nxt[alpha][0], active) * nxt[alpha][1][:, None]
+                    nxt[alpha] = mono * shift[..., j]
+                    contrib += values(alpha, active) * nxt[alpha][:, None]
             level = nxt
             accum[:, active] += contrib
             err[active] = peak(contrib) / np.maximum(peak(accum[:, active]), 1e-300)
@@ -689,7 +701,7 @@ def compose_shifted_grid(field, nshape, dtheta=None, rho=None, grids=None):
             if err.max() > 100 * SHIFT_TOL:
                 raise ContractionError(
                     f"shift-composition Taylor series stalled at relative size {err.max():.3e}")
-    out = accum.transpose(0, 2, 1).reshape(nshape + gshape + field.vshape)
+    out = accum.transpose(0, 2, 1).reshape(nshape + gshape + grids.vshape)
     return out, float(err.max(initial=0.0))
 
 

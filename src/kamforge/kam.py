@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, EscapeError
-from .fourier import ActionGrid, FourierField, action_jet, compose_shifted_grid
+from .fourier import ActionGrid, FourierField, ShiftGrids, action_jet, compose_shifted_grid
 from .normal_form import (SHIFT_MAX_ITER, Change, NormalFormParams, implicit_angle_shift,
                           solve_fixed_point, solve_homological)
 
@@ -192,22 +192,24 @@ def kam_step(state, params):
 
     # the remainder H(theta, t, rho + W) + dS/dt - N' in the old angle variables,
     # with W = nu + dS/dtheta on the new nodes and N' the new normal form, whose
-    # constant moves by dC ---------------------------------------------------
+    # constant moves by dC; W and V below read one family of S's grids -------
     rho = grid_new.node_points()                                # (*gshape, d)
-    W = nu + np.moveaxis(S.grad_angle().to_grid(nshape), d + 1, -1)
+    grids = ShiftGrids(S, nshape)
+    W = nu + compose_shifted_grid(grids.grad_angle())[0]
     rem = -dC + S.time_derivative().to_grid(nshape) + epa * (
         W @ omega + np.einsum("...i,ij,...j->...", 2.0 * rho + W, Om, W)
         - np.einsum("...i,ij,...j->...", rho, dOm, rho))
-    vals, e = compose_shifted_grid(state.R, nshape, rho=rho + W)
+    vals, e = compose_shifted_grid(ShiftGrids(state.R, nshape), rho=rho + W)
     rem += vals
     taylor_errs.append(e)
 
     # compose with the implicit angle change theta = phi + V, where
-    # phi = theta + dS/drho -------------------------------------------------
-    V, fp_iters = implicit_angle_shift(S.grad_action(), nshape)
+    # phi = theta + dS/drho; the family goes before the remainder is composed --
+    V, fp_iters = implicit_angle_shift(grids.grad_action())
+    del grids
 
     rem_field = FourierField.from_grid(rem, d, params.K_cap, grid=grid_new)
-    vals, e = compose_shifted_grid(rem_field, nshape, dtheta=V)
+    vals, e = compose_shifted_grid(ShiftGrids(rem_field, nshape), dtheta=V)
     taylor_errs.append(e)
     R_new = FourierField.from_grid(vals, d, params.K_cap, grid=grid_new)
     proj_res = max(rem_field.projection_residual, R_new.projection_residual)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .diophantine import DiophantineParams
 from .errors import ContractionError, DomainError, SmallDivisorError
-from .fourier import SHIFT_TOL, ActionGrid, FourierField, compose_shifted_grid
+from .fourier import SHIFT_TOL, ActionGrid, FourierField, ShiftGrids, compose_shifted_grid
 from .util import fast_len
 
 # Small divisors must stay above this fraction of their Diophantine bound.
@@ -254,25 +254,19 @@ def solve_fixed_point(apply_map, shape, max_iter):
                            f"(last change {delta:.3e})")
 
 
-def implicit_angle_shift(srho, nshape):
+def implicit_angle_shift(srho):
     """Solve V = -srho(phi + V) on the (phi, t) grid crossed with srho's action nodes.
 
-    ``srho`` is the vector field dS/drho of a generating function S.  V is
-    the angle change theta = phi + V of the implicit transformation
-    phi = theta + dS/drho.  Returns (V, iterations); V has shape
-    (*nshape, *srho.grid.shape, d) and the residual |V + srho(phi + V)| is at
-    most SHIFT_TOL * max(1, |V|).  Both the fixed point and its Taylor
-    compositions stop at ``SHIFT_TOL``, and at most ``SHIFT_MAX_ITER`` maps
-    run.  The derivative grids of ``srho`` do not depend on V, so every
-    iteration shares one dict of them.
+    ``srho`` is the dS/drho view (``grad_action()``) of a ``ShiftGrids``
+    family of a generating function S, which keeps the grids that every
+    iteration reads.  V is the angle change theta = phi + V of the implicit
+    transformation phi = theta + dS/drho.  Returns (V, iterations); V has
+    shape (*nshape, *S.grid.shape, d) and the residual |V + srho(phi + V)|
+    is at most SHIFT_TOL * max(1, |V|).  Both the fixed point and its Taylor
+    compositions stop at ``SHIFT_TOL``, and at most ``SHIFT_MAX_ITER`` maps run.
     """
-    shape = tuple(nshape) + srho.grid.shape + srho.vshape
-    grids = {}
-
-    def step(V):
-        return -compose_shifted_grid(srho, nshape, dtheta=V, grids=grids)[0]
-
-    V, iters, _ = solve_fixed_point(step, shape, SHIFT_MAX_ITER)
+    V, iters, _ = solve_fixed_point(lambda V: -compose_shifted_grid(srho, dtheta=V)[0],
+                                    srho.nshape + srho.grid.shape + srho.vshape, SHIFT_MAX_ITER)
     return V, iters
 
 
@@ -284,9 +278,11 @@ def canonical_change(S, nshape):
     (*nshape, *S.grid.shape, d) over the uniform (phi, t) grid crossed with
     S's action nodes, with theta = phi + V and I = rho + U, the fixed-point
     iteration count, and the largest Taylor error of the U compositions.
+    V and U read dS/drho and dS/dtheta off one ``ShiftGrids`` family of S.
     """
-    V, iters = implicit_angle_shift(S.grad_action(), nshape)
-    U, err = compose_shifted_grid(S.grad_angle(), nshape, dtheta=V)
+    grids = ShiftGrids(S, nshape)
+    V, iters = implicit_angle_shift(grids.grad_action())
+    U, err = compose_shifted_grid(grids.grad_angle(), dtheta=V)
     return U, V, iters, err
 
 
@@ -317,13 +313,13 @@ def push_forward(state, spec, params):
     # U becomes the old actions rho + U in place: a fresh array raises the peak memory
     U += nodes
     if state.h.n_modes:
-        vals, e = compose_shifted_grid(state.h, nshape, rho=U)
+        vals, e = compose_shifted_grid(ShiftGrids(state.h, nshape), rho=U)
         tot += vals
         taylor_errs.append(e)
-    vals, e = compose_shifted_grid(state.R, nshape, dtheta=V, rho=U)
+    vals, e = compose_shifted_grid(ShiftGrids(state.R, nshape), dtheta=V, rho=U)
     tot += vals
     taylor_errs.append(e)
-    vals, e = compose_shifted_grid(S.time_derivative(), nshape, dtheta=V)
+    vals, e = compose_shifted_grid(ShiftGrids(S.time_derivative(), nshape), dtheta=V)
     tot += vals
     taylor_errs.append(e)
 
@@ -360,14 +356,14 @@ def twist_compose(field, S, nshape, cutoff):
 
     The change generated by S leaves the action unchanged and maps theta to
     phi = theta + dS/dI(t, I), so the field in the new angles is
-    field(phi - dS/dI(t, I), t, I).  It is composed on the uniform grid
-    ``nshape`` by ``compose_shifted_grid`` and projected onto modes up to
-    ``cutoff``.  Returns (projected field, Taylor error of the composition).
+    field(phi - dS/dI(t, I), t, I), with dS/dI read off S's ``ShiftGrids``.
+    It is composed on the uniform grid ``nshape`` by ``compose_shifted_grid``
+    and projected onto modes up to ``cutoff``.  Returns (projected field,
+    Taylor error of the composition).
     """
-    d = field.d
-    dtheta = -np.moveaxis(S.grad_action().to_grid(nshape), d + 1, -1)
-    vals, err = compose_shifted_grid(field, nshape, dtheta=dtheta)
-    return FourierField.from_grid(vals, d, cutoff, grid=field.grid), err
+    dtheta = -compose_shifted_grid(ShiftGrids(S, nshape).grad_action())[0]
+    vals, err = compose_shifted_grid(ShiftGrids(field, nshape), dtheta=dtheta)
+    return FourierField.from_grid(vals, field.d, cutoff, grid=field.grid), err
 
 
 @dataclass

@@ -5,8 +5,8 @@ import pytest
 
 from kamforge import fourier
 from kamforge.errors import RealityError
-from kamforge.fourier import (REALITY_TOL, ActionGrid, FourierField, action_jet, ball_modes,
-                              compose_shifted_grid)
+from kamforge.fourier import (REALITY_TOL, ActionGrid, FourierField, ShiftGrids, action_jet,
+                              ball_modes, compose_shifted_grid)
 
 
 def sample_field():
@@ -215,7 +215,8 @@ def test_compose_shifted_grid_matches_direct_evaluation(case):
     V = 0.03 * rng.standard_normal(pshape) if angle else np.zeros(pshape)
     U = 4e-4 * rng.standard_normal(pshape) if action else np.zeros(pshape)
     rho = None if action_free else out.node_points() + U
-    vals, err = compose_shifted_grid(f, nshape, dtheta=V if angle else None, rho=rho)
+    vals, err = compose_shifted_grid(ShiftGrids(f, nshape), dtheta=V if angle else None,
+                                     rho=rho)
     assert vals.shape == nshape + gshape + f.vshape
     axes = [np.linspace(0, 2 * np.pi, n, endpoint=False) for n in nshape]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -512,8 +513,33 @@ def test_prune_keeps_the_reality_drift():
     assert skewed.prune(1.0).reality_drift == skewed.reality_drift
 
 
+def all_alphas(d, order):
+    """Every multi-index alpha with |alpha| <= order."""
+    return [a for a in np.ndindex(*(order + 1,) * d) if sum(a) <= order]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "staggered"])
+def test_shift_grid_views_match_fresh_placements(kind):
+    rng = np.random.default_rng(7)
+    grid = ActionGrid((1.0, 1.5), 2e-3, 5)
+    f = node_field(rng, grid, 0.005) if kind == "scalar" else staggered_field(rng, grid)
+    nshape = (12, 12, 12)
+    family = ShiftGrids(f, nshape)
+    for view, grad in ((family.grad_angle(), f.grad_angle()),
+                       (family.grad_action(), f.grad_action())):
+        fresh = ShiftGrids(grad, nshape)
+        assert view.vshape == grad.vshape
+        for alpha in all_alphas(2, 4):
+            want = fresh.derivative(alpha)
+            got = view.derivative(alpha)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), alpha
+    # the views place only f's own grids: the angle view reads orders up to 5
+    assert sorted(family.kept) == all_alphas(2, 5)
+
+
 @pytest.mark.parametrize("with_rho", [False, True])
-def test_compose_reuses_shared_derivative_grids(with_rho):
+def test_shift_grid_family_shared_across_compositions(with_rho):
     rng = np.random.default_rng(5)
     grid = ActionGrid((1.0, 1.5), 2e-3, 5)
     out = ActionGrid((1.0, 1.5), 1e-3, 5)
@@ -522,18 +548,26 @@ def test_compose_reuses_shared_derivative_grids(with_rho):
     f = staggered_field(rng, grid)
     nshape = (12, 12, 12)
     pshape = nshape + out.shape + (2,)
-    # shifts of growing size need more orders than the ones already stored;
+    # shifts of growing size need more orders than the ones already kept;
     # the last call alternates between points rho and the field's own nodes
     shifts = [(size * rng.standard_normal(pshape),
                out.node_points() + 4e-4 * rng.standard_normal(pshape) if rho else None)
               for size, rho in ((1e-3, with_rho), (0.03, with_rho), (0.01, not with_rho))]
-    grids, stored = {}, []
+    shared, stored = ShiftGrids(f, nshape), []
     for dtheta, rho in shifts:
-        shared = compose_shifted_grid(f, nshape, dtheta=dtheta, rho=rho, grids=grids)
-        fresh = compose_shifted_grid(f, nshape, dtheta=dtheta, rho=rho)
-        assert np.array_equal(shared[0], fresh[0])
-        assert shared[1] == fresh[1]
-        stored.append(len(grids))
+        fresh = ShiftGrids(f, nshape)
+        for view, fresh_view in ((shared.grad_action(), fresh.grad_action()),
+                                 (shared.grad_angle(), fresh.grad_angle())):
+            got = compose_shifted_grid(view, dtheta=dtheta, rho=rho)
+            want = compose_shifted_grid(fresh_view, dtheta=dtheta, rho=rho)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+        stored.append(len(shared.kept))
+        # composing the field itself places its grids for that call and keeps none
+        got = compose_shifted_grid(shared, dtheta=dtheta, rho=rho)
+        want = compose_shifted_grid(ShiftGrids(f, nshape), dtheta=dtheta, rho=rho)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert len(shared.kept) == stored[-1]
     # the larger shift adds orders, the smaller one after it reuses them all
     assert stored[0] < stored[1] == stored[2]
 

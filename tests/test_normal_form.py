@@ -1,11 +1,13 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from kamforge import fourier
 from kamforge.diophantine import DiophantineParams
 from kamforge.errors import ContractionError, DomainError, SmallDivisorError
-from kamforge.fourier import SHIFT_TOL, ActionGrid, FourierField, compose_shifted_grid
+from kamforge.fourier import SHIFT_TOL, ActionGrid, FourierField, ShiftGrids, compose_shifted_grid
 from kamforge.kam import _invert_change
 from kamforge.normal_form import (AveragedResult, HamiltonianSpec,
                                   NormalFormParams, canonical_change,
@@ -142,13 +144,55 @@ def test_implicit_angle_shift_residual_is_certified():
         2, {(1, 0, 1): 0.02 * nodes[..., 0], (-1, 0, -1): 0.02 * nodes[..., 0],
             (0, 1, -1): 0.01j * nodes[..., 1], (0, -1, 1): -0.01j * nodes[..., 1]},
         grid=grid)
-    srho = S.grad_action()
     nshape = (8, 8, 8)
-    V, iters = implicit_angle_shift(srho, nshape)
+    V, iters = implicit_angle_shift(ShiftGrids(S, nshape).grad_action())
     assert V.shape == nshape + grid.shape + (2,) and iters > 1
-    shifted = compose_shifted_grid(srho, nshape, dtheta=V)[0]
+    # checked against a fresh placement of dS/drho's own grids
+    shifted = compose_shifted_grid(ShiftGrids(S.grad_action(), nshape), dtheta=V)[0]
     assert np.abs(V + shifted).max() <= SHIFT_TOL * max(1.0, np.abs(V).max())
     assert np.abs(V).max() > 1e-3
+
+
+def test_canonical_change_transforms_each_grid_of_S_once(monkeypatch):
+    # V and U read one family of S's scalar grids: every transform is one
+    # alpha-grid of S, the half spectrum of its coefficients times
+    # (ik)^alpha / alpha!, and none is placed twice.  Each |k_j| differs, so alpha fixes the factors.
+    grid = ActionGrid(np.array([1.0, 1.5]), 1e-3, 3)
+    nodes = grid.node_points()
+    coef = {(1, 2, 1): 0.01 * nodes[..., 0], (3, -1, 0): 0.004j * nodes[..., 1],
+            (2, 1, -1): 0.003 * (1 + 1j) * nodes[..., 0]}
+    coef.update({tuple(-x for x in m): np.conj(c) for m, c in list(coef.items())})
+    S = FourierField.from_modes(2, coef, grid=grid)
+    nshape = (16, 16, 16)
+    placed = []
+    ifftn = fourier.ifftn
+
+    def spy(C, **kw):
+        placed.append(C.copy())
+        return ifftn(C, **kw)
+
+    monkeypatch.setattr(fourier, "ifftn", spy)
+    U, V, iters, err = canonical_change(S, nshape)
+    assert iters > 1 and np.abs(V).max() > 1e-3
+    upper = S.modes[:, -1] >= 0
+    idx = tuple(np.mod(S.modes[upper, j], n) for j, n in enumerate(nshape))
+    k = S.modes[upper, :2]
+    seen = []
+    for C in placed:
+        assert C.shape == nshape[:-1] + (nshape[-1] // 2 + 1,) + grid.shape
+        match = []
+        for alpha in np.ndindex(fourier.TAYLOR_MAX_ORDER + 2, fourier.TAYLOR_MAX_ORDER + 2):
+            want = np.zeros_like(C)
+            fac = np.prod((1j * k) ** np.array(alpha), axis=1) / np.prod(
+                [math.factorial(a) for a in alpha])
+            want[idx] = S.coeffs[upper] * fac[:, None, None]
+            if np.allclose(C, want, rtol=1e-13, atol=0.0):
+                match.append(alpha)
+        assert len(match) == 1, match
+        seen += match
+    assert len(set(seen)) == len(seen)
+    # the U composition reads orders above the ones the fixed point kept
+    assert max(map(sum, seen)) >= 3
 
 
 @pytest.fixture(scope="module")

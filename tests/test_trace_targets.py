@@ -4,7 +4,9 @@
 wrapper.  A deleted or renamed target, or a module-level alias that keeps the
 unwrapped function (``_to_grid = FourierField.to_grid``), would otherwise only
 show up as a failed check in a traced benchmark run.  Likewise an FFT that
-bypasses ``util.fftn``/``util.ifftn`` would escape the trace's FFT counters.
+bypasses ``util.fftn``/``util.ifftn`` would escape the trace's FFT counters,
+and a gradient of a field whose grids are transformed on their own, not read
+off its ``ShiftGrids`` family, would bring back a second path to the same grids.
 A run must load no scipy module at all, whose import time and memory it
 would otherwise pay, and a pipeline call must import no module of its own,
 which the benchmark would time as part of the call.  The last test keeps the
@@ -78,6 +80,54 @@ def test_only_util_reaches_an_fft_module():
                                                                             "numpy.fft"]
 
 
+GRADIENTS = ("grad_angle", "grad_action")
+
+
+def gradient_grid_uses(tree):
+    """Lines that place a field gradient's grids apart from its generating function's family.
+
+    That is ``f.grad_angle().to_grid(...)``, or a ``grad_angle()`` or
+    ``grad_action()`` call inside the arguments of ``ShiftGrids`` or
+    ``compose_shifted_grid``, except on a ``ShiftGrids`` family or a name
+    bound to one, whose views read the family's own grids.
+    """
+    def is_call(node, names):
+        f = node.func if isinstance(node, ast.Call) else None
+        return getattr(f, "attr", getattr(f, "id", None)) in names
+
+    families = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and is_call(node.value, ("ShiftGrids",))
+                for t in node.targets if isinstance(t, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if is_call(node, ("to_grid",)) and is_call(node.func.value, GRADIENTS):
+            found.append(node.lineno)
+        elif is_call(node, ("ShiftGrids", "compose_shifted_grid")):
+            for arg in node.args + [k.value for k in node.keywords]:
+                found += [n.lineno for n in ast.walk(arg) if is_call(n, GRADIENTS)
+                          and getattr(n.func.value, "id", None) not in families
+                          and not is_call(n.func.value, ("ShiftGrids",))]
+    return sorted(set(found))
+
+
+def test_gradient_grids_come_from_one_family():
+    offenders = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "kamforge", "*.py"))):
+        with open(path) as fh:
+            uses = gradient_grid_uses(ast.parse(fh.read()))
+        if uses:
+            offenders[os.path.basename(path)] = uses
+    assert offenders == {}
+    # the walk sees each spelling, and lets a family's views through
+    sample = ("W = S.grad_angle().to_grid(nshape)\n"
+              "compose_shifted_grid(ShiftGrids(S.grad_action(), nshape), dtheta=V)\n"
+              "compose_shifted_grid(S.grad_angle(), nshape)\n"
+              "grids = ShiftGrids(S, nshape)\n"
+              "compose_shifted_grid(grids.grad_angle(), dtheta=V)\n"
+              "compose_shifted_grid(ShiftGrids(S, nshape).grad_action())\n")
+    assert gradient_grid_uses(ast.parse(sample)) == [1, 2, 3]
+
+
 IMPORT_SCRIPT = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -108,7 +158,7 @@ def test_runs_load_no_scipy_and_import_nothing_inside_the_pipeline(tmp_path):
 
 # Keyword defaults plus defaulted dataclass fields in the package: each is a
 # value a caller can set.  Lower the ceiling when a change removes some.
-SETTABLE_CEILING = 42
+SETTABLE_CEILING = 41
 
 
 def is_dataclass(cls):
